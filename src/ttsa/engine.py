@@ -4,10 +4,27 @@ Runs the plain fast/slow recursion, the matricial-gain variant, and the
 running averages, optionally tracking the martingale / coupling / remainder
 decomposition of each error component alongside the main path.
 
-The same vectorized kernel drives single trajectories and replication
-batches: a batch holds its replications in the leading axis and every
-replication owns an independent counter-based random stream, so a single run
-is exactly replication 0 of the batch with the same seed.
+One kernel advances every path, and its state is the stacked iterate
+x = (theta, mu) with one row per replication, shape (B, d+d'). One step is
+
+    x_{n+1} = x_n + s_n * (((x_n - x*) Q^T + xi_{n+1} + rho + r_n) G^T)
+
+with Q = [[Q11, Q12], [Q21, Q22]] the full Jacobian, xi = (V, W) the stacked
+innovation, rho the residual, r_n the bias, G = blockdiag(A_fast, A_slow) for
+the matricial variant (the identity otherwise) and s_n = (beta_n 1_d,
+gamma_n 1_d') the per-component step. theta and mu are split off only where a
+checkpoint or a recorded step needs them. ``step``, ``matricial_step``,
+``run`` and ``simulate_batch`` all go through this kernel.
+
+The kernel never advances fewer than two rows, because a one-row matrix
+product runs as a matrix-vector BLAS kernel that rounds differently from the
+matrix-matrix kernel of a larger batch; a single trajectory therefore runs as
+two identical rows and keeps one.
+
+Replication r of a seed draws from its own counter-based stream, so its path
+does not depend on the batch size. Its path does not depend on the chunk
+size either, because the noise model scales a one-row draw as two rows. A
+single run is exactly replication 0 of a batch with the same seed.
 """
 from __future__ import annotations
 
@@ -23,6 +40,7 @@ from .schedules import StepSchedule
 
 DIVERGENCE_GUARD = 1e9
 _CHUNK = 512
+_MIN_ROWS = 2  # the two-row rule of the module docstring
 
 STANDARD = "standard"
 AVERAGED = "averaged"
@@ -125,21 +143,26 @@ class SAState:
         return self.mu_sum / self.n
 
 
+def _initial_iterates(problem: ProblemSpec, theta0, mu0) -> tuple[np.ndarray, np.ndarray]:
+    off_f, off_s = default_offsets(problem)
+    theta = np.array(theta0, dtype=float) if theta0 is not None else problem.theta_star + off_f
+    mu = np.array(mu0, dtype=float) if mu0 is not None else problem.mu_star + off_s
+    if theta.shape != (problem.d,) or mu.shape != (problem.d_prime,):
+        raise DimensionError("initial iterates do not match the problem dimensions")
+    return theta, mu
+
+
 def initial_state(
     problem: ProblemSpec,
     schedule: StepSchedule,
     theta0=None,
     mu0=None,
 ) -> SAState:
-    off_f, off_s = default_offsets(problem)
-    theta = np.asarray(theta0, dtype=float) if theta0 is not None else problem.theta_star + off_f
-    mu = np.asarray(mu0, dtype=float) if mu0 is not None else problem.mu_star + off_s
-    if theta.shape != (problem.d,) or mu.shape != (problem.d_prime,):
-        raise DimensionError("initial iterates do not match the problem dimensions")
+    theta, mu = _initial_iterates(problem, theta0, mu0)
     return SAState(
         n=1,
-        theta=theta.copy(),
-        mu=mu.copy(),
+        theta=theta,
+        mu=mu,
         theta_sum=theta.copy(),
         theta_comp=np.zeros_like(theta),
         mu_sum=mu.copy(),
@@ -184,66 +207,100 @@ def initial_decomposition(problem: ProblemSpec) -> DecompositionState:
 
 
 class _Kernel:
-    """Precomputed pieces of one advance of the coupled recursion."""
+    """Precomputed pieces of one advance of the stacked state."""
 
-    def __init__(self, problem: ProblemSpec, gains: GainMatrices | None = None):
-        self.problem = problem
-        self.q11T = problem.q11.T.copy()
-        self.q12T = problem.q12.T.copy()
-        self.q21T = problem.q21.T.copy()
-        self.q22T = problem.q22.T.copy()
-        self.theta_star = problem.theta_star
-        self.mu_star = problem.mu_star
-        self.residual = problem.residual
-        self.bias = problem.bias
-        self.gain_fast_T = gains.fast.T.copy() if gains is not None else None
-        self.gain_slow_T = gains.slow.T.copy() if gains is not None else None
+    def __init__(self, problem: ProblemSpec, rows: int, gains: GainMatrices | None = None):
         self.d = problem.d
-        self.dp = problem.d_prime
+        # one row per state row: a same-shape subtraction is far cheaper than
+        # broadcasting a short vector across the rows
+        self.x_star = np.tile(np.concatenate([problem.theta_star, problem.mu_star]), (rows, 1))
+        q = np.block([[problem.q11, problem.q12], [problem.q21, problem.q22]])
+        self.qT = q.T.copy()
+        self.residual = None if problem.residual.kind == "none" else problem.residual
+        self.bias = None if problem.bias.is_zero() else problem.bias
+        self.gainT = None
+        if gains is not None:
+            gain = np.zeros_like(q)
+            gain[: self.d, : self.d] = gains.fast
+            gain[self.d :, self.d :] = gains.slow
+            self.gainT = gain.T.copy()
 
-    def observe(self, theta, mu, v, w, n):
-        """Noisy observations (X, Y) of the drift at the current state."""
-        ef = theta - self.theta_star
-        es = mu - self.mu_star
-        x = ef @ self.q11T + es @ self.q12T + v
-        y = ef @ self.q21T + es @ self.q22T + w
-        if self.residual.kind != "none":
-            rho_f, rho_g = self.residual.evaluate(ef, es)
-            x = x + rho_f
-            y = y + rho_g
-        if not self.bias.is_zero():
-            r_f, r_g = self.bias.values(n, self.d, self.dp)
-            x = x + r_f
-            y = y + r_g
-        return x, y
+    def advance(self, x, xi, n, steps, bias=None):
+        """The rows of x_{n+1}; a given ``bias`` pair replaces the model's r_n."""
+        d = self.d
+        e = x - self.x_star
+        obs = e @ self.qT
+        obs += xi
+        if self.residual is not None:
+            obs += np.concatenate(self.residual.evaluate(e[:, :d], e[:, d:]), axis=1)
+        if bias is None and self.bias is not None:
+            bias = self.bias.values(n, d, x.shape[1] - d)
+        if bias is not None:
+            obs += np.concatenate(bias, axis=-1)
+        if self.gainT is not None:
+            obs = obs @ self.gainT
+        obs *= steps
+        return x + obs
 
-    def advance(self, theta, mu, v, w, n, beta_n, gamma_n):
-        x, y = self.observe(theta, mu, v, w, n)
-        if self.gain_fast_T is not None:
-            x = x @ self.gain_fast_T
-            y = y @ self.gain_slow_T
-        return theta + beta_n * x, mu + gamma_n * y
+
+def _first_diverged(x: np.ndarray, d: int) -> int:
+    """Index of the first row that diverged, or -1.
+
+    A row diverges when it is non-finite or when max|theta| + max|mu| of that
+    row exceeds the guard. 2 max|x| bounds that sum for every row at once, so
+    the common case costs one pass and one reduction.
+    """
+    a = np.abs(x)
+    if 2.0 * np.maximum.reduce(a, axis=None) <= DIVERGENCE_GUARD:
+        return -1
+    bad = ~(a[:, :d].max(axis=1) + a[:, d:].max(axis=1) <= DIVERGENCE_GUARD)
+    return int(np.argmax(bad)) if bad.any() else -1
+
+
+def _step_sizes(d: int, dp: int, beta, gamma) -> np.ndarray:
+    """Per-component steps (beta_n 1_d, gamma_n 1_d'), one row per index."""
+    return np.repeat(np.stack([beta, gamma], axis=-1), (d, dp), axis=-1)
 
 
 class _DecompKernel:
-    """Recursive updates of the decomposition sequences."""
+    """Recursive updates of the decomposition parts, stacked like the state.
+
+    A state row is (martingale, coupling), each in the (fast, slow) layout of
+    x, so one update is  dec @ T1 + xi @ T2 + dx @ T3  with dx = x_{n+1} - x_n:
+
+        martingale' = martingale E^T + (beta (V - W K^T), gamma W)
+        coupling'   = coupling E^T + ((beta/gamma) dmu K^T,
+                                      gamma (l_f + c_f) Q21^T)
+
+    where E = blockdiag(exp(beta H), exp(gamma Q22)) and K = Q12 Q22^-1, the
+    fast component's sensitivity to slow innovations. The coupling's slow
+    part consumes the pre-update fast parts.
+    """
 
     def __init__(self, problem: ProblemSpec):
+        d, dim = problem.d, problem.dim
+        self.d, self.dim = d, dim
         self.h = problem.fast_matrix()
         self.q22 = problem.q22
         self.q21T = problem.q21.T.copy()
-        # K = Q12 Q22^-1, the fast component's sensitivity to slow innovations
         self.kT = (problem.q12 @ linalg.invert(problem.q22)).T.copy()
+        self.i_fast, self.i_slow = np.eye(d), np.eye(dim - d)
+        self.t1 = np.zeros((2 * dim, 2 * dim))
+        self.t2 = np.zeros((dim, 2 * dim))
+        self.t3 = np.zeros((dim, 2 * dim))
 
-    def advance(self, lf, cf, ls, cs, v, w, mu_delta, beta_n, gamma_n):
-        """One update; coupling_slow consumes the pre-update fast parts."""
-        e_fast = linalg.mat_exp(beta_n * self.h)
-        e_slow = linalg.mat_exp(gamma_n * self.q22)
-        cs_new = cs @ e_slow.T + gamma_n * ((lf + cf) @ self.q21T)
-        ls_new = ls @ e_slow.T + gamma_n * w
-        cf_new = cf @ e_fast.T + (beta_n / gamma_n) * (mu_delta @ self.kT)
-        lf_new = lf @ e_fast.T + beta_n * (v - w @ self.kT)
-        return lf_new, cf_new, ls_new, cs_new
+    def advance(self, dec, xi, dx, beta_n, gamma_n):
+        d, dim, t1, t2, t3 = self.d, self.dim, self.t1, self.t2, self.t3
+        e_fast = linalg.mat_exp(beta_n * self.h).T
+        e_slow = linalg.mat_exp(gamma_n * self.q22).T
+        t1[:d, :d] = t1[dim : dim + d, dim : dim + d] = e_fast
+        t1[d:dim, d:dim] = t1[dim + d :, dim + d :] = e_slow
+        t1[:d, dim + d :] = t1[dim : dim + d, dim + d :] = gamma_n * self.q21T
+        t2[:d, :d] = beta_n * self.i_fast
+        t2[d:, :d] = -beta_n * self.kT
+        t2[d:, d:dim] = gamma_n * self.i_slow
+        t3[d:, dim : dim + d] = (beta_n / gamma_n) * self.kT
+        return dec @ t1 + xi @ t2 + dx @ t3
 
 
 def step(
@@ -256,8 +313,10 @@ def step(
     """Advance one trajectory by a single iteration.
 
     ``noise`` is the freshly drawn innovation pair (V, W); drawing it fresh
-    per call is the martingale-difference contract. Raises DivergenceError if
-    the new iterate is non-finite or beyond the guard.
+    per call is the martingale-difference contract. ``bias_values``, when
+    given, is this step's bias pair (r_f, r_g) and replaces the problem's own
+    bias model for the step. Raises DivergenceError if the new iterate is
+    non-finite or beyond the guard.
     """
     return _single_advance(problem, schedule, state, noise, bias_values, gains=None)
 
@@ -276,40 +335,39 @@ def matricial_step(
     )
 
 
+def _two_rows(*vectors) -> list[np.ndarray]:
+    return [np.tile(np.asarray(v, dtype=float), (_MIN_ROWS, 1)) for v in vectors]
+
+
 def _single_advance(problem, schedule, state, noise, bias_values, gains):
-    kernel = _Kernel(problem, gains)
-    v = np.atleast_2d(np.asarray(noise[0], dtype=float))
-    w = np.atleast_2d(np.asarray(noise[1], dtype=float))
-    if v.shape[-1] != problem.d or w.shape[-1] != problem.d_prime:
+    d = problem.d
+    v = np.asarray(noise[0], dtype=float).reshape(-1)
+    w = np.asarray(noise[1], dtype=float).reshape(-1)
+    if v.shape != (d,) or w.shape != (problem.d_prime,):
         raise DimensionError("noise dimensions do not match the problem")
-    n = state.n
-    beta_n = schedule.beta(n)
-    gamma_n = schedule.gamma(n)
-    x, y = kernel.observe(state.theta[None, :], state.mu[None, :], v, w, n)
     if bias_values is not None:
-        x = x + np.asarray(bias_values[0], dtype=float)
-        y = y + np.asarray(bias_values[1], dtype=float)
-    if gains is not None:
-        x = x @ kernel.gain_fast_T
-        y = y @ kernel.gain_slow_T
-    theta = (state.theta[None, :] + beta_n * x)[0]
-    mu = (state.mu[None, :] + gamma_n * y)[0]
-    if not (np.all(np.isfinite(theta)) and np.all(np.isfinite(mu))) or (
-        np.abs(theta).max() + np.abs(mu).max() > DIVERGENCE_GUARD
-    ):
+        bias_values = tuple(np.asarray(r, dtype=float) for r in bias_values)
+    n = state.n
+    x, xi = _two_rows(np.concatenate([state.theta, state.mu]), np.concatenate([v, w]))
+    steps = _step_sizes(d, problem.d_prime, schedule.beta(n), schedule.gamma(n))
+    x = _Kernel(problem, _MIN_ROWS, gains).advance(x, xi, n, steps, bias_values)[:1]
+    if _first_diverged(x, d) >= 0:
         raise DivergenceError(
             f"iterate diverged at index {n + 1}", step=n + 1, replication=0
         )
-    tsum, tcomp = _kahan_add(state.theta_sum, state.theta_comp, theta)
-    msum, mcomp = _kahan_add(state.mu_sum, state.mu_comp, mu)
+    xsum, xcomp = _kahan_add(
+        np.concatenate([state.theta_sum, state.mu_sum]),
+        np.concatenate([state.theta_comp, state.mu_comp]),
+        x[0],
+    )
     return SAState(
         n=n + 1,
-        theta=theta,
-        mu=mu,
-        theta_sum=tsum,
-        theta_comp=tcomp,
-        mu_sum=msum,
-        mu_comp=mcomp,
+        theta=x[0, :d],
+        mu=x[0, d:],
+        theta_sum=xsum[:d],
+        theta_comp=xcomp[:d],
+        mu_sum=xsum[d:],
+        mu_comp=xcomp[d:],
         u_n=state.u_n + schedule.beta(n + 1),
         s_n=state.s_n + schedule.gamma(n + 1),
     )
@@ -326,30 +384,25 @@ def decompose_step(
 
     ``mu_delta`` is the realized slow increment mu_{n+1} - mu_n.
     """
-    kernel = _DecompKernel(problem)
-    n = dstate.n
+    n, d, dim = dstate.n, problem.d, problem.dim
     v = np.asarray(noise[0], dtype=float)
     w = np.asarray(noise[1], dtype=float)
     md = np.asarray(mu_delta, dtype=float)
-    if v.shape != (problem.d,) or w.shape != (problem.d_prime,) or md.shape != (problem.d_prime,):
+    if v.shape != (d,) or w.shape != (problem.d_prime,) or md.shape != (problem.d_prime,):
         raise DimensionError("decomposition inputs do not match the problem dimensions")
-    lf, cf, ls, cs = kernel.advance(
-        dstate.martingale_fast[None, :],
-        dstate.coupling_fast[None, :],
-        dstate.martingale_slow[None, :],
-        dstate.coupling_slow[None, :],
-        v[None, :],
-        w[None, :],
-        md[None, :],
-        schedule.beta(n),
-        schedule.gamma(n),
+    dec, xi, dx = _two_rows(
+        np.concatenate([dstate.martingale_fast, dstate.martingale_slow,
+                        dstate.coupling_fast, dstate.coupling_slow]),
+        np.concatenate([v, w]),
+        np.concatenate([np.zeros(d), md]),
     )
+    dec = _DecompKernel(problem).advance(dec, xi, dx, schedule.beta(n), schedule.gamma(n))[0]
     return DecompositionState(
         n=n + 1,
-        martingale_fast=lf[0],
-        coupling_fast=cf[0],
-        martingale_slow=ls[0],
-        coupling_slow=cs[0],
+        martingale_fast=dec[:d],
+        coupling_fast=dec[dim : dim + d],
+        martingale_slow=dec[d:dim],
+        coupling_slow=dec[dim + d :],
         last_v=v.copy(),
         last_w=w.copy(),
     )
@@ -398,21 +451,31 @@ class BatchTrace:
         return self.theta.shape[1]
 
 
-@dataclass
 class TrajectoryTrace:
-    """Single-trajectory view of a batch trace (replication axis dropped)."""
+    """One replication of a batch trace, with the replication axis dropped.
 
-    ns: np.ndarray
-    beta: np.ndarray
-    gamma: np.ndarray
-    u: np.ndarray
-    s: np.ndarray
-    theta: np.ndarray
-    mu: np.ndarray
-    theta_bar: np.ndarray
-    mu_bar: np.ndarray
-    decomposition: dict[str, np.ndarray] | None = None
-    full: dict[str, np.ndarray] | None = None
+    Every array is a view into ``batch``: the per-checkpoint schedule values
+    are the batch's own, the paths are the replication's column.
+    """
+
+    def __init__(self, batch: BatchTrace, replication: int = 0):
+        r = replication
+        self.batch = batch
+        self.ns = batch.ns
+        self.beta = batch.beta
+        self.gamma = batch.gamma
+        self.u = batch.u
+        self.s = batch.s
+        self.theta = batch.theta[:, r]
+        self.mu = batch.mu[:, r]
+        self.theta_bar = batch.theta_bar[:, r]
+        self.mu_bar = batch.mu_bar[:, r]
+        self.decomposition = None
+        if batch.decomposition is not None:
+            self.decomposition = {key: val[:, r] for key, val in batch.decomposition.items()}
+        self.full = None
+        if batch.full is not None:
+            self.full = {key: val[:, r] for key, val in batch.full.items()}
 
 
 def simulate_batch(
@@ -434,7 +497,8 @@ def simulate_batch(
 
     Deterministic for a fixed (base_seed, replications, n_final) triple;
     replication r draws from stream (base_seed, r) regardless of how many
-    others run alongside it.
+    others run alongside it, and its path depends on neither the batch size
+    nor ``chunk``.
     """
     if n_final < 1:
         raise ValueError("n_final must be >= 1")
@@ -447,7 +511,8 @@ def simulate_batch(
 
     d, dp, dim = problem.d, problem.d_prime, problem.dim
     b = replications
-    kernel = _Kernel(problem, gains)
+    rows = max(b, _MIN_ROWS)
+    kernel = _Kernel(problem, rows, gains)
     dkernel = _DecompKernel(problem) if track_decomposition else None
 
     beta_arr = schedule.beta_array(n_final)
@@ -460,142 +525,93 @@ def simulate_batch(
     ckpt_pos = {int(n): i for i, n in enumerate(grid)}
     k = grid.size
 
-    off_f, off_s = default_offsets(problem)
-    t0 = np.asarray(theta0, dtype=float) if theta0 is not None else problem.theta_star + off_f
-    m0 = np.asarray(mu0, dtype=float) if mu0 is not None else problem.mu_star + off_s
-    if t0.shape != (d,) or m0.shape != (dp,):
-        raise DimensionError("initial iterates do not match the problem dimensions")
+    x = np.tile(np.concatenate(_initial_iterates(problem, theta0, mu0)), (rows, 1))
+    xsum, xcomp = x.copy(), np.zeros_like(x)
 
-    theta = np.tile(t0, (b, 1))
-    mu = np.tile(m0, (b, 1))
-    tsum, tcomp = theta.copy(), np.zeros_like(theta)
-    msum, mcomp = mu.copy(), np.zeros_like(mu)
+    dec = np.zeros((rows, 2 * dim)) if track_decomposition else None
 
-    if track_decomposition:
-        lf = np.zeros((b, d))
-        cf = np.zeros((b, d))
-        ls = np.zeros((b, dp))
-        cs = np.zeros((b, dp))
-
-    out_theta = np.empty((k, b, d))
-    out_mu = np.empty((k, b, dp))
-    out_tbar = np.empty((k, b, d))
-    out_mbar = np.empty((k, b, dp))
-    out_decomp = (
-        {key: np.empty((k, b)) for key in DECOMP_KEYS} if track_decomposition else None
-    )
-
+    out_x = np.empty((k, b, dim))
+    out_xbar = np.empty((k, b, dim))
+    out_decomp = {key: np.empty((k, b)) for key in DECOMP_KEYS} if track_decomposition else None
     full = None
     if record_steps:
+        full_x = np.empty((n_final, b, dim))
+        full_xi = np.empty((n_final - 1, b, dim))
         full = {
-            "theta": np.empty((n_final, b, d)),
-            "mu": np.empty((n_final, b, dp)),
-            "v": np.empty((max(n_final - 1, 0), b, d)),
-            "w": np.empty((max(n_final - 1, 0), b, dp)),
+            "theta": full_x[..., :d],
+            "mu": full_x[..., d:],
+            "v": full_xi[..., :d],
+            "w": full_xi[..., d:],
         }
 
     def record(n: int) -> None:
         i = ckpt_pos.get(n)
         if i is None:
             return
-        out_theta[i] = theta
-        out_mu[i] = mu
-        out_tbar[i] = tsum / n
-        out_mbar[i] = msum / n
-        if track_decomposition:
-            ef = theta - problem.theta_star
-            es = mu - problem.mu_star
-            out_decomp["martingale_fast"][i] = np.linalg.norm(lf, axis=1)
-            out_decomp["coupling_fast"][i] = np.linalg.norm(cf, axis=1)
-            out_decomp["remainder_fast"][i] = np.linalg.norm(ef - lf - cf, axis=1)
-            out_decomp["martingale_slow"][i] = np.linalg.norm(ls, axis=1)
-            out_decomp["coupling_slow"][i] = np.linalg.norm(cs, axis=1)
-            out_decomp["remainder_slow"][i] = np.linalg.norm(es - ls - cs, axis=1)
+        out_x[i] = x[:b]
+        out_xbar[i] = xsum[:b] / n
+        if dec is not None:
+            mart, coup = dec[:b, :dim], dec[:b, dim:]
+            remainder = x[:b] - kernel.x_star[:b] - mart - coup
+            for name, part in (("martingale", mart), ("coupling", coup), ("remainder", remainder)):
+                out_decomp[name + "_fast"][i] = np.linalg.norm(part[:, :d], axis=1)
+                out_decomp[name + "_slow"][i] = np.linalg.norm(part[:, d:], axis=1)
+
+    def trace(m: int, recorded) -> BatchTrace:
+        """The first m checkpoints, with the recorded steps if given."""
+        done = grid[:m]
+        return BatchTrace(
+            ns=done.copy(),
+            beta=beta_arr[done - 1],
+            gamma=gamma_arr[done - 1],
+            u=u_arr[done - 1],
+            s=s_arr[done - 1],
+            theta=out_x[:m, :, :d],
+            mu=out_x[:m, :, d:],
+            theta_bar=out_xbar[:m, :, :d],
+            mu_bar=out_xbar[:m, :, d:],
+            decomposition=None if dec is None else {
+                key: val[:m] for key, val in out_decomp.items()
+            },
+            full=recorded,
+        )
 
     rngs = [replication_rng(base_seed, r) for r in range(b)]
     record(1)
     if record_steps:
-        full["theta"][0] = theta
-        full["mu"][0] = mu
+        full_x[0] = x[:b]
 
     n = 1
-    noise_block = np.empty((b, chunk, dim))
+    # step-major, so each step reads one contiguous (rows, dim) slice
+    noise_block = np.empty((chunk, rows, dim))
     while n < n_final:
         span = min(chunk, n_final - n)
         for r in range(b):
-            noise_block[r, :span] = problem.noise.draw(rngs[r], (span,))
+            noise_block[:span, r] = problem.noise.draw(rngs[r], (span,))
+        noise_block[:span, b:] = noise_block[:span, :1]  # the two-row copy, if any
+        steps = _step_sizes(d, dp, beta_arr[n - 1 : n - 1 + span], gamma_arr[n - 1 : n - 1 + span])
         for j in range(span):
-            i = n - 1
-            beta_n = beta_arr[i]
-            gamma_n = gamma_arr[i]
-            v = noise_block[:, j, :d]
-            w = noise_block[:, j, d:]
-            theta_new, mu_new = kernel.advance(theta, mu, v, w, n, beta_n, gamma_n)
-            if track_decomposition:
-                lf, cf, ls, cs = dkernel.advance(
-                    lf, cf, ls, cs, v, w, mu_new - mu, beta_n, gamma_n
-                )
-            theta, mu = theta_new, mu_new
-            tsum, tcomp = _kahan_add(tsum, tcomp, theta)
-            msum, mcomp = _kahan_add(msum, mcomp, mu)
+            xi = noise_block[j]
+            x_new = kernel.advance(x, xi, n, steps[j])
+            if dec is not None:
+                dec = dkernel.advance(dec, xi, x_new - x, beta_arr[n - 1], gamma_arr[n - 1])
+            x = x_new
+            xsum, xcomp = _kahan_add(xsum, xcomp, x)
             n += 1
-            peak_f = np.abs(theta).max()
-            peak_s = np.abs(mu).max()
-            if not (np.isfinite(peak_f) and np.isfinite(peak_s)) or (
-                peak_f + peak_s > DIVERGENCE_GUARD
-            ):
-                per_rep = np.abs(theta).max(axis=1) + np.abs(mu).max(axis=1)
-                bad = int(np.argmax(~np.isfinite(per_rep) | (per_rep > DIVERGENCE_GUARD)))
+            bad = _first_diverged(x, d)
+            if bad >= 0:
                 raise DivergenceError(
                     f"replication {bad} diverged at index {n}",
                     step=n,
                     replication=bad,
-                    trace=_partial_trace(
-                        grid, ckpt_pos, n, beta_arr, gamma_arr, u_arr, s_arr,
-                        out_theta, out_mu, out_tbar, out_mbar, out_decomp,
-                    ),
+                    trace=trace(int(np.searchsorted(grid, n)), recorded=None),
                 )
             if record_steps:
-                full["theta"][n - 1] = theta
-                full["mu"][n - 1] = mu
-                full["v"][n - 2] = v
-                full["w"][n - 2] = w
+                full_x[n - 1] = x[:b]
+                full_xi[n - 2] = xi[:b]
             record(n)
 
-    return BatchTrace(
-        ns=grid.copy(),
-        beta=beta_arr[grid - 1],
-        gamma=gamma_arr[grid - 1],
-        u=u_arr[grid - 1],
-        s=s_arr[grid - 1],
-        theta=out_theta,
-        mu=out_mu,
-        theta_bar=out_tbar,
-        mu_bar=out_mbar,
-        decomposition=out_decomp,
-        full=full,
-    )
-
-
-def _partial_trace(grid, ckpt_pos, n, beta_arr, gamma_arr, u_arr, s_arr,
-                   out_theta, out_mu, out_tbar, out_mbar, out_decomp):
-    done = grid[grid < n]
-    m = done.size
-    decomp = None
-    if out_decomp is not None:
-        decomp = {key: val[:m].copy() for key, val in out_decomp.items()}
-    return BatchTrace(
-        ns=done.copy(),
-        beta=beta_arr[done - 1],
-        gamma=gamma_arr[done - 1],
-        u=u_arr[done - 1],
-        s=s_arr[done - 1],
-        theta=out_theta[:m].copy(),
-        mu=out_mu[:m].copy(),
-        theta_bar=out_tbar[:m].copy(),
-        mu_bar=out_mbar[:m].copy(),
-        decomposition=decomp,
-    )
+    return trace(k, full)
 
 
 def run(
@@ -637,22 +653,4 @@ def run(
         checkpoints=checkpoints,
         record_steps=record_steps,
     )
-    decomp = None
-    if batch.decomposition is not None:
-        decomp = {key: val[:, 0] for key, val in batch.decomposition.items()}
-    full = None
-    if batch.full is not None:
-        full = {key: val[:, 0] for key, val in batch.full.items()}
-    return TrajectoryTrace(
-        ns=batch.ns,
-        beta=batch.beta,
-        gamma=batch.gamma,
-        u=batch.u,
-        s=batch.s,
-        theta=batch.theta[:, 0],
-        mu=batch.mu[:, 0],
-        theta_bar=batch.theta_bar[:, 0],
-        mu_bar=batch.mu_bar[:, 0],
-        decomposition=decomp,
-        full=full,
-    )
+    return TrajectoryTrace(batch)

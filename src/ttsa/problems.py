@@ -72,6 +72,17 @@ class NonlinearResidual:
                 raise ValueError("quadratic_form residual needs both coefficient tensors")
             object.__setattr__(self, "coeff_fast", np.asarray(self.coeff_fast, dtype=float))
             object.__setattr__(self, "coeff_slow", np.asarray(self.coeff_slow, dtype=float))
+            coeff = np.concatenate([self.coeff_fast, self.coeff_slow])
+            dim = coeff.shape[0]
+            if coeff.shape != (dim, dim, dim):
+                raise DimensionError(
+                    "quadratic_form coefficient tensors must stack to shape "
+                    f"(d+d', d+d', d+d'), got {coeff.shape}"
+                )
+            # Row j holds C_ijk at column i*dim + k, so (z @ stacked)[b, i*dim + k]
+            # is sum_j z_j C_ijk: one matmul serves every output component.
+            stacked = np.ascontiguousarray(coeff.transpose(1, 0, 2)).reshape(dim, dim * dim)
+            object.__setattr__(self, "_stacked", stacked)
         if self.kind == "custom" and self.custom_fn is None:
             raise ValueError("custom residual needs a callable")
 
@@ -82,10 +93,14 @@ class NonlinearResidual:
         if self.kind == "custom":
             return self.custom_fn(err_fast, err_slow)
         z = np.concatenate([err_fast, err_slow], axis=-1)
-        rho_f = np.einsum("bj,ijk,bk->bi", z, self.coeff_fast, z)
-        rho_g = np.einsum("bj,ijk,bk->bi", z, self.coeff_slow, z)
-        inside = (np.linalg.norm(z, axis=-1) <= self.clamp_radius)[..., None]
-        return rho_f * inside, rho_g * inside
+        b, dim = z.shape
+        rho = np.einsum("bik,bk->bi", (z @ self._stacked).reshape(b, dim, dim), z)
+        # ||z|| <= sqrt(dim) max|z_i|; with a margin far above rounding, every
+        # row is inside and the clamp would multiply by one
+        if not math.sqrt(dim) * np.abs(z).max() <= 0.999 * self.clamp_radius:
+            rho *= (np.linalg.norm(z, axis=-1) <= self.clamp_radius)[:, None]
+        d = err_fast.shape[-1]
+        return rho[:, :d], rho[:, d:]
 
     def curvature_constant(self) -> float:
         """Constant c with ||residual|| <= c * ||z||^2 inside the clamp radius."""
@@ -121,9 +136,14 @@ class NoiseModel:
         if self.distribution not in (GAUSSIAN, BOUNDED_UNIFORM):
             raise ValueError(f"unknown noise distribution {self.distribution!r}")
         object.__setattr__(self, "cov", cov)
+        object.__setattr__(self, "_factor", self.factor())
 
     def factor(self) -> np.ndarray:
-        """Matrix F with F F^T equal to the covariance."""
+        """Matrix F with F F^T equal to the covariance.
+
+        Factorizes on every call; ``draw`` reuses the factor computed once at
+        construction.
+        """
         try:
             return np.linalg.cholesky(self.cov)
         except np.linalg.LinAlgError:
@@ -131,13 +151,21 @@ class NoiseModel:
             return vecs @ np.diag(np.sqrt(np.clip(vals, 0.0, None)))
 
     def draw(self, rng: np.random.Generator, size: tuple[int, ...]) -> np.ndarray:
-        """Unit-variance base draws of the given shape scaled to the covariance."""
+        """Unit-variance base draws of the given shape scaled to the covariance.
+
+        A draw of one row is scaled as two identical rows: a one-row product
+        would run as a matrix-vector kernel, which rounds differently from the
+        matrix-matrix kernel of longer draws, and a replication's noise must
+        not depend on how its stream is split into draws.
+        """
         dim = self.cov.shape[0]
         if self.distribution == GAUSSIAN:
             z = rng.standard_normal(size + (dim,))
         else:
             z = rng.uniform(-_SQRT3, _SQRT3, size + (dim,))
-        return z @ self.factor().T
+        if z.size == dim:
+            return (np.tile(z.reshape(1, dim), (2, 1)) @ self._factor.T)[0].reshape(z.shape)
+        return z @ self._factor.T
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 
 from ttsa import (
+    BiasModel,
     GainMatrices,
+    NoiseModel,
+    ProblemSpec,
     StepSchedule,
+    TrajectoryTrace,
     checkpoint_indices,
     decompose_step,
     initial_decomposition,
@@ -16,11 +20,13 @@ from ttsa import (
     simulate_batch,
     step,
 )
-from ttsa.engine import replication_rng
+from ttsa.engine import DIVERGENCE_GUARD, _first_diverged, replication_rng
 from ttsa.errors import ConfigError, DivergenceError
 from ttsa.linalg import invert, mat_exp
+from ttsa.problems import library_problem
 
 from conftest import scalar_spec
+from oracles import random_psd
 
 
 def zero_noise(problem):
@@ -60,6 +66,20 @@ class TestStep:
         new = step(p, s, state, zero_noise(p), bias_values=(np.array([0.25]), np.array([-0.5])))
         assert new.theta[0] == 0.25
         assert new.mu[0] == -0.5
+
+    def test_bias_values_replace_the_model_bias(self):
+        base = scalar_spec(-1.0, 0.0, 0.0, -1.0)
+        p = ProblemSpec(
+            q11=base.q11, q12=base.q12, q21=base.q21, q22=base.q22,
+            theta_star=base.theta_star, mu_star=base.mu_star, noise=base.noise,
+            bias=BiasModel(kind="power_decay", coeff_fast=[1.0], coeff_slow=[2.0], rho=1.0),
+        )
+        s = StepSchedule(beta0=1.0, b=0.8, gamma0=1.0, a=0.6)
+        state = initial_state(p, s, theta0=[0.0], mu0=[0.0])
+        own = step(p, s, state, zero_noise(p))
+        assert (own.theta[0], own.mu[0]) == (1.0, 2.0)  # r_1 = coeff * 1^-1
+        given = step(p, s, state, zero_noise(p), bias_values=(np.array([0.25]), np.array([-0.5])))
+        assert (given.theta[0], given.mu[0]) == (0.25, -0.5)
 
     def test_divergent_iterate_raises(self):
         p = scalar_spec(30.0, 0.0, 0.0, 30.0)
@@ -273,35 +293,56 @@ class TestRun:
         np.testing.assert_array_equal(trace.mu, batch.mu[:, 0])
 
     def test_replay_oracle(self, linear_problem, schedule):
-        # independent straight-line replay of the affine recursion,
-        # bit-comparable given the identical noise stream
+        # independent straight-line replay of the stacked affine recursion on
+        # a two-row state, bit-comparable given the identical noise stream:
+        # the same products on the same shapes keep the arithmetic identical
+        # to the engine's, so the comparison is exact rather than within
+        # BLAS rounding
         p = linear_problem
         n_final = 300
         trace = run(p, schedule, n_final, seed=9, checkpoints=np.arange(1, n_final + 1))
 
-        rng = replication_rng(9, 0)
-        draws = p.noise.draw(rng, (n_final - 1,))
-        # row-matrix states and contiguous transposes keep the arithmetic
-        # identical to the engine, so the comparison is exact rather than
-        # within BLAS rounding
-        q11t, q12t = p.q11.T.copy(), p.q12.T.copy()
-        q21t, q22t = p.q21.T.copy(), p.q22.T.copy()
-        theta = (p.theta_star + np.ones(2) / math.sqrt(2))[None, :]
-        mu = (p.mu_star + np.ones(2) / math.sqrt(2))[None, :]
-        thetas = [theta[0].copy()]
-        mus = [mu[0].copy()]
+        draws = p.noise.draw(replication_rng(9, 0), (n_final - 1,))
+        q_t = np.block([[p.q11, p.q12], [p.q21, p.q22]]).T.copy()
+        x_star = np.tile(np.concatenate([p.theta_star, p.mu_star]), (2, 1))
+        x = x_star + np.ones(4) / math.sqrt(2)
+        path = [x[0].copy()]
         for n in range(1, n_final):
-            v, w = draws[None, n - 1, :2], draws[None, n - 1, 2:]
-            ef = theta - p.theta_star
-            es = mu - p.mu_star
-            x = ef @ q11t + es @ q12t + v
-            y = ef @ q21t + es @ q22t + w
+            steps = np.repeat([schedule.beta(n), schedule.gamma(n)], 2)
+            x = x + ((x - x_star) @ q_t + draws[n - 1]) * steps
+            path.append(x[0].copy())
+        path = np.array(path)
+        np.testing.assert_array_equal(trace.theta, path[:, :2])
+        np.testing.assert_array_equal(trace.mu, path[:, 2:])
+
+    @pytest.mark.parametrize("name", ["linear-2x2", "quadratic-2x2"])
+    def test_matches_split_block_recursion(self, name, schedule):
+        # the split (theta, mu) recursion with four block products and the
+        # residual as two einsums: the stacked kernel sums the same terms in
+        # another order, so the two agree to rounding
+        p = library_problem(name)
+        n_final = 300
+        trace = run(p, schedule, n_final, seed=9, checkpoints=np.arange(1, n_final + 1))
+
+        draws = p.noise.draw(replication_rng(9, 0), (n_final - 1,))
+        theta = p.theta_star + np.ones(2) / math.sqrt(2)
+        mu = p.mu_star + np.ones(2) / math.sqrt(2)
+        thetas, mus = [theta], [mu]
+        for n in range(1, n_final):
+            ef, es = theta - p.theta_star, mu - p.mu_star
+            x = p.q11 @ ef + p.q12 @ es + draws[n - 1, :2]
+            y = p.q21 @ ef + p.q22 @ es + draws[n - 1, 2:]
+            if p.residual.kind == "quadratic_form":
+                z = np.concatenate([ef, es])
+                inside = np.linalg.norm(z) <= p.residual.clamp_radius
+                x = x + inside * np.einsum("j,ijk,k->i", z, p.residual.coeff_fast, z)
+                y = y + inside * np.einsum("j,ijk,k->i", z, p.residual.coeff_slow, z)
             theta = theta + schedule.beta(n) * x
             mu = mu + schedule.gamma(n) * y
-            thetas.append(theta[0].copy())
-            mus.append(mu[0].copy())
-        np.testing.assert_array_equal(trace.theta, np.array(thetas))
-        np.testing.assert_array_equal(trace.mu, np.array(mus))
+            thetas.append(theta)
+            mus.append(mu)
+        for got, want in ((trace.theta, np.array(thetas)), (trace.mu, np.array(mus))):
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
     def test_reduction_identity_at_every_step(self, linear_problem, schedule):
         # the fast update rewritten through the slow increment: for linear
@@ -386,3 +427,69 @@ class TestNoiseStreams:
         rng = replication_rng(5, 0)
         parts = np.concatenate([rng.standard_normal(5), rng.standard_normal(7)])
         np.testing.assert_array_equal(whole, parts)
+
+
+def random_problem(d, dp, seed):
+    rng = np.random.default_rng(seed)
+    q = 0.3 * rng.normal(size=(d + dp, d + dp)) - np.eye(d + dp)
+    return ProblemSpec(
+        q11=q[:d, :d], q12=q[:d, d:], q21=q[d:, :d], q22=q[d:, d:],
+        theta_star=rng.normal(size=d), mu_star=rng.normal(size=dp),
+        noise=NoiseModel(cov=random_psd(rng, d + dp) + 0.1 * np.eye(d + dp)),
+    )
+
+
+def assert_same_paths(a, b):
+    for name in ("theta", "mu", "theta_bar", "mu_bar"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+
+
+class TestDeterminismContracts:
+    def test_chunk_size_does_not_change_the_trace(self, linear_problem, schedule):
+        # 3585 steps leave a last chunk of one step at chunk sizes 7 and 512
+        traces = [
+            simulate_batch(linear_problem, schedule, 3586, base_seed=4, replications=3,
+                           chunk=chunk, record_steps=True)
+            for chunk in (1, 7, 512)
+        ]
+        for other in traces[1:]:
+            assert_same_paths(traces[0], other)
+            for key in ("theta", "mu", "v", "w"):
+                np.testing.assert_array_equal(traces[0].full[key], other.full[key])
+
+    @pytest.mark.parametrize("d, dp", [(1, 1), (2, 2), (3, 3), (4, 1)])
+    def test_run_equals_replication_zero(self, d, dp, schedule):
+        p = random_problem(d, dp, seed=10 * d + dp)
+        trace = run(p, schedule, 700, seed=21, track_decomposition=True)
+        batch = simulate_batch(p, schedule, 700, base_seed=21, replications=4,
+                               track_decomposition=True)
+        assert_same_paths(trace, TrajectoryTrace(batch, 0))
+        for key, val in trace.decomposition.items():
+            np.testing.assert_array_equal(val, batch.decomposition[key][:, 0])
+
+    def test_replication_unchanged_as_the_batch_grows(self, quadratic_problem, schedule):
+        small = simulate_batch(quadratic_problem, schedule, 700, base_seed=5, replications=3)
+        large = simulate_batch(quadratic_problem, schedule, 700, base_seed=5, replications=5)
+        for r in range(3):
+            assert_same_paths(TrajectoryTrace(small, r), TrajectoryTrace(large, r))
+
+
+class TestDivergenceGuard:
+    def test_maxima_of_different_replications_do_not_add_up(self):
+        # each row has max|theta| + max|mu| = 6e8; the two maxima together
+        # would pass the guard, but no single replication does
+        x = np.array([[6e8, 0.0, 0.0, 0.0], [0.0, 0.0, 6e8, 0.0]])
+        assert _first_diverged(x, 2) == -1
+
+    def test_the_offending_replication_is_named(self):
+        x = np.zeros((4, 4))
+        x[2] = [6e8, 0.0, -6e8, 0.0]
+        assert _first_diverged(x, 2) == 2
+        x[1, 3] = np.nan
+        assert _first_diverged(x, 2) == 1
+        x[0, 0] = np.inf
+        assert _first_diverged(x, 2) == 0
+
+    def test_guard_is_inclusive(self):
+        x = np.array([[DIVERGENCE_GUARD / 2, 0.0, DIVERGENCE_GUARD / 2, 0.0]] * 2)
+        assert _first_diverged(x, 2) == -1

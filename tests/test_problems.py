@@ -105,6 +105,20 @@ class TestNoiseCovariances:
         assert np.linalg.norm(emp - cov, "fro") <= 0.02
         assert np.abs(draws).max() <= np.sqrt(3) * np.abs(noise.factor()).sum(axis=1).max() + 1e-9
 
+    def test_one_row_draws_match_longer_draws(self, linear_problem):
+        # a replication's noise must not depend on how its stream is split
+        noise = linear_problem.noise
+        whole = noise.draw(np.random.default_rng(3), (6,))
+        rng = np.random.default_rng(3)
+        parts = [noise.draw(rng, ()) for _ in range(3)] + list(noise.draw(rng, (1,)))
+        parts += list(noise.draw(rng, (2,)))
+        np.testing.assert_array_equal(np.array(parts), whole)
+
+    def test_draw_reuses_the_construction_factor(self, monkeypatch):
+        noise = NoiseModel(cov=[[1.0, 0.3], [0.3, 0.5]])
+        monkeypatch.setattr(NoiseModel, "factor", lambda self: pytest.fail("factorized again"))
+        assert noise.draw(np.random.default_rng(0), (4,)).shape == (4, 2)
+
     def test_asymmetric_cov_rejected(self):
         with pytest.raises(ValueError):
             NoiseModel(cov=[[1.0, 0.5], [0.0, 1.0]])
@@ -174,6 +188,57 @@ class TestDrift:
         f, g = p.drift([2.0], [0.0])
         assert f[0] == pytest.approx(-4.0 + 0.4)
         assert g[0] == 0.0
+
+
+def einsum_residual(residual, z):
+    """The residual as two einsums over the coefficient tensors: the reference
+    the stacked matmul form is checked against."""
+    inside = (np.linalg.norm(z, axis=-1) <= residual.clamp_radius)[:, None]
+    return (
+        np.einsum("bj,ijk,bk->bi", z, residual.coeff_fast, z) * inside,
+        np.einsum("bj,ijk,bk->bi", z, residual.coeff_slow, z) * inside,
+    )
+
+
+class TestQuadraticResidual:
+    @pytest.mark.parametrize("source", ["library", "random"])
+    def test_matches_einsum_formula(self, source):
+        if source == "library":
+            residual, d, dim = library_problem("quadratic-2x2").residual, 2, 4
+        else:
+            d, dim = 3, 5
+            rng = np.random.default_rng(11)
+            residual = NonlinearResidual(
+                kind="quadratic_form",
+                coeff_fast=rng.normal(size=(d, dim, dim)),
+                coeff_slow=rng.normal(size=(dim - d, dim, dim)),
+                clamp_radius=2.0,
+            )
+        radius = residual.clamp_radius
+        rng = np.random.default_rng(12)
+        dirs = rng.normal(size=(40, dim))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        inside = dirs * rng.uniform(0.0, 0.5, size=(40, 1)) * radius / np.sqrt(dim)
+        on = np.concatenate([radius * np.eye(dim), -radius * np.eye(dim), dirs[:10] * radius])
+        outside = dirs * rng.uniform(1.0 + 1e-12, 3.0, size=(40, 1)) * radius
+        # the batches below take the all-inside shortcut, hit the radius, and mix
+        for z in (inside, on, np.concatenate([inside, on, outside])):
+            got = np.concatenate(residual.evaluate(z[:, :d], z[:, d:]), axis=1)
+            want = np.concatenate(einsum_residual(residual, z), axis=1)
+            # relative to |z|^T |C_i| |z|, the scale of the rounding in either form
+            coeff = np.abs(np.concatenate([residual.coeff_fast, residual.coeff_slow]))
+            scale = np.einsum("bj,ijk,bk->bi", np.abs(z), coeff, np.abs(z))
+            assert np.all(np.abs(got - want) <= 1e-14 * scale)
+            np.testing.assert_array_equal(got == 0.0, want == 0.0)
+        assert np.any(np.linalg.norm(on, axis=1) == radius)
+
+    def test_mismatched_tensors_rejected(self):
+        with pytest.raises(DimensionError):
+            NonlinearResidual(
+                kind="quadratic_form",
+                coeff_fast=np.zeros((2, 4, 4)),
+                coeff_slow=np.zeros((1, 4, 4)),
+            )
 
 
 class TestValidateProblem:
