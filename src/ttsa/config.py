@@ -37,8 +37,6 @@ OUTPUT_DIR_ENV = "TTSA_OUTPUT_DIR"
 
 
 def _parse_float(text: str) -> float:
-    if text == "inf":
-        return math.inf
     try:
         return float(text)
     except ValueError as exc:
@@ -73,15 +71,11 @@ def _parse_checks(text: str) -> tuple:
     return tuple(part.strip() for part in text.split(",") if part.strip())
 
 
-def _render_float(value: float) -> str:
-    return "inf" if math.isinf(value) else repr(float(value))
-
-
 def _render(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return _render_float(value)
+        return repr(float(value))
     if isinstance(value, int):
         return str(value)
     if isinstance(value, str):
@@ -141,11 +135,14 @@ class ExperimentConfig:
         return os.environ.get(OUTPUT_DIR_ENV, ".")
 
 
+# field type, as written in ExperimentConfig, to the parser of its values
 _PARSERS = {
-    str: _parse_str,
-    float: _parse_float,
-    int: _parse_int,
-    bool: _parse_bool,
+    "str": _parse_str,
+    "float": _parse_float,
+    "int": _parse_int,
+    "bool": _parse_bool,
+    "list | None": _parse_json,
+    "tuple": _parse_checks,
 }
 
 
@@ -153,15 +150,7 @@ def _key_table() -> dict[str, tuple[str, object]]:
     table = {}
     for f in fields(ExperimentConfig):
         section, _, rest = f.name.partition("_")
-        key = f"{section}.{rest}"
-        if f.name == "mc_checks":
-            parser = _parse_checks
-        elif f.type in ("list | None",):
-            parser = _parse_json
-        else:
-            base = {"str": str, "float": float, "int": int, "bool": bool}.get(f.type)
-            parser = _PARSERS.get(base, _parse_str)
-        table[key] = (f.name, parser)
+        table[f"{section}.{rest}"] = (f.name, _PARSERS[f.type])
     return table
 
 
@@ -253,24 +242,13 @@ def _validate(config: ExperimentConfig) -> None:
 
 def render_config(config: ExperimentConfig) -> str:
     """Canonical text rendering; parse_config(render_config(c)) == c."""
-    lines = []
-    for key, (attr, _) in KEY_TABLE.items():
-        value = getattr(config, attr)
-        if value is None:
-            continue
-        lines.append(f"{key} = {_render(value)}")
-    return "\n".join(lines) + "\n"
+    return "".join(f"{key} = {value}\n" for key, value in config_echo(config).items())
 
 
 def config_echo(config: ExperimentConfig) -> dict:
     """Resolved configuration as a plain dict for embedding in outputs."""
-    echo = {}
-    for key, (attr, _) in KEY_TABLE.items():
-        value = getattr(config, attr)
-        if value is None:
-            continue
-        echo[key] = _render(value)
-    return echo
+    values = ((key, getattr(config, attr)) for key, (attr, _) in KEY_TABLE.items())
+    return {key: _render(value) for key, value in values if value is not None}
 
 
 def build_problem(config: ExperimentConfig) -> ProblemSpec:

@@ -115,41 +115,47 @@ def matricial_schedule(a: float) -> StepSchedule:
     return StepSchedule(beta0=1.0, b=1.0, gamma0=1.0, a=a)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SAState:
     """One trajectory's state at iteration index n (indices start at 1).
 
-    Running averages are maintained as compensated sums so theta_bar stays
-    accurate over long runs; ``u_n`` and ``s_n`` are the step sums up to and
-    including index n.
+    ``x`` is the stacked iterate (theta, mu), whose first ``d`` components are
+    the fast ones, and (``x_sum``, ``x_comp``) its compensated running sum, so
+    the averages stay accurate over long runs. ``theta``, ``mu``,
+    ``theta_bar`` and ``mu_bar`` are read-only views of them.
     """
 
     n: int
-    theta: np.ndarray
-    mu: np.ndarray
-    theta_sum: np.ndarray
-    theta_comp: np.ndarray
-    mu_sum: np.ndarray
-    mu_comp: np.ndarray
-    u_n: float
-    s_n: float
+    d: int
+    x: np.ndarray
+    x_sum: np.ndarray
+    x_comp: np.ndarray
+
+    @property
+    def theta(self) -> np.ndarray:
+        return self.x[: self.d]
+
+    @property
+    def mu(self) -> np.ndarray:
+        return self.x[self.d :]
 
     @property
     def theta_bar(self) -> np.ndarray:
-        return self.theta_sum / self.n
+        return self.x_sum[: self.d] / self.n
 
     @property
     def mu_bar(self) -> np.ndarray:
-        return self.mu_sum / self.n
+        return self.x_sum[self.d :] / self.n
 
 
-def _initial_iterates(problem: ProblemSpec, theta0, mu0) -> tuple[np.ndarray, np.ndarray]:
+def _initial_iterate(problem: ProblemSpec, theta0, mu0) -> np.ndarray:
+    """The stacked starting point (theta_1, mu_1)."""
     off_f, off_s = default_offsets(problem)
     theta = np.array(theta0, dtype=float) if theta0 is not None else problem.theta_star + off_f
     mu = np.array(mu0, dtype=float) if mu0 is not None else problem.mu_star + off_s
     if theta.shape != (problem.d,) or mu.shape != (problem.d_prime,):
         raise DimensionError("initial iterates do not match the problem dimensions")
-    return theta, mu
+    return np.concatenate([theta, mu])
 
 
 def initial_state(
@@ -158,59 +164,51 @@ def initial_state(
     theta0=None,
     mu0=None,
 ) -> SAState:
-    theta, mu = _initial_iterates(problem, theta0, mu0)
-    return SAState(
-        n=1,
-        theta=theta,
-        mu=mu,
-        theta_sum=theta.copy(),
-        theta_comp=np.zeros_like(theta),
-        mu_sum=mu.copy(),
-        mu_comp=np.zeros_like(mu),
-        u_n=schedule.beta(1),
-        s_n=schedule.gamma(1),
-    )
+    x = _initial_iterate(problem, theta0, mu0)
+    return SAState(n=1, d=problem.d, x=x, x_sum=x.copy(), x_comp=np.zeros_like(x))
 
 
-@dataclass
+@dataclass(frozen=True)
 class DecompositionState:
     """Error decomposition companions at index n.
 
     ``martingale_*`` carries the CLT (the noise-driven leading part),
-    ``coupling_*`` the averaged cross-component part. The remainders are
-    never stored; they are the differences error - martingale - coupling.
-    All four start at zero at n = 1.
+    ``coupling_*`` the averaged cross-component part. ``parts`` stacks them
+    as one ``_DecompKernel`` row, (martingale, coupling) in the (fast, slow)
+    layout of the state, and the four attributes are read-only views of it.
+    The remainders are never stored; they are the differences
+    error - martingale - coupling. All parts start at zero at n = 1.
     """
 
     n: int
-    martingale_fast: np.ndarray
-    coupling_fast: np.ndarray
-    martingale_slow: np.ndarray
-    coupling_slow: np.ndarray
-    last_v: np.ndarray | None = None
-    last_w: np.ndarray | None = None
+    d: int
+    parts: np.ndarray
 
-    def remainders(self, theta_err: np.ndarray, mu_err: np.ndarray):
-        delta_f = theta_err - self.martingale_fast - self.coupling_fast
-        delta_s = mu_err - self.martingale_slow - self.coupling_slow
-        return delta_f, delta_s
+    @property
+    def martingale_fast(self) -> np.ndarray:
+        return self.parts.reshape(2, -1)[0, : self.d]
+
+    @property
+    def martingale_slow(self) -> np.ndarray:
+        return self.parts.reshape(2, -1)[0, self.d :]
+
+    @property
+    def coupling_fast(self) -> np.ndarray:
+        return self.parts.reshape(2, -1)[1, : self.d]
+
+    @property
+    def coupling_slow(self) -> np.ndarray:
+        return self.parts.reshape(2, -1)[1, self.d :]
 
 
 def initial_decomposition(problem: ProblemSpec) -> DecompositionState:
-    return DecompositionState(
-        n=1,
-        martingale_fast=np.zeros(problem.d),
-        coupling_fast=np.zeros(problem.d),
-        martingale_slow=np.zeros(problem.d_prime),
-        coupling_slow=np.zeros(problem.d_prime),
-    )
+    return DecompositionState(n=1, d=problem.d, parts=np.zeros(2 * problem.dim))
 
 
 class _Kernel:
     """Precomputed pieces of one advance of the stacked state."""
 
     def __init__(self, problem: ProblemSpec, rows: int, gains: GainMatrices | None = None):
-        self.d = problem.d
         # one row per state row: a same-shape subtraction is far cheaper than
         # broadcasting a short vector across the rows
         self.x_star = np.tile(np.concatenate([problem.theta_star, problem.mu_star]), (rows, 1))
@@ -221,22 +219,21 @@ class _Kernel:
         self.gainT = None
         if gains is not None:
             gain = np.zeros_like(q)
-            gain[: self.d, : self.d] = gains.fast
-            gain[self.d :, self.d :] = gains.slow
+            gain[: problem.d, : problem.d] = gains.fast
+            gain[problem.d :, problem.d :] = gains.slow
             self.gainT = gain.T.copy()
 
     def advance(self, x, xi, n, steps, bias=None):
-        """The rows of x_{n+1}; a given ``bias`` pair replaces the model's r_n."""
-        d = self.d
+        """The rows of x_{n+1}; a given stacked ``bias`` replaces the model's r_n."""
         e = x - self.x_star
         obs = e @ self.qT
         obs += xi
         if self.residual is not None:
-            obs += np.concatenate(self.residual.evaluate(e[:, :d], e[:, d:]), axis=1)
+            obs += self.residual.evaluate(e)
         if bias is None and self.bias is not None:
-            bias = self.bias.values(n, d, x.shape[1] - d)
+            bias = self.bias.values(n)
         if bias is not None:
-            obs += np.concatenate(bias, axis=-1)
+            obs += bias
         if self.gainT is not None:
             obs = obs @ self.gainT
         obs *= steps
@@ -336,41 +333,30 @@ def matricial_step(
 
 
 def _two_rows(*vectors) -> list[np.ndarray]:
-    return [np.tile(np.asarray(v, dtype=float), (_MIN_ROWS, 1)) for v in vectors]
+    return [np.tile(v, (_MIN_ROWS, 1)) for v in vectors]
+
+
+def _stacked(problem: ProblemSpec, pair, name: str) -> np.ndarray:
+    """A per-step (fast, slow) pair as one vector in the layout of the state."""
+    fast, slow = (np.asarray(part, dtype=float).reshape(-1) for part in pair)
+    if fast.shape != (problem.d,) or slow.shape != (problem.d_prime,):
+        raise DimensionError(f"{name} dimensions do not match the problem")
+    return np.concatenate([fast, slow])
 
 
 def _single_advance(problem, schedule, state, noise, bias_values, gains):
-    d = problem.d
-    v = np.asarray(noise[0], dtype=float).reshape(-1)
-    w = np.asarray(noise[1], dtype=float).reshape(-1)
-    if v.shape != (d,) or w.shape != (problem.d_prime,):
-        raise DimensionError("noise dimensions do not match the problem")
-    if bias_values is not None:
-        bias_values = tuple(np.asarray(r, dtype=float) for r in bias_values)
     n = state.n
-    x, xi = _two_rows(np.concatenate([state.theta, state.mu]), np.concatenate([v, w]))
-    steps = _step_sizes(d, problem.d_prime, schedule.beta(n), schedule.gamma(n))
+    if bias_values is not None:
+        bias_values = _stacked(problem, bias_values, "bias")
+    x, xi = _two_rows(state.x, _stacked(problem, noise, "noise"))
+    steps = _step_sizes(problem.d, problem.d_prime, schedule.beta(n), schedule.gamma(n))
     x = _Kernel(problem, _MIN_ROWS, gains).advance(x, xi, n, steps, bias_values)[:1]
-    if _first_diverged(x, d) >= 0:
+    if _first_diverged(x, problem.d) >= 0:
         raise DivergenceError(
             f"iterate diverged at index {n + 1}", step=n + 1, replication=0
         )
-    xsum, xcomp = _kahan_add(
-        np.concatenate([state.theta_sum, state.mu_sum]),
-        np.concatenate([state.theta_comp, state.mu_comp]),
-        x[0],
-    )
-    return SAState(
-        n=n + 1,
-        theta=x[0, :d],
-        mu=x[0, d:],
-        theta_sum=xsum[:d],
-        theta_comp=xcomp[:d],
-        mu_sum=xsum[d:],
-        mu_comp=xcomp[d:],
-        u_n=state.u_n + schedule.beta(n + 1),
-        s_n=state.s_n + schedule.gamma(n + 1),
-    )
+    x_sum, x_comp = _kahan_add(state.x_sum, state.x_comp, x[0])
+    return SAState(n=n + 1, d=problem.d, x=x[0], x_sum=x_sum, x_comp=x_comp)
 
 
 def decompose_step(
@@ -384,28 +370,14 @@ def decompose_step(
 
     ``mu_delta`` is the realized slow increment mu_{n+1} - mu_n.
     """
-    n, d, dim = dstate.n, problem.d, problem.dim
-    v = np.asarray(noise[0], dtype=float)
-    w = np.asarray(noise[1], dtype=float)
-    md = np.asarray(mu_delta, dtype=float)
-    if v.shape != (d,) or w.shape != (problem.d_prime,) or md.shape != (problem.d_prime,):
-        raise DimensionError("decomposition inputs do not match the problem dimensions")
+    n = dstate.n
     dec, xi, dx = _two_rows(
-        np.concatenate([dstate.martingale_fast, dstate.martingale_slow,
-                        dstate.coupling_fast, dstate.coupling_slow]),
-        np.concatenate([v, w]),
-        np.concatenate([np.zeros(d), md]),
+        dstate.parts,
+        _stacked(problem, noise, "noise"),
+        _stacked(problem, (np.zeros(problem.d), mu_delta), "slow increment"),
     )
-    dec = _DecompKernel(problem).advance(dec, xi, dx, schedule.beta(n), schedule.gamma(n))[0]
-    return DecompositionState(
-        n=n + 1,
-        martingale_fast=dec[:d],
-        coupling_fast=dec[dim : dim + d],
-        martingale_slow=dec[d:dim],
-        coupling_slow=dec[dim + d :],
-        last_v=v.copy(),
-        last_w=w.copy(),
-    )
+    dec = _DecompKernel(problem).advance(dec, xi, dx, schedule.beta(n), schedule.gamma(n))
+    return DecompositionState(n=n + 1, d=problem.d, parts=dec[0])
 
 
 def _kahan_add(total, comp, term):
@@ -525,7 +497,7 @@ def simulate_batch(
     ckpt_pos = {int(n): i for i, n in enumerate(grid)}
     k = grid.size
 
-    x = np.tile(np.concatenate(_initial_iterates(problem, theta0, mu0)), (rows, 1))
+    x = np.tile(_initial_iterate(problem, theta0, mu0), (rows, 1))
     xsum, xcomp = x.copy(), np.zeros_like(x)
 
     dec = np.zeros((rows, 2 * dim)) if track_decomposition else None

@@ -46,14 +46,14 @@ def _as_vector(v, dim: int, name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class NonlinearResidual:
-    """Nonlinear part of the drift, evaluated on centered states.
+    """Nonlinear part of the drift, evaluated on stacked centered states.
 
-    kind "none" is the linear problem. kind "quadratic_form" evaluates, per
-    output component i, z^T C_i z on the stacked centered state z, and is
-    clamped to zero outside ``clamp_radius`` so the local model cannot
-    destabilize far starts. kind "custom" delegates to a callable taking
-    batched centered errors of shape (B, d) and (B, d') and returning the two
-    residual batches.
+    ``evaluate`` takes the batch z = (theta - theta*, mu - mu*) of shape
+    (B, d+d') and returns rho = (rho_f, rho_g) in the same layout and shape.
+    kind "none" is the linear problem. kind "quadratic_form" gives, per output
+    component i, z^T C_i z, clamped to zero outside ``clamp_radius`` so the
+    local model cannot destabilize far starts. kind "custom" delegates to
+    ``custom_fn(z) -> rho`` with the same shapes.
     """
 
     kind: str = "none"
@@ -86,21 +86,19 @@ class NonlinearResidual:
         if self.kind == "custom" and self.custom_fn is None:
             raise ValueError("custom residual needs a callable")
 
-    def evaluate(self, err_fast: np.ndarray, err_slow: np.ndarray):
-        """Residual pair for batched centered errors; shapes (B, d), (B, d')."""
+    def evaluate(self, z: np.ndarray) -> np.ndarray:
+        """Stacked residual for a (B, d+d') batch of centered states."""
         if self.kind == "none":
-            return np.zeros_like(err_fast), np.zeros_like(err_slow)
+            return np.zeros_like(z)
         if self.kind == "custom":
-            return self.custom_fn(err_fast, err_slow)
-        z = np.concatenate([err_fast, err_slow], axis=-1)
+            return self.custom_fn(z)
         b, dim = z.shape
         rho = np.einsum("bik,bk->bi", (z @ self._stacked).reshape(b, dim, dim), z)
         # ||z|| <= sqrt(dim) max|z_i|; with a margin far above rounding, every
         # row is inside and the clamp would multiply by one
         if not math.sqrt(dim) * np.abs(z).max() <= 0.999 * self.clamp_radius:
             rho *= (np.linalg.norm(z, axis=-1) <= self.clamp_radius)[:, None]
-        d = err_fast.shape[-1]
-        return rho[:, :d], rho[:, d:]
+        return rho
 
     def curvature_constant(self) -> float:
         """Constant c with ||residual|| <= c * ||z||^2 inside the clamp radius."""
@@ -175,7 +173,9 @@ class BiasModel:
     kind "zero" is the default. kind "power_decay" gives
     r_n = coeff * n^(-rho) per component; the validators certify the decay
     rate against the regime in use (rho > b/2 for the plain CLT, rho > 1/2
-    for averaging).
+    for averaging). ``values(n)`` returns r_n = (r_f, r_g) stacked like the
+    state, shape (d+d',), from coefficients stacked once at construction;
+    for kind "zero" it is the scalar 0.0.
     """
 
     kind: str = "zero"
@@ -193,12 +193,12 @@ class BiasModel:
                 raise ValueError("bias decay exponent must be positive")
             object.__setattr__(self, "coeff_fast", np.asarray(self.coeff_fast, dtype=float))
             object.__setattr__(self, "coeff_slow", np.asarray(self.coeff_slow, dtype=float))
+            object.__setattr__(self, "_coeff", np.concatenate([self.coeff_fast, self.coeff_slow]))
 
-    def values(self, n: int, d: int, d_prime: int) -> tuple[np.ndarray, np.ndarray]:
+    def values(self, n: int) -> np.ndarray | float:
         if self.kind == "zero":
-            return np.zeros(d), np.zeros(d_prime)
-        scale = float(n) ** (-self.rho)
-        return self.coeff_fast * scale, self.coeff_slow * scale
+            return 0.0
+        return self._coeff * float(n) ** (-self.rho)
 
     def is_zero(self) -> bool:
         return self.kind == "zero"
@@ -293,9 +293,9 @@ class ProblemSpec:
             )
         ef = np.atleast_2d(theta) - self.theta_star
         es = np.atleast_2d(mu) - self.mu_star
-        rho_f, rho_g = self.residual.evaluate(ef, es)
-        f = ef @ self.q11.T + es @ self.q12.T + rho_f
-        g = ef @ self.q21.T + es @ self.q22.T + rho_g
+        rho = self.residual.evaluate(np.concatenate([ef, es], axis=-1))
+        f = ef @ self.q11.T + es @ self.q12.T + rho[:, : self.d]
+        g = ef @ self.q21.T + es @ self.q22.T + rho[:, self.d :]
         if single:
             return f[0], g[0]
         return f, g

@@ -1,8 +1,11 @@
 import math
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ttsa import cli
 from ttsa.config import (
@@ -14,8 +17,12 @@ from ttsa.config import (
     parse_config,
     render_config,
 )
+from ttsa.engine import ALGORITHMS
 from ttsa.errors import ConfigError
+from ttsa.montecarlo import KNOWN_CHECKS
+from ttsa.problems import BOUNDED_UNIFORM, GAUSSIAN, LIBRARY_NAMES
 from ttsa.reports import read_report
+from ttsa.schedules import REGIMES
 
 MINIMAL = "problem.name = linear-2x2\n"
 
@@ -32,6 +39,54 @@ mc.checks = clt
 mc.tol_rel = 2.0
 mc.tol_cross = 2.0
 """
+
+
+# Values the format carries: floats finite or infinite, JSON arrays of finite
+# numbers, and one-line strings without surrounding whitespace.
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_BY_TYPE = {
+    "float": st.floats(allow_nan=False),
+    "int": st.integers(),
+    "bool": st.booleans(),
+    "str": st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp"))).filter(
+        lambda text: text == text.strip()
+    ),
+    "list | None": st.one_of(
+        st.none(),
+        st.lists(_FINITE, max_size=4),
+        st.lists(st.lists(_FINITE, min_size=1, max_size=3), max_size=3),
+    ),
+    "tuple": st.lists(st.sampled_from(KNOWN_CHECKS), max_size=6).map(tuple),
+}
+# Keys parse_config validates, drawn from their valid values.
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True)
+_BY_NAME = {
+    "problem_noise": st.sampled_from((GAUSSIAN, BOUNDED_UNIFORM)),
+    "step_regime": st.sampled_from(REGIMES),
+    "run_algorithm": st.sampled_from(ALGORITHMS),
+    "step_beta0": _POSITIVE,
+    "step_gamma0": _POSITIVE,
+    "mc_replications": st.integers(min_value=2),
+}
+_INLINE = ("problem_q11", "problem_q12", "problem_q21", "problem_q22", "problem_noise_cov")
+
+
+@st.composite
+def experiment_configs(draw):
+    """An ExperimentConfig that passes validation, drawn over every key."""
+    values = {
+        f.name: draw(_BY_NAME.get(f.name, _BY_TYPE[f.type])) for f in fields(ExperimentConfig)
+    }
+    exponent = st.floats(min_value=0.5, max_value=1.0, exclude_min=True)
+    a, b = sorted((draw(exponent), draw(exponent)))
+    assume(a < b)
+    values.update(step_a=a, step_b=b)
+    custom = draw(st.booleans())
+    values["problem_name"] = "custom" if custom else draw(st.sampled_from(LIBRARY_NAMES))
+    matrix = st.lists(st.lists(_FINITE, min_size=1, max_size=2), min_size=1, max_size=2)
+    for name in _INLINE:
+        values[name] = draw(matrix) if custom else None
+    return ExperimentConfig(**values)
 
 
 class TestParseConfig:
@@ -91,6 +146,7 @@ problem.q22 = [[-1.0]]
 problem.noise_cov = [[1.0, 0.0], [0.0, 1.0]]
 problem.noise = bounded_uniform
 problem.moment_order = inf
+problem.bias_rho = -inf
 step.a = 0.55
 step.b = 0.9
 run.algorithm = averaged
@@ -102,6 +158,12 @@ run.track_decomposition = true
         assert parse_config(render_config(config)) == config
         assert config.mc_checks == ("clt", "slopes")
         assert math.isinf(config.problem_moment_order)
+        assert config.problem_bias_rho == -math.inf
+
+    @settings(deadline=None)
+    @given(config=experiment_configs())
+    def test_round_trip_property(self, config):
+        assert parse_config(render_config(config)) == config
 
     def test_build_custom_problem(self):
         config = parse_config(

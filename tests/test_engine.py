@@ -20,7 +20,7 @@ from ttsa import (
     simulate_batch,
     step,
 )
-from ttsa.engine import DIVERGENCE_GUARD, _first_diverged, replication_rng
+from ttsa.engine import DECOMP_KEYS, DIVERGENCE_GUARD, _first_diverged, replication_rng
 from ttsa.errors import ConfigError, DivergenceError
 from ttsa.linalg import invert, mat_exp
 from ttsa.problems import library_problem
@@ -472,6 +472,48 @@ class TestDeterminismContracts:
         large = simulate_batch(quadratic_problem, schedule, 700, base_seed=5, replications=5)
         for r in range(3):
             assert_same_paths(TrajectoryTrace(small, r), TrajectoryTrace(large, r))
+
+
+class TestPerStepApi:
+    @pytest.mark.parametrize("name", ["linear-2x2", "quadratic-2x2"])
+    def test_chained_steps_equal_run(self, name, schedule):
+        # step and decompose_step advance the same stacked state as the batch
+        # path, on the same two-row shapes and noise, so the paths agree bit
+        # for bit; the norms are taken over differently shaped arrays and
+        # agree to rounding
+        p = library_problem(name)
+        n_final = 600
+        trace = run(p, schedule, n_final, seed=9, track_decomposition=True,
+                    checkpoints=np.arange(1, n_final + 1))
+
+        draws = p.noise.draw(replication_rng(9, 0), (n_final - 1,))
+        state, dstate = initial_state(p, schedule), initial_decomposition(p)
+        paths = {key: [] for key in ("theta", "mu", "theta_bar", "mu_bar")}
+        norms = {key: [] for key in DECOMP_KEYS}
+
+        def record():
+            for key, path in paths.items():
+                path.append(getattr(state, key).copy())
+            errors = {"fast": state.theta - p.theta_star, "slow": state.mu - p.mu_star}
+            for part, err in errors.items():
+                mart = getattr(dstate, "martingale_" + part)
+                coup = getattr(dstate, "coupling_" + part)
+                norms["martingale_" + part].append(np.linalg.norm(mart))
+                norms["coupling_" + part].append(np.linalg.norm(coup))
+                norms["remainder_" + part].append(np.linalg.norm(err - mart - coup))
+
+        record()
+        for xi in draws:
+            v, w = xi[: p.d], xi[p.d :]
+            new = step(p, schedule, state, (v, w))
+            dstate = decompose_step(p, schedule, dstate, (v, w), new.mu - state.mu)
+            state = new
+            record()
+        assert state.n == dstate.n == n_final
+        for key, path in paths.items():
+            np.testing.assert_array_equal(np.array(path), getattr(trace, key))
+        for key, got in norms.items():
+            np.testing.assert_allclose(got, trace.decomposition[key], rtol=1e-14, atol=0)
 
 
 class TestDivergenceGuard:

@@ -178,8 +178,8 @@ class TestDrift:
             linear_problem.drift([1.0, 2.0, 3.0], linear_problem.mu_star)
 
     def test_custom_residual_hook(self):
-        def hook(ef, es):
-            return 0.1 * ef**2, np.zeros_like(es)
+        def hook(z):
+            return np.stack([0.1 * z[:, 0] ** 2, np.zeros(len(z))], axis=1)
 
         p = scalar_spec(
             -2.0, 0.0, 0.0, -1.0,
@@ -223,7 +223,7 @@ class TestQuadraticResidual:
         outside = dirs * rng.uniform(1.0 + 1e-12, 3.0, size=(40, 1)) * radius
         # the batches below take the all-inside shortcut, hit the radius, and mix
         for z in (inside, on, np.concatenate([inside, on, outside])):
-            got = np.concatenate(residual.evaluate(z[:, :d], z[:, d:]), axis=1)
+            got = residual.evaluate(z)
             want = np.concatenate(einsum_residual(residual, z), axis=1)
             # relative to |z|^T |C_i| |z|, the scale of the rounding in either form
             coeff = np.abs(np.concatenate([residual.coeff_fast, residual.coeff_slow]))
