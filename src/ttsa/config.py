@@ -38,9 +38,13 @@ OUTPUT_DIR_ENV = "TTSA_OUTPUT_DIR"
 
 def _parse_float(text: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError as exc:
         raise ValueError(f"expected a number, got {text!r}") from exc
+    if math.isnan(value):
+        # NaN compares false with everything, so checks against it fail silently
+        raise ValueError(f"expected a number other than NaN, got {text!r}")
+    return value
 
 
 def _parse_int(text: str) -> int:

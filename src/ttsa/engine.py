@@ -205,20 +205,39 @@ def initial_decomposition(problem: ProblemSpec) -> DecompositionState:
     return DecompositionState(n=1, d=problem.d, parts=np.zeros(2 * problem.dim))
 
 
+def _once(problem: ProblemSpec, build):
+    """``build(problem)``, computed on the first call and kept on the problem.
+
+    ProblemSpec is frozen, so pieces derived from it stay valid for its
+    lifetime; ``NoiseModel`` keeps its factor the same way. Per-step callers
+    such as ``step`` then pay for no inversion or block assembly.
+    """
+    pieces = vars(problem).get(build.__name__)
+    if pieces is None:
+        pieces = build(problem)
+        object.__setattr__(problem, build.__name__, pieces)
+    return pieces
+
+
+def _kernel_pieces(problem: ProblemSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The root x* = (theta*, mu*) and the transposed full Jacobian Q^T."""
+    q = np.block([[problem.q11, problem.q12], [problem.q21, problem.q22]])
+    return np.concatenate([problem.theta_star, problem.mu_star]), q.T.copy()
+
+
 class _Kernel:
     """Precomputed pieces of one advance of the stacked state."""
 
     def __init__(self, problem: ProblemSpec, rows: int, gains: GainMatrices | None = None):
+        x_star, self.qT = _once(problem, _kernel_pieces)
         # one row per state row: a same-shape subtraction is far cheaper than
         # broadcasting a short vector across the rows
-        self.x_star = np.tile(np.concatenate([problem.theta_star, problem.mu_star]), (rows, 1))
-        q = np.block([[problem.q11, problem.q12], [problem.q21, problem.q22]])
-        self.qT = q.T.copy()
+        self.x_star = np.tile(x_star, (rows, 1))
         self.residual = None if problem.residual.kind == "none" else problem.residual
         self.bias = None if problem.bias.is_zero() else problem.bias
         self.gainT = None
         if gains is not None:
-            gain = np.zeros_like(q)
+            gain = np.zeros_like(self.qT)
             gain[: problem.d, : problem.d] = gains.fast
             gain[problem.d :, problem.d :] = gains.slow
             self.gainT = gain.T.copy()
@@ -271,33 +290,40 @@ class _DecompKernel:
 
     where E = blockdiag(exp(beta H), exp(gamma Q22)) and K = Q12 Q22^-1, the
     fast component's sensitivity to slow innovations. The coupling's slow
-    part consumes the pre-update fast parts.
+    part consumes the pre-update fast parts. The tables depend on the step
+    index only, so ``tables`` builds them for a whole chunk of steps at once.
     """
 
     def __init__(self, problem: ProblemSpec):
-        d, dim = problem.d, problem.dim
-        self.d, self.dim = d, dim
+        self.d, self.dim = problem.d, problem.dim
         self.h = problem.fast_matrix()
         self.q22 = problem.q22
         self.q21T = problem.q21.T.copy()
         self.kT = (problem.q12 @ linalg.invert(problem.q22)).T.copy()
-        self.i_fast, self.i_slow = np.eye(d), np.eye(dim - d)
-        self.t1 = np.zeros((2 * dim, 2 * dim))
-        self.t2 = np.zeros((dim, 2 * dim))
-        self.t3 = np.zeros((dim, 2 * dim))
 
-    def advance(self, dec, xi, dx, beta_n, gamma_n):
-        d, dim, t1, t2, t3 = self.d, self.dim, self.t1, self.t2, self.t3
-        e_fast = linalg.mat_exp(beta_n * self.h).T
-        e_slow = linalg.mat_exp(gamma_n * self.q22).T
-        t1[:d, :d] = t1[dim : dim + d, dim : dim + d] = e_fast
-        t1[d:dim, d:dim] = t1[dim + d :, dim + d :] = e_slow
-        t1[:d, dim + d :] = t1[dim : dim + d, dim + d :] = gamma_n * self.q21T
-        t2[:d, :d] = beta_n * self.i_fast
-        t2[d:, :d] = -beta_n * self.kT
-        t2[d:, d:dim] = gamma_n * self.i_slow
-        t3[d:, dim : dim + d] = (beta_n / gamma_n) * self.kT
-        return dec @ t1 + xi @ t2 + dx @ t3
+    def tables(self, beta: np.ndarray, gamma: np.ndarray):
+        """T1, T2 and T3 for the steps (beta[j], gamma[j]), stacked on axis 0."""
+        d, dim, span = self.d, self.dim, len(beta)
+        b, g = beta[:, None, None], gamma[:, None, None]
+        t1 = np.zeros((span, 2 * dim, 2 * dim))
+        t2 = np.zeros((span, dim, 2 * dim))
+        t3 = np.zeros((span, dim, 2 * dim))
+        e_fast = np.stack([linalg.mat_exp(beta_n * self.h).T for beta_n in beta])
+        e_slow = np.stack([linalg.mat_exp(gamma_n * self.q22).T for gamma_n in gamma])
+        t1[:, :d, :d] = t1[:, dim : dim + d, dim : dim + d] = e_fast
+        t1[:, d:dim, d:dim] = t1[:, dim + d :, dim + d :] = e_slow
+        t1[:, :d, dim + d :] = t1[:, dim : dim + d, dim + d :] = g * self.q21T
+        t2[:, :d, :d] = b * np.eye(d)
+        t2[:, d:, :d] = -b * self.kT
+        t2[:, d:, d:dim] = g * np.eye(dim - d)
+        t3[:, d:, dim : dim + d] = (b / g) * self.kT
+        return t1, t2, t3
+
+
+def _decomp_advance(dec, xi, dx, tables, j):
+    """The decomposition rows after step j of ``tables``."""
+    t1, t2, t3 = tables
+    return dec @ t1[j] + xi @ t2[j] + dx @ t3[j]
 
 
 def step(
@@ -376,7 +402,10 @@ def decompose_step(
         _stacked(problem, noise, "noise"),
         _stacked(problem, (np.zeros(problem.d), mu_delta), "slow increment"),
     )
-    dec = _DecompKernel(problem).advance(dec, xi, dx, schedule.beta(n), schedule.gamma(n))
+    tables = _once(problem, _DecompKernel).tables(
+        np.array([schedule.beta(n)]), np.array([schedule.gamma(n)])
+    )
+    dec = _decomp_advance(dec, xi, dx, tables, 0)
     return DecompositionState(n=n + 1, d=problem.d, parts=dec[0])
 
 
@@ -485,7 +514,7 @@ def simulate_batch(
     b = replications
     rows = max(b, _MIN_ROWS)
     kernel = _Kernel(problem, rows, gains)
-    dkernel = _DecompKernel(problem) if track_decomposition else None
+    dkernel = _once(problem, _DecompKernel) if track_decomposition else None
 
     beta_arr = schedule.beta_array(n_final)
     gamma_arr = schedule.gamma_array(n_final)
@@ -561,12 +590,14 @@ def simulate_batch(
         for r in range(b):
             noise_block[:span, r] = problem.noise.draw(rngs[r], (span,))
         noise_block[:span, b:] = noise_block[:span, :1]  # the two-row copy, if any
-        steps = _step_sizes(d, dp, beta_arr[n - 1 : n - 1 + span], gamma_arr[n - 1 : n - 1 + span])
+        beta, gamma = beta_arr[n - 1 : n - 1 + span], gamma_arr[n - 1 : n - 1 + span]
+        steps = _step_sizes(d, dp, beta, gamma)
+        tables = dkernel.tables(beta, gamma) if dec is not None else None
         for j in range(span):
             xi = noise_block[j]
             x_new = kernel.advance(x, xi, n, steps[j])
             if dec is not None:
-                dec = dkernel.advance(dec, xi, x_new - x, beta_arr[n - 1], gamma_arr[n - 1])
+                dec = _decomp_advance(dec, xi, x_new - x, tables, j)
             x = x_new
             xsum, xcomp = _kahan_add(xsum, xcomp, x)
             n += 1

@@ -118,6 +118,14 @@ class TestParseConfig:
             parse_config("# comment\nrun.n_final = soon\n")
         assert err.value.line == 2
 
+    @pytest.mark.parametrize("key", ["mc.tol_rel", "problem.moment_order", "step.beta0"])
+    @pytest.mark.parametrize("text", ["nan", "NaN", "-nan"])
+    def test_nan_rejected_naming_the_key(self, key, text):
+        with pytest.raises(ConfigError, match="NaN") as err:
+            parse_config(f"{key} = {text}\n")
+        assert err.value.key == key
+        assert key in str(err.value)
+
     def test_comments_and_blanks_ignored(self):
         config = parse_config("# hello\n\nproblem.name = scalar-coupled\n")
         assert config.problem_name == "scalar-coupled"

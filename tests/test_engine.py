@@ -20,6 +20,7 @@ from ttsa import (
     simulate_batch,
     step,
 )
+from ttsa import linalg
 from ttsa.engine import DECOMP_KEYS, DIVERGENCE_GUARD, _first_diverged, replication_rng
 from ttsa.errors import ConfigError, DivergenceError
 from ttsa.linalg import invert, mat_exp
@@ -446,16 +447,21 @@ def assert_same_paths(a, b):
 
 class TestDeterminismContracts:
     def test_chunk_size_does_not_change_the_trace(self, linear_problem, schedule):
-        # 3585 steps leave a last chunk of one step at chunk sizes 7 and 512
+        # 3585 steps leave a last chunk of one step at chunk sizes 7 and 512;
+        # the decomposition tables are built per chunk, so they are covered too
         traces = [
             simulate_batch(linear_problem, schedule, 3586, base_seed=4, replications=3,
-                           chunk=chunk, record_steps=True)
+                           chunk=chunk, record_steps=True, track_decomposition=True)
             for chunk in (1, 7, 512)
         ]
         for other in traces[1:]:
             assert_same_paths(traces[0], other)
             for key in ("theta", "mu", "v", "w"):
                 np.testing.assert_array_equal(traces[0].full[key], other.full[key])
+            for key in DECOMP_KEYS:
+                np.testing.assert_array_equal(
+                    traces[0].decomposition[key], other.decomposition[key]
+                )
 
     @pytest.mark.parametrize("d, dp", [(1, 1), (2, 2), (3, 3), (4, 1)])
     def test_run_equals_replication_zero(self, d, dp, schedule):
@@ -514,6 +520,31 @@ class TestPerStepApi:
             np.testing.assert_array_equal(np.array(path), getattr(trace, key))
         for key, got in norms.items():
             np.testing.assert_allclose(got, trace.decomposition[key], rtol=1e-14, atol=0)
+
+    def test_kernel_pieces_are_built_once_per_problem(self, schedule, monkeypatch):
+        # per-step callers must not pay for an inversion or H on every call
+        p = library_problem("linear-2x2")
+        calls = {"invert": 0, "fast_matrix": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(linalg, "invert", counting("invert", linalg.invert))
+        monkeypatch.setattr(
+            ProblemSpec, "fast_matrix", counting("fast_matrix", ProblemSpec.fast_matrix)
+        )
+        state, dstate = initial_state(p, schedule), initial_decomposition(p)
+        counts = []
+        for _ in range(2):
+            new = step(p, schedule, state, zero_noise(p))
+            dstate = decompose_step(p, schedule, dstate, zero_noise(p), new.mu - state.mu)
+            state = new
+            counts.append(dict(calls))
+        assert counts[0]["invert"] > 0 and counts[0]["fast_matrix"] == 1
+        assert counts[1] == counts[0]
 
 
 class TestDivergenceGuard:

@@ -1,4 +1,6 @@
+import bisect
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -110,6 +112,52 @@ class TestMatExp:
     def test_non_square_rejected(self):
         with pytest.raises(DimensionError):
             linalg.mat_exp(np.ones((2, 3)))
+
+
+_UNIT_ROUNDOFF = Fraction(1, 2**53)
+
+
+def _tail_bound(x: float, q: int) -> Fraction:
+    """Exact value of x^(q+1)/(q+1)! / (1 - x/(q+2)) at the double x."""
+    x = Fraction(x)
+    return x ** (q + 1) / math.factorial(q + 1) / (1 - x / (q + 2))
+
+
+def _largest_double_within_bound(q: int) -> float:
+    lo, hi = 0.0, 1.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return lo
+        if _tail_bound(mid, q) <= _UNIT_ROUNDOFF:
+            lo = mid
+        else:
+            hi = mid
+
+
+# 1-norm exactly 1 with every column summed without rounding, so x * _SHAPE
+# has 1-norm exactly x for any double x
+_SHAPE = np.array([[0.5, -0.5, 0.0], [0.0, 0.5, 1.0], [-0.5, 0.0, 0.0]])
+
+
+class TestMatExpDegree:
+    def test_limits_recomputed_from_the_tail_bound(self):
+        recomputed = tuple(_largest_double_within_bound(q) for q in range(13))
+        assert linalg._EXP_LIMITS == recomputed
+
+    def test_degree_twelve_covers_the_scaling_threshold(self):
+        assert linalg._EXP_LIMITS[11] < linalg._EXP_THETA <= linalg._EXP_LIMITS[12]
+
+    @pytest.mark.parametrize("q", range(13))
+    def test_at_and_just_above_each_limit(self, q):
+        limit = linalg._EXP_LIMITS[q]
+        for x, degree in ((limit, q), (math.nextafter(limit, math.inf), q + 1)):
+            a = x * _SHAPE
+            assert np.abs(a).sum(axis=0).max() == x
+            assert bisect.bisect_left(linalg._EXP_LIMITS, x) == degree
+            expected = taylor_expm(a)
+            err = np.linalg.norm(linalg.mat_exp(a) - expected, "fro")
+            assert err <= 1e-14 * np.linalg.norm(expected, "fro")
 
 
 class TestSolveLyapunov:
