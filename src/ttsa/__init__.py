@@ -1,9 +1,9 @@
 """Simulation lab for two-time-scale stochastic approximation."""
 
 from .engine import (
+    BatchTrace,
     GainMatrices,
     SAState,
-    TrajectoryTrace,
     checkpoint_indices,
     decompose_step,
     initial_decomposition,
@@ -45,6 +45,7 @@ from .theory import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "BatchTrace",
     "BiasModel",
     "GainMatrices",
     "MCConfig",
@@ -55,7 +56,6 @@ __all__ = [
     "SAState",
     "StepSchedule",
     "TheoryReport",
-    "TrajectoryTrace",
     "averaged_covariance",
     "checkpoint_indices",
     "clt_verdict",

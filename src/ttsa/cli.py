@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 from . import config as cfg
 from . import engine, montecarlo, reports, theory
@@ -69,14 +70,17 @@ def _cmd_theory(args) -> int:
     return 0
 
 
-def _run_trace(args, track_decomposition: bool, default_name: str) -> int:
+def _simulation(args):
+    """Config, problem and schedule of a simulating command, and its initial
+    iterates: the one place the run offsets are resolved."""
     config = _load(args.config)
     problem = cfg.build_problem(config)
     schedule = cfg.build_schedule(config)
-    theta0, mu0 = cfg.initial_iterates(config, problem)
-    gains = None
-    if config.run_algorithm == engine.MATRICIAL:
-        gains = engine.optimal_gains(problem)
+    return config, problem, schedule, cfg.initial_iterates(config, problem)
+
+
+def _run_trace(args, track_decomposition: bool, default_name: str) -> int:
+    config, problem, schedule, (theta0, mu0) = _simulation(args)
     try:
         trace = engine.run(
             problem,
@@ -84,7 +88,6 @@ def _run_trace(args, track_decomposition: bool, default_name: str) -> int:
             config.run_n_final,
             config.run_seed,
             algorithm=config.run_algorithm,
-            gains=gains,
             theta0=theta0,
             mu0=mu0,
             track_decomposition=track_decomposition,
@@ -110,10 +113,8 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_montecarlo(args) -> int:
-    config = _load(args.config)
-    problem = cfg.build_problem(config)
-    schedule = cfg.build_schedule(config)
-    mc = cfg.build_mc(config)
+    config, problem, schedule, (theta0, mu0) = _simulation(args)
+    mc = replace(cfg.build_mc(config), theta0=theta0, mu0=mu0)
     report = montecarlo.run_monte_carlo(problem, schedule, mc)
     payload = report.as_dict()
     payload["config"] = cfg.config_echo(config)

@@ -60,9 +60,19 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected true or false, got {text!r}")
 
 
+def _finite_json_number(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        # json.loads takes NaN and Infinity, which no block or offset can hold
+        raise ValueError(f"expected finite numbers, got {text}")
+    return value
+
+
 def _parse_json(text: str):
     try:
-        return json.loads(text)
+        return json.loads(
+            text, parse_float=_finite_json_number, parse_constant=_finite_json_number
+        )
     except json.JSONDecodeError as exc:
         raise ValueError(f"expected a JSON array, got {text!r}") from exc
 
@@ -353,6 +363,7 @@ def build_mc(config: ExperimentConfig) -> MCConfig:
 
 
 def initial_iterates(config: ExperimentConfig, problem: ProblemSpec):
+    """(theta0, mu0) from the run offsets, or None where no offset is set."""
     theta0 = mu0 = None
     if config.run_theta0_offset is not None:
         theta0 = problem.theta_star + np.asarray(config.run_theta0_offset, dtype=float)

@@ -12,9 +12,14 @@ x = (theta, mu) with one row per replication, shape (B, d+d'). One step is
 with Q = [[Q11, Q12], [Q21, Q22]] the full Jacobian, xi = (V, W) the stacked
 innovation, rho the residual, r_n the bias, G = blockdiag(A_fast, A_slow) for
 the matricial variant (the identity otherwise) and s_n = (beta_n 1_d,
-gamma_n 1_d') the per-component step. theta and mu are split off only where a
-checkpoint or a recorded step needs them. ``step``, ``matricial_step``,
-``run`` and ``simulate_batch`` all go through this kernel.
+gamma_n 1_d') the per-component step. ``step``, ``matricial_step``, ``run``
+and ``simulate_batch`` all go through this kernel.
+
+The trace keeps the same layout: a ``BatchTrace`` holds the checkpointed x
+and its running average x_bar as (checkpoint, replication, d+d') arrays, with
+theta, mu and their averages as views. ``BatchTrace.replication(r)`` is one
+replication's trace with the replication axis dropped; ``run`` returns
+replication 0. Checkpoints 1..n_final give the every-step paths.
 
 The kernel never advances fewer than two rows, because a one-row matrix
 product runs as a matrix-vector BLAS kernel that rounds differently from the
@@ -29,7 +34,7 @@ single run is exactly replication 0 of a batch with the same seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -222,7 +227,7 @@ def _once(problem: ProblemSpec, build):
 def _kernel_pieces(problem: ProblemSpec) -> tuple[np.ndarray, np.ndarray]:
     """The root x* = (theta*, mu*) and the transposed full Jacobian Q^T."""
     q = np.block([[problem.q11, problem.q12], [problem.q21, problem.q22]])
-    return np.concatenate([problem.theta_star, problem.mu_star]), q.T.copy()
+    return problem.x_star, q.T.copy()
 
 
 class _Kernel:
@@ -426,13 +431,16 @@ DECOMP_KEYS = (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class BatchTrace:
     """Checkpointed paths of a replication batch.
 
-    Arrays are indexed (checkpoint, replication, component); norms of the
-    decomposition parts are (checkpoint, replication). ``full`` holds the
-    complete per-step paths when step recording was requested.
+    ``x`` and ``x_bar`` are the stacked iterate (theta, mu) and its running
+    average, indexed (checkpoint, replication, component) with the first
+    ``d`` components the fast ones; ``theta``, ``mu``, ``theta_bar`` and
+    ``mu_bar`` are read-only views of them. Norms of the decomposition parts
+    are (checkpoint, replication). ``replication(r)`` drops the replication
+    axis.
     """
 
     ns: np.ndarray
@@ -440,43 +448,37 @@ class BatchTrace:
     gamma: np.ndarray
     u: np.ndarray
     s: np.ndarray
-    theta: np.ndarray
-    mu: np.ndarray
-    theta_bar: np.ndarray
-    mu_bar: np.ndarray
+    d: int
+    x: np.ndarray
+    x_bar: np.ndarray
     decomposition: dict[str, np.ndarray] | None = None
-    full: dict[str, np.ndarray] | None = None
 
     @property
-    def replications(self) -> int:
-        return self.theta.shape[1]
+    def theta(self) -> np.ndarray:
+        return self.x[..., : self.d]
 
+    @property
+    def mu(self) -> np.ndarray:
+        return self.x[..., self.d :]
 
-class TrajectoryTrace:
-    """One replication of a batch trace, with the replication axis dropped.
+    @property
+    def theta_bar(self) -> np.ndarray:
+        return self.x_bar[..., : self.d]
 
-    Every array is a view into ``batch``: the per-checkpoint schedule values
-    are the batch's own, the paths are the replication's column.
-    """
+    @property
+    def mu_bar(self) -> np.ndarray:
+        return self.x_bar[..., self.d :]
 
-    def __init__(self, batch: BatchTrace, replication: int = 0):
-        r = replication
-        self.batch = batch
-        self.ns = batch.ns
-        self.beta = batch.beta
-        self.gamma = batch.gamma
-        self.u = batch.u
-        self.s = batch.s
-        self.theta = batch.theta[:, r]
-        self.mu = batch.mu[:, r]
-        self.theta_bar = batch.theta_bar[:, r]
-        self.mu_bar = batch.mu_bar[:, r]
-        self.decomposition = None
-        if batch.decomposition is not None:
-            self.decomposition = {key: val[:, r] for key, val in batch.decomposition.items()}
-        self.full = None
-        if batch.full is not None:
-            self.full = {key: val[:, r] for key, val in batch.full.items()}
+    def replication(self, r: int) -> BatchTrace:
+        """Replication r's trace, with views into this one's arrays."""
+        return replace(
+            self,
+            x=self.x[:, r],
+            x_bar=self.x_bar[:, r],
+            decomposition=None if self.decomposition is None else {
+                key: val[:, r] for key, val in self.decomposition.items()
+            },
+        )
 
 
 def simulate_batch(
@@ -491,7 +493,6 @@ def simulate_batch(
     mu0=None,
     track_decomposition: bool = False,
     checkpoints=None,
-    record_steps: bool = False,
     chunk: int = _CHUNK,
 ) -> BatchTrace:
     """Run ``replications`` independent trajectories in lockstep.
@@ -534,16 +535,6 @@ def simulate_batch(
     out_x = np.empty((k, b, dim))
     out_xbar = np.empty((k, b, dim))
     out_decomp = {key: np.empty((k, b)) for key in DECOMP_KEYS} if track_decomposition else None
-    full = None
-    if record_steps:
-        full_x = np.empty((n_final, b, dim))
-        full_xi = np.empty((n_final - 1, b, dim))
-        full = {
-            "theta": full_x[..., :d],
-            "mu": full_x[..., d:],
-            "v": full_xi[..., :d],
-            "w": full_xi[..., d:],
-        }
 
     def record(n: int) -> None:
         i = ckpt_pos.get(n)
@@ -558,8 +549,8 @@ def simulate_batch(
                 out_decomp[name + "_fast"][i] = np.linalg.norm(part[:, :d], axis=1)
                 out_decomp[name + "_slow"][i] = np.linalg.norm(part[:, d:], axis=1)
 
-    def trace(m: int, recorded) -> BatchTrace:
-        """The first m checkpoints, with the recorded steps if given."""
+    def trace(m: int) -> BatchTrace:
+        """The first m checkpoints."""
         done = grid[:m]
         return BatchTrace(
             ns=done.copy(),
@@ -567,20 +558,16 @@ def simulate_batch(
             gamma=gamma_arr[done - 1],
             u=u_arr[done - 1],
             s=s_arr[done - 1],
-            theta=out_x[:m, :, :d],
-            mu=out_x[:m, :, d:],
-            theta_bar=out_xbar[:m, :, :d],
-            mu_bar=out_xbar[:m, :, d:],
+            d=d,
+            x=out_x[:m],
+            x_bar=out_xbar[:m],
             decomposition=None if dec is None else {
                 key: val[:m] for key, val in out_decomp.items()
             },
-            full=recorded,
         )
 
     rngs = [replication_rng(base_seed, r) for r in range(b)]
     record(1)
-    if record_steps:
-        full_x[0] = x[:b]
 
     n = 1
     # step-major, so each step reads one contiguous (rows, dim) slice
@@ -607,14 +594,11 @@ def simulate_batch(
                     f"replication {bad} diverged at index {n}",
                     step=n,
                     replication=bad,
-                    trace=trace(int(np.searchsorted(grid, n)), recorded=None),
+                    trace=trace(int(np.searchsorted(grid, n))),
                 )
-            if record_steps:
-                full_x[n - 1] = x[:b]
-                full_xi[n - 2] = xi[:b]
             record(n)
 
-    return trace(k, full)
+    return trace(k)
 
 
 def run(
@@ -629,9 +613,8 @@ def run(
     mu0=None,
     track_decomposition: bool = False,
     checkpoints=None,
-    record_steps: bool = False,
-) -> TrajectoryTrace:
-    """Run one trajectory and return its checkpointed trace.
+) -> BatchTrace:
+    """Run one trajectory and return its checkpointed trace, replication axis dropped.
 
     Traces are pure functions of (problem, schedule, n_final, seed) and the
     options; the trajectory is identical to replication 0 of a batch with the
@@ -654,6 +637,5 @@ def run(
         mu0=mu0,
         track_decomposition=track_decomposition,
         checkpoints=checkpoints,
-        record_steps=record_steps,
     )
-    return TrajectoryTrace(batch)
+    return batch.replication(0)

@@ -27,6 +27,7 @@ from .engine import (
     STANDARD,
     BatchTrace,
     GainMatrices,
+    _step_sizes,
     matricial_schedule,
     optimal_gains,
     simulate_batch,
@@ -56,8 +57,8 @@ class MCConfig:
     track_decomposition: bool = False
     checks: tuple[str, ...] = ("clt",)
     gains: GainMatrices | None = None
-    theta0: tuple | None = None
-    mu0: tuple | None = None
+    theta0: np.ndarray | None = None
+    mu0: np.ndarray | None = None
     checkpoints: tuple | None = None
 
     def __post_init__(self):
@@ -359,12 +360,10 @@ def run_monte_carlo(
             base_seed=mc.base_seed,
             replications=mc.replications,
             gains=gains,
-            theta0=np.asarray(mc.theta0, dtype=float) if mc.theta0 is not None else None,
-            mu0=np.asarray(mc.mu0, dtype=float) if mc.mu0 is not None else None,
+            theta0=mc.theta0,
+            mu0=mc.mu0,
             track_decomposition=mc.track_decomposition,
-            checkpoints=np.asarray(mc.checkpoints, dtype=int)
-            if mc.checkpoints is not None
-            else None,
+            checkpoints=mc.checkpoints,
         )
     except DivergenceError as exc:
         return _invalid_report(problem, mc, schedule_echo, predicted, exc)
@@ -422,25 +421,14 @@ def _invalid_report(problem, mc, schedule_echo, predicted, exc) -> MonteCarloRep
 
 
 def _aggregate(problem, run_schedule, mc, trace, predicted, schedule_echo) -> MonteCarloReport:
-    d, dp = problem.d, problem.d_prime
+    d, dp, dim = problem.d, problem.d_prime, problem.dim
     k = trace.ns.size
 
-    err_f = trace.theta - problem.theta_star
-    err_s = trace.mu - problem.mu_star
-    avg_err_f = trace.theta_bar - problem.theta_star
-    avg_err_s = trace.mu_bar - problem.mu_star
+    x_star = problem.x_star
+    err = trace.x - x_star
+    scaled = err / np.sqrt(_step_sizes(d, dp, trace.beta, trace.gamma))[:, None, :]
+    avg_scaled = (trace.x_bar - x_star) * np.sqrt(trace.ns.astype(float))[:, None, None]
 
-    scaled = np.concatenate(
-        [
-            err_f / np.sqrt(trace.beta)[:, None, None],
-            err_s / np.sqrt(trace.gamma)[:, None, None],
-        ],
-        axis=2,
-    )
-    sqrt_n = np.sqrt(trace.ns.astype(float))[:, None, None]
-    avg_scaled = np.concatenate([avg_err_f * sqrt_n, avg_err_s * sqrt_n], axis=2)
-
-    dim = d + dp
     scaled_mean = np.empty((k, dim))
     scaled_cov = np.empty((k, dim, dim))
     avg_mean = np.empty((k, dim))
@@ -449,8 +437,8 @@ def _aggregate(problem, run_schedule, mc, trace, predicted, schedule_echo) -> Mo
         scaled_mean[i], scaled_cov[i] = sample_covariance(scaled[i])
         avg_mean[i], avg_cov[i] = sample_covariance(avg_scaled[i])
 
-    norm_f = np.linalg.norm(err_f, axis=2)
-    norm_s = np.linalg.norm(err_s, axis=2)
+    norm_f = np.linalg.norm(err[..., :d], axis=2)
+    norm_s = np.linalg.norm(err[..., d:], axis=2)
     rms_fast = np.sqrt((norm_f**2).mean(axis=1))
     rms_slow = np.sqrt((norm_s**2).mean(axis=1))
 

@@ -251,6 +251,11 @@ class ProblemSpec:
     def dim(self) -> int:
         return self.d + self.d_prime
 
+    @property
+    def x_star(self) -> np.ndarray:
+        """The root (theta*, mu*) in the stacked layout of the iterate."""
+        return np.concatenate([self.theta_star, self.mu_star])
+
     # noise covariance blocks, in the (V, W) stacking order
     def noise_block(self, row: int, col: int) -> np.ndarray:
         d = self.d

@@ -18,7 +18,7 @@ import tempfile
 
 import numpy as np
 
-from .engine import DECOMP_KEYS, TrajectoryTrace
+from .engine import DECOMP_KEYS, BatchTrace
 
 ARTIFACT_VERSION = "0.1.0"
 
@@ -68,10 +68,10 @@ def provenance_lines(config_echo: dict) -> list[str]:
     return lines
 
 
-def trace_csv(trace: TrajectoryTrace, config_echo: dict) -> str:
-    """Checkpointed trajectory as CSV with provenance header lines."""
-    d = trace.theta.shape[1]
-    dp = trace.mu.shape[1]
+def trace_csv(trace: BatchTrace, config_echo: dict) -> str:
+    """One replication's checkpointed trace as CSV with provenance header lines."""
+    d = trace.d
+    dp = trace.x.shape[1] - d
     columns = (
         ["n"]
         + [f"theta_{i + 1}" for i in range(d)]
@@ -85,10 +85,8 @@ def trace_csv(trace: TrajectoryTrace, config_echo: dict) -> str:
     lines.append(",".join(columns))
     for i, n in enumerate(trace.ns):
         row = [str(int(n))]
-        row += [fmt17(x) for x in trace.theta[i]]
-        row += [fmt17(x) for x in trace.mu[i]]
-        row += [fmt17(x) for x in trace.theta_bar[i]]
-        row += [fmt17(x) for x in trace.mu_bar[i]]
+        row += [fmt17(x) for x in trace.x[i]]
+        row += [fmt17(x) for x in trace.x_bar[i]]
         if trace.decomposition is not None:
             row += [fmt17(trace.decomposition[key][i]) for key in DECOMP_KEYS]
         lines.append(",".join(row))

@@ -41,10 +41,3 @@ class ValidationReport:
     def as_dict(self) -> dict:
         return {"passed": self.passed, "checks": [c.as_dict() for c in self.checks]}
 
-    def render(self) -> str:
-        lines = []
-        for c in self.checks:
-            mark = {"pass": "PASS", "fail": "FAIL", "asserted": "NOTE"}[c.status]
-            lines.append(f"[{mark}] {c.name}: {c.detail}" if c.detail else f"[{mark}] {c.name}")
-        lines.append(f"overall: {'PASS' if self.passed else 'FAIL'}")
-        return "\n".join(lines)

@@ -126,6 +126,22 @@ class TestParseConfig:
         assert err.value.key == key
         assert key in str(err.value)
 
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize(
+        "key, template",
+        [
+            ("run.theta0_offset", "[{}, 0.0]"),
+            ("problem.q11", "[[-1.0, {}], [0.0, -1.0]]"),
+            ("problem.bias_coeff_fast", "[1.0, {}]"),
+        ],
+        ids=["offset", "q_block", "bias_coefficient"],
+    )
+    def test_non_finite_json_rejected_naming_the_key(self, key, template, constant):
+        with pytest.raises(ConfigError, match="finite") as err:
+            parse_config(f"problem.name = custom\n{key} = {template.format(constant)}\n")
+        assert err.value.key == key
+        assert key in str(err.value)
+
     def test_comments_and_blanks_ignored(self):
         config = parse_config("# hello\n\nproblem.name = scalar-coupled\n")
         assert config.problem_name == "scalar-coupled"
@@ -256,7 +272,7 @@ class TestRunCommand:
         path = write_config(tmp_path, text)
         out_file = str(tmp_path / "trace.csv")
         assert cli.main(["run", "--config", path, "--output", out_file]) == 0
-        lines = open(out_file).read().splitlines()
+        lines = (tmp_path / "trace.csv").read_text().splitlines()
         header_idx = next(i for i, l in enumerate(lines) if not l.startswith("#"))
         header = lines[header_idx].split(",")
         assert header[:3] == ["n", "theta_1", "theta_2"]
@@ -275,7 +291,7 @@ class TestRunCommand:
         path = write_config(tmp_path, text)
         out_file = str(tmp_path / "dec.csv")
         assert cli.main(["decompose", "--config", path, "--output", out_file]) == 0
-        lines = open(out_file).read().splitlines()
+        lines = (tmp_path / "dec.csv").read_text().splitlines()
         header = next(l for l in lines if not l.startswith("#"))
         assert "martingale_fast_norm" in header
         assert "remainder_slow_norm" in header
@@ -315,6 +331,20 @@ class TestMonteCarloCommand:
         lines_b = out_b.read_text().splitlines()
         assert lines_a[0].startswith("# generated")
         assert lines_a[1:] == lines_b[1:]
+
+    def test_offsets_move_the_start(self, tmp_path):
+        # at n = 1 every replication sits at its start, so the scaled mean is
+        # the theta offset over sqrt(beta0) and mu's default unit offset over
+        # sqrt(gamma0)
+        text = FAST_MC.replace("step.beta0 = 1.0", "step.beta0 = 2.0")
+        path = write_config(tmp_path, text + "run.theta0_offset = [3.0]\n")
+        out_file = str(tmp_path / "mc.json")
+        assert cli.main(["montecarlo", "--config", path, "--output", out_file]) == 0
+        checkpoints = read_report(out_file)["checkpoints"]
+        assert checkpoints["n"][0] == 1
+        np.testing.assert_allclose(
+            checkpoints["scaled_mean"][0], [3.0 / math.sqrt(2.0), 1.0], rtol=1e-12
+        )
 
     def test_failed_verdict_exits_one(self, tmp_path):
         text = FAST_MC.replace("mc.tol_rel = 2.0", "mc.tol_rel = 1e-6").replace(

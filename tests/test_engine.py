@@ -9,7 +9,6 @@ from ttsa import (
     NoiseModel,
     ProblemSpec,
     StepSchedule,
-    TrajectoryTrace,
     checkpoint_indices,
     decompose_step,
     initial_decomposition,
@@ -350,12 +349,11 @@ class TestRun:
         # zero-bias problems the two forms agree to rounding
         p = linear_problem
         n_final = 400
-        trace = run(p, schedule, n_final, seed=13, record_steps=True,
-                    checkpoints=np.array([n_final]))
-        theta = trace.full["theta"]
-        mu = trace.full["mu"]
-        v = trace.full["v"]
-        w = trace.full["w"]
+        trace = run(p, schedule, n_final, seed=13, checkpoints=np.arange(1, n_final + 1))
+        theta, mu = trace.theta, trace.mu
+        # the run's noise, replayed from replication 0's stream
+        draws = p.noise.draw(replication_rng(13, 0), (n_final - 1,))
+        v, w = draws[:, : p.d], draws[:, p.d :]
         h = p.fast_matrix()
         k = p.q12 @ invert(p.q22)
         for n in range(1, n_final):
@@ -449,15 +447,15 @@ class TestDeterminismContracts:
     def test_chunk_size_does_not_change_the_trace(self, linear_problem, schedule):
         # 3585 steps leave a last chunk of one step at chunk sizes 7 and 512;
         # the decomposition tables are built per chunk, so they are covered too
+        n_final = 3586
         traces = [
-            simulate_batch(linear_problem, schedule, 3586, base_seed=4, replications=3,
-                           chunk=chunk, record_steps=True, track_decomposition=True)
+            simulate_batch(linear_problem, schedule, n_final, base_seed=4, replications=3,
+                           chunk=chunk, checkpoints=np.arange(1, n_final + 1),
+                           track_decomposition=True)
             for chunk in (1, 7, 512)
         ]
         for other in traces[1:]:
             assert_same_paths(traces[0], other)
-            for key in ("theta", "mu", "v", "w"):
-                np.testing.assert_array_equal(traces[0].full[key], other.full[key])
             for key in DECOMP_KEYS:
                 np.testing.assert_array_equal(
                     traces[0].decomposition[key], other.decomposition[key]
@@ -469,7 +467,7 @@ class TestDeterminismContracts:
         trace = run(p, schedule, 700, seed=21, track_decomposition=True)
         batch = simulate_batch(p, schedule, 700, base_seed=21, replications=4,
                                track_decomposition=True)
-        assert_same_paths(trace, TrajectoryTrace(batch, 0))
+        assert_same_paths(trace, batch.replication(0))
         for key, val in trace.decomposition.items():
             np.testing.assert_array_equal(val, batch.decomposition[key][:, 0])
 
@@ -477,7 +475,7 @@ class TestDeterminismContracts:
         small = simulate_batch(quadratic_problem, schedule, 700, base_seed=5, replications=3)
         large = simulate_batch(quadratic_problem, schedule, 700, base_seed=5, replications=5)
         for r in range(3):
-            assert_same_paths(TrajectoryTrace(small, r), TrajectoryTrace(large, r))
+            assert_same_paths(small.replication(r), large.replication(r))
 
 
 class TestPerStepApi:
