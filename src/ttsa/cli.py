@@ -37,6 +37,8 @@ def _cmd_validate(args) -> int:
     config = _load(args.config)
     problem = cfg.build_problem(config)
     schedule = cfg.build_schedule(config)
+    engine.resolve_algorithm(problem, schedule, config.run_algorithm)
+    cfg.initial_iterates(config, problem)
     report = validate_problem(problem, schedule)
     payload = {
         "kind": "validation",

@@ -14,11 +14,11 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .engine import ALGORITHMS
+from .engine import ALGORITHMS, DIVERGENCE_GUARD, _first_diverged, _initial_iterate
 from .errors import ConfigError
 from .montecarlo import KNOWN_CHECKS, MCConfig
 from .problems import (
@@ -274,17 +274,12 @@ def build_problem(config: ExperimentConfig) -> ProblemSpec:
             and config.problem_noise == GAUSSIAN
         ):
             return problem
-        bias = _build_bias(config)
         noise = NoiseModel(
             cov=problem.noise.cov,
             distribution=config.problem_noise,
             moment_order=config.problem_moment_order,
         )
-        return ProblemSpec(
-            q11=problem.q11, q12=problem.q12, q21=problem.q21, q22=problem.q22,
-            theta_star=problem.theta_star, mu_star=problem.mu_star,
-            noise=noise, residual=problem.residual, bias=bias, name=problem.name,
-        )
+        return replace(problem, noise=noise, bias=_build_bias(config))
     if config.problem_theta_star is None or config.problem_mu_star is None:
         raise ConfigError("custom problem requires problem.theta_star and problem.mu_star")
     noise = NoiseModel(
@@ -363,10 +358,34 @@ def build_mc(config: ExperimentConfig) -> MCConfig:
 
 
 def initial_iterates(config: ExperimentConfig, problem: ProblemSpec):
-    """(theta0, mu0) from the run offsets, or None where no offset is set."""
-    theta0 = mu0 = None
-    if config.run_theta0_offset is not None:
-        theta0 = problem.theta_star + np.asarray(config.run_theta0_offset, dtype=float)
-    if config.run_mu0_offset is not None:
-        mu0 = problem.mu_star + np.asarray(config.run_mu0_offset, dtype=float)
+    """(theta0, mu0) from the run offsets, or None where no offset is set.
+
+    An offset of the wrong length, or a start the engine's divergence guard
+    would flag before any step, is a ConfigError naming the offset key.
+    """
+    blocks = []  # per block, the key that set its start, and the start
+    for key, root_key, offset, root in (
+        ("run.theta0_offset", "problem.theta_star",
+         config.run_theta0_offset, problem.theta_star),
+        ("run.mu0_offset", "problem.mu_star", config.run_mu0_offset, problem.mu_star),
+    ):
+        if offset is None:
+            blocks.append((root_key, None))
+            continue
+        offset = np.asarray(offset, dtype=float)
+        if offset.shape != root.shape:
+            raise ConfigError(
+                f"{key}: expected length {root.size}, got {offset.tolist()}", key=key
+            )
+        blocks.append((key, root + offset))
+    (fast_key, theta0), (slow_key, mu0) = blocks
+    x = _initial_iterate(problem, theta0, mu0)
+    if _first_diverged(x[None], problem.d) >= 0:
+        d = problem.d
+        key = fast_key if np.abs(x[:d]).max() >= np.abs(x[d:]).max() else slow_key
+        raise ConfigError(
+            f"{key}: the start lies beyond the divergence guard, "
+            f"max|theta| + max|mu| > {DIVERGENCE_GUARD:g}",
+            key=key,
+        )
     return theta0, mu0

@@ -41,7 +41,7 @@ import numpy as np
 from . import linalg
 from .errors import ConfigError, DimensionError, DivergenceError
 from .problems import ProblemSpec
-from .schedules import StepSchedule
+from .schedules import AVERAGING, StepSchedule
 
 DIVERGENCE_GUARD = 1e9
 _CHUNK = 512
@@ -118,6 +118,45 @@ def optimal_gains(problem: ProblemSpec) -> GainMatrices:
 def matricial_schedule(a: float) -> StepSchedule:
     """The step schedule implied by the matricial variant: 1/n fast, n^-a slow."""
     return StepSchedule(beta0=1.0, b=1.0, gamma0=1.0, a=a)
+
+
+@dataclass(frozen=True)
+class ResolvedAlgorithm:
+    """An algorithm with the schedule that actually runs and its gains.
+
+    ``gains`` is None except for the matricial variant.
+    """
+
+    algorithm: str
+    schedule: StepSchedule
+    gains: GainMatrices | None = None
+
+
+def resolve_algorithm(
+    problem: ProblemSpec,
+    schedule: StepSchedule,
+    algorithm: str,
+    gains: GainMatrices | None = None,
+) -> ResolvedAlgorithm:
+    """The one place an algorithm name becomes a schedule and gains.
+
+    The averaged algorithm needs a schedule in the averaging regime (A'3).
+    The matricial one replaces the schedule with its implied one and
+    defaults to the optimal gains; the others ignore ``gains``.
+    """
+    if algorithm not in ALGORITHMS:
+        raise ConfigError(f"unknown algorithm {algorithm!r}")
+    if algorithm == AVERAGED and schedule.regime != AVERAGING:
+        raise ConfigError(
+            "averaged algorithm requires a schedule in the averaging regime (A'3)"
+        )
+    if algorithm != MATRICIAL:
+        return ResolvedAlgorithm(algorithm, schedule)
+    return ResolvedAlgorithm(
+        algorithm,
+        matricial_schedule(schedule.a),
+        gains if gains is not None else optimal_gains(problem),
+    )
 
 
 @dataclass(frozen=True)
@@ -269,12 +308,14 @@ def _first_diverged(x: np.ndarray, d: int) -> int:
 
     A row diverges when it is non-finite or when max|theta| + max|mu| of that
     row exceeds the guard. 2 max|x| bounds that sum for every row at once, so
-    the common case costs one pass and one reduction.
+    the common case costs one pass and one reduction. A sum that overflows
+    is infinite, so beyond the guard.
     """
     a = np.abs(x)
-    if 2.0 * np.maximum.reduce(a, axis=None) <= DIVERGENCE_GUARD:
+    if np.maximum.reduce(a, axis=None) <= 0.5 * DIVERGENCE_GUARD:
         return -1
-    bad = ~(a[:, :d].max(axis=1) + a[:, d:].max(axis=1) <= DIVERGENCE_GUARD)
+    with np.errstate(over="ignore"):
+        bad = ~(a[:, :d].max(axis=1) + a[:, d:].max(axis=1) <= DIVERGENCE_GUARD)
     return int(np.argmax(bad)) if bad.any() else -1
 
 
@@ -620,19 +661,14 @@ def run(
     options; the trajectory is identical to replication 0 of a batch with the
     same seed.
     """
-    if algorithm not in ALGORITHMS:
-        raise ConfigError(f"unknown algorithm {algorithm!r}")
-    if algorithm == MATRICIAL:
-        if gains is None:
-            gains = optimal_gains(problem)
-        schedule = matricial_schedule(schedule.a)
+    resolved = resolve_algorithm(problem, schedule, algorithm, gains)
     batch = simulate_batch(
         problem,
-        schedule,
+        resolved.schedule,
         n_final,
         base_seed=seed,
         replications=1,
-        gains=gains if algorithm == MATRICIAL else None,
+        gains=resolved.gains,
         theta0=theta0,
         mu0=mu0,
         track_decomposition=track_decomposition,

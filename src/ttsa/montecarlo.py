@@ -15,26 +15,24 @@ them as such.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from . import theory
 from .engine import (
-    ALGORITHMS,
     AVERAGED,
-    MATRICIAL,
     STANDARD,
     BatchTrace,
     GainMatrices,
+    ResolvedAlgorithm,
     _step_sizes,
-    matricial_schedule,
-    optimal_gains,
+    resolve_algorithm,
     simulate_batch,
 )
 from .errors import ConfigError, DegenerateDataError, DivergenceError
 from .problems import ProblemSpec
-from .schedules import AVERAGING, StepSchedule
+from .schedules import StepSchedule
 
 KNOWN_CHECKS = ("clt", "averaged_blocks", "slopes", "lil", "negligibility")
 
@@ -66,23 +64,15 @@ class MCConfig:
             raise ValueError("need at least 2 replications")
         if self.n_final < 1:
             raise ValueError("n_final must be >= 1")
-        if self.algorithm not in ALGORITHMS:
-            raise ConfigError(f"unknown algorithm {self.algorithm!r}")
         unknown = set(self.checks) - set(KNOWN_CHECKS)
         if unknown:
             raise ConfigError(f"unknown checks: {sorted(unknown)}")
 
     def as_dict(self) -> dict:
-        return {
-            "replications": self.replications,
-            "n_final": self.n_final,
-            "base_seed": self.base_seed,
-            "algorithm": self.algorithm,
-            "tol_rel": self.tol_rel,
-            "tol_cross": self.tol_cross,
-            "track_decomposition": self.track_decomposition,
-            "checks": list(self.checks),
-        }
+        """The settings a report echoes: all but the gains, the start and the grid."""
+        echo = {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name not in ("gains", "theta0", "mu0", "checkpoints")}
+        return {**echo, "checks": list(self.checks)}
 
 
 @dataclass(frozen=True)
@@ -210,38 +200,34 @@ def negligibility_curves(trace: BatchTrace) -> dict[str, np.ndarray]:
             "coupling_slow_over_martingale": dec["coupling_slow"]
             / np.where(dec["martingale_slow"] > 0, dec["martingale_slow"], np.nan),
         }
-    return {key: _nanmedian_rows(val) for key, val in curves.items()}
+    return {key: _nan_rows(np.nanmedian, val) for key, val in curves.items()}
 
 
 @dataclass
 class MonteCarloReport:
+    """One experiment's record, valid or not.
+
+    ``curves`` holds the per-checkpoint arrays in report order: the grid and
+    its steps (n, beta, gamma, u, s), the means and covariances of the
+    step-scaled and sqrt(n)-scaled averaged errors, the RMS errors and the
+    iterated-logarithm maxima. An invalid report keeps the checkpoints its
+    trace reached before the divergence.
+    """
+
     problem_name: str
     algorithm: str
     schedule: dict
     config: dict
-    valid: bool
-    ns: np.ndarray
-    beta: np.ndarray
-    gamma: np.ndarray
-    u: np.ndarray
-    s: np.ndarray
-    scaled_mean: np.ndarray        # (K, d+d') mean of step-scaled errors
-    scaled_cov: np.ndarray         # (K, d+d', d+d')
-    avg_scaled_mean: np.ndarray    # sqrt(n)-scaled averaged errors
-    avg_scaled_cov: np.ndarray
-    rms_fast: np.ndarray
-    rms_slow: np.ndarray
-    lil_max_fast: np.ndarray
-    lil_max_slow: np.ndarray
+    curves: dict
     predicted: dict
-    verdicts: list[Verdict]
+    valid: bool = True
+    verdicts: list[Verdict] = field(default_factory=list)
     rate_slopes: dict = field(default_factory=dict)
     lil_stability: dict = field(default_factory=dict)
     negligibility: dict = field(default_factory=dict)
     diagnostics: dict = field(default_factory=dict)
     divergence: dict | None = None
     final_scaled: np.ndarray | None = None      # (M, d+d'), for optional dumps
-    final_avg_scaled: np.ndarray | None = None
 
     @property
     def passed(self) -> bool:
@@ -263,21 +249,7 @@ class MonteCarloReport:
             "valid": self.valid,
             "passed": self.passed,
             "divergence": self.divergence,
-            "checkpoints": {
-                "n": self.ns.tolist(),
-                "beta": self.beta.tolist(),
-                "gamma": self.gamma.tolist(),
-                "u": self.u.tolist(),
-                "s": self.s.tolist(),
-                "scaled_mean": self.scaled_mean.tolist(),
-                "scaled_cov": self.scaled_cov.tolist(),
-                "avg_scaled_mean": self.avg_scaled_mean.tolist(),
-                "avg_scaled_cov": self.avg_scaled_cov.tolist(),
-                "rms_fast": self.rms_fast.tolist(),
-                "rms_slow": self.rms_slow.tolist(),
-                "lil_max_fast": self.lil_max_fast.tolist(),
-                "lil_max_slow": self.lil_max_slow.tolist(),
-            },
+            "checkpoints": {k: v.tolist() for k, v in self.curves.items()},
             "negligibility": {k: v.tolist() for k, v in self.negligibility.items()},
             "rate_slopes": self.rate_slopes,
             "lil_stability": self.lil_stability,
@@ -299,20 +271,13 @@ def _kurtosis_deviation(samples: np.ndarray) -> float:
     return float(np.nanmax(np.abs(kurt - 3.0)))
 
 
-def _nanmax_rows(values: np.ndarray) -> np.ndarray:
-    """Row-wise nanmax that returns NaN (without warning) for all-NaN rows."""
+def _nan_rows(reduce, values: np.ndarray) -> np.ndarray:
+    """Row-wise ``reduce`` (nanmax, nanmedian) that gives NaN, without a
+    warning, for rows with no finite value."""
     out = np.full(values.shape[0], np.nan)
     has_data = np.isfinite(values).any(axis=1)
     if np.any(has_data):
-        out[has_data] = np.nanmax(values[has_data], axis=1)
-    return out
-
-
-def _nanmedian_rows(values: np.ndarray) -> np.ndarray:
-    out = np.full(values.shape[0], np.nan)
-    has_data = np.isfinite(values).any(axis=1)
-    if np.any(has_data):
-        out[has_data] = np.nanmedian(values[has_data], axis=1)
+        out[has_data] = reduce(values[has_data], axis=1)
     return out
 
 
@@ -328,99 +293,58 @@ def run_monte_carlo(
 ) -> MonteCarloReport:
     """Run the full replication experiment and assemble the report.
 
-    The averaged algorithm requires a schedule in the averaging regime; the
-    matricial algorithm replaces the schedule with its implied one (1/n fast
-    step, n^-a slow step) and defaults to the optimal gains. A divergent
-    replication invalidates the whole report; it is recorded, never dropped.
+    ``resolve_algorithm`` fixes the schedule and gains that run. A divergent
+    replication invalidates the whole report; it is recorded, never dropped,
+    and the report keeps the checkpoints reached before it.
     """
-    gains = None
-    run_schedule = schedule
-    if mc.algorithm == AVERAGED and schedule.regime != AVERAGING:
-        raise ConfigError(
-            "averaged algorithm requires a schedule in the averaging regime (A'3)"
-        )
-    if mc.algorithm == MATRICIAL:
-        gains = mc.gains if mc.gains is not None else optimal_gains(problem)
-        run_schedule = matricial_schedule(schedule.a)
-
-    predicted = _predictions(problem, run_schedule, mc.algorithm, gains)
-    schedule_echo = {
-        "beta0": run_schedule.beta0,
-        "b": run_schedule.b,
-        "gamma0": run_schedule.gamma0,
-        "a": run_schedule.a,
-        "regime": run_schedule.regime,
-    }
-
+    resolved = resolve_algorithm(problem, schedule, mc.algorithm, mc.gains)
+    predicted = _predictions(problem, resolved)
     try:
         trace = simulate_batch(
             problem,
-            run_schedule,
+            resolved.schedule,
             mc.n_final,
             base_seed=mc.base_seed,
             replications=mc.replications,
-            gains=gains,
+            gains=resolved.gains,
             theta0=mc.theta0,
             mu0=mc.mu0,
             track_decomposition=mc.track_decomposition,
             checkpoints=mc.checkpoints,
         )
     except DivergenceError as exc:
-        return _invalid_report(problem, mc, schedule_echo, predicted, exc)
+        report = _aggregate(problem, resolved, mc, exc.trace, predicted)
+        report.valid = False
+        report.divergence = {"replication": exc.replication, "step": exc.step}
+        diagnostic = f"replication {exc.replication} diverged at index {exc.step}"
+        report.verdicts = [Verdict("clt", False, {"diagnostic": diagnostic})]
+        return report
+    return _aggregate(problem, resolved, mc, trace, predicted)
 
-    return _aggregate(problem, run_schedule, mc, trace, predicted, schedule_echo)
 
-
-def _predictions(problem, run_schedule, algorithm, gains) -> dict:
-    predicted = {
-        "fast_cov": theory.fast_error_cov(problem, run_schedule)
-        if algorithm != MATRICIAL
-        else theory.gain_fast_cov(problem, gains.fast),
-        "slow_cov": theory.slow_error_cov(problem)
-        if algorithm != MATRICIAL
-        else theory.gain_slow_cov(problem, gains.slow),
-    }
+def _predictions(problem, resolved: ResolvedAlgorithm) -> dict:
+    if resolved.gains is None:
+        fast = theory.fast_error_cov(problem, resolved.schedule)
+        slow = theory.slow_error_cov(problem)
+    else:
+        fast = theory.gain_fast_cov(problem, resolved.gains.fast)
+        slow = theory.gain_slow_cov(problem, resolved.gains.slow)
     opt_fast, opt_slow = theory.optimal_covariances(problem)
-    predicted["optimal_fast_cov"] = opt_fast
-    predicted["optimal_slow_cov"] = opt_slow
-    predicted["averaged_cov"] = theory.averaged_covariance(problem)
-    return predicted
+    return {
+        "fast_cov": fast,
+        "slow_cov": slow,
+        "optimal_fast_cov": opt_fast,
+        "optimal_slow_cov": opt_slow,
+        "averaged_cov": theory.averaged_covariance(problem),
+    }
 
 
-def _invalid_report(problem, mc, schedule_echo, predicted, exc) -> MonteCarloReport:
-    empty = np.empty((0,))
-    dim = problem.dim
-    verdict = Verdict(
-        name="clt",
-        passed=False,
-        details={"diagnostic": f"replication {exc.replication} diverged at index {exc.step}"},
-    )
-    return MonteCarloReport(
-        problem_name=problem.name,
-        algorithm=mc.algorithm,
-        schedule=schedule_echo,
-        config=mc.as_dict(),
-        valid=False,
-        ns=empty,
-        beta=empty,
-        gamma=empty,
-        u=empty,
-        s=empty,
-        scaled_mean=np.empty((0, dim)),
-        scaled_cov=np.empty((0, dim, dim)),
-        avg_scaled_mean=np.empty((0, dim)),
-        avg_scaled_cov=np.empty((0, dim, dim)),
-        rms_fast=empty,
-        rms_slow=empty,
-        lil_max_fast=empty,
-        lil_max_slow=empty,
-        predicted=predicted,
-        verdicts=[verdict],
-        divergence={"replication": exc.replication, "step": exc.step},
-    )
+def _aggregate(problem, resolved, mc, trace, predicted) -> MonteCarloReport:
+    """The report of a trace, or of the prefix a divergence left (maybe empty).
 
-
-def _aggregate(problem, run_schedule, mc, trace, predicted, schedule_echo) -> MonteCarloReport:
+    Every trace gets its checkpoint curves; only a trace that reached
+    ``mc.n_final`` gets the summaries and verdicts.
+    """
     d, dp, dim = problem.d, problem.d_prime, problem.dim
     k = trace.ns.size
 
@@ -447,13 +371,41 @@ def _aggregate(problem, run_schedule, mc, trace, predicted, schedule_echo) -> Mo
         log_s = np.where(trace.s > 1.0, np.log(trace.s), np.nan)
         lil_f = norm_f / np.sqrt(trace.beta * log_u)[:, None]
         lil_s = norm_s / np.sqrt(trace.gamma * log_s)[:, None]
-    lil_max_fast = _nanmax_rows(lil_f)
-    lil_max_slow = _nanmax_rows(lil_s)
 
-    negligibility = {}
-    decreasing_fraction = None
+    report = MonteCarloReport(
+        problem_name=problem.name,
+        algorithm=resolved.algorithm,
+        schedule=asdict(resolved.schedule),
+        config=mc.as_dict(),
+        curves={
+            "n": trace.ns,
+            "beta": trace.beta,
+            "gamma": trace.gamma,
+            "u": trace.u,
+            "s": trace.s,
+            "scaled_mean": scaled_mean,
+            "scaled_cov": scaled_cov,
+            "avg_scaled_mean": avg_mean,
+            "avg_scaled_cov": avg_cov,
+            "rms_fast": rms_fast,
+            "rms_slow": rms_slow,
+            "lil_max_fast": _nan_rows(np.nanmax, lil_f),
+            "lil_max_slow": _nan_rows(np.nanmax, lil_s),
+        },
+        predicted=predicted,
+    )
     if trace.decomposition is not None:
-        negligibility = negligibility_curves(trace)
+        report.negligibility = negligibility_curves(trace)
+    if k == 0 or trace.ns[-1] != mc.n_final:
+        return report
+
+    report.final_scaled = scaled[-1]
+    kurt_dev = _kurtosis_deviation(scaled[-1])
+    report.diagnostics["kurtosis_max_dev_scaled"] = (
+        kurt_dev if math.isfinite(kurt_dev) else None
+    )
+    report.diagnostics["kurtosis_soft_bound"] = 0.3
+    if trace.decomposition is not None:
         # per-path decrease is only meaningful across decades, not adjacent
         # grid points, once the remainder sits at its noise floor
         targets = [trace.ns[-1] / 100.0, trace.ns[-1] / 10.0, float(trace.ns[-1])]
@@ -462,42 +414,9 @@ def _aggregate(problem, run_schedule, mc, trace, predicted, schedule_echo) -> Mo
             tail = trace.decomposition["remainder_fast"][idx] / np.sqrt(
                 trace.beta[idx]
             )[:, None]
-            decreasing_fraction = float(
+            report.diagnostics["remainder_fast_decreasing_fraction"] = float(
                 np.mean((tail[0] > tail[1]) & (tail[1] > tail[2]))
             )
-
-    report = MonteCarloReport(
-        problem_name=problem.name,
-        algorithm=mc.algorithm,
-        schedule=schedule_echo,
-        config=mc.as_dict(),
-        valid=True,
-        ns=trace.ns,
-        beta=trace.beta,
-        gamma=trace.gamma,
-        u=trace.u,
-        s=trace.s,
-        scaled_mean=scaled_mean,
-        scaled_cov=scaled_cov,
-        avg_scaled_mean=avg_mean,
-        avg_scaled_cov=avg_cov,
-        rms_fast=rms_fast,
-        rms_slow=rms_slow,
-        lil_max_fast=lil_max_fast,
-        lil_max_slow=lil_max_slow,
-        predicted=predicted,
-        verdicts=[],
-        negligibility=negligibility,
-        final_scaled=scaled[-1],
-        final_avg_scaled=avg_scaled[-1],
-    )
-    kurt_dev = _kurtosis_deviation(scaled[-1])
-    report.diagnostics["kurtosis_max_dev_scaled"] = (
-        kurt_dev if math.isfinite(kurt_dev) else None
-    )
-    report.diagnostics["kurtosis_soft_bound"] = 0.3
-    if decreasing_fraction is not None:
-        report.diagnostics["remainder_fast_decreasing_fraction"] = decreasing_fraction
 
     if "slopes" in mc.checks or mc.n_final >= 1000:
         window = (mc.n_final / 100.0, float(mc.n_final))
@@ -516,7 +435,7 @@ def _aggregate(problem, run_schedule, mc, trace, predicted, schedule_echo) -> Mo
         except ValueError:
             report.lil_stability = {}
 
-    report.verdicts = _build_verdicts(report, mc, run_schedule, dims=(d, dp))
+    report.verdicts = _build_verdicts(report, mc, resolved, dims=(d, dp))
     return report
 
 
@@ -534,103 +453,62 @@ def _lil_stability(trace, lil_f, lil_s, n_final) -> dict:
     }
 
 
-def _build_verdicts(report, mc, run_schedule, dims) -> list[Verdict]:
+def _build_verdicts(report, mc, resolved, dims) -> list[Verdict]:
     verdicts: list[Verdict] = []
     d, dp = dims
-    final_cov = report.scaled_cov[-1]
-    final_avg_cov = report.avg_scaled_cov[-1]
+    final_cov = report.curves["scaled_cov"][-1]
+    final_avg_cov = report.curves["avg_scaled_cov"][-1]
+    pred = report.predicted
+    tol = mc.tol_rel
 
     if "clt" in mc.checks:
-        if mc.algorithm == STANDARD:
+        if resolved.algorithm == AVERAGED:
+            rel = rel_frobenius(final_avg_cov, pred["averaged_cov"])
+            details = {"joint_rel_error": rel, "tol_rel": tol}
+            verdicts.append(Verdict("clt", rel <= tol, details))
+        elif resolved.gains is None:
             joint = np.zeros((d + dp, d + dp))
-            joint[:d, :d] = report.predicted["fast_cov"]
-            joint[d:, d:] = report.predicted["slow_cov"]
-            verdicts.append(
-                clt_verdict(final_cov, joint, dims, mc.tol_rel, mc.tol_cross)
-            )
-        elif mc.algorithm == AVERAGED:
-            rel = rel_frobenius(final_avg_cov, report.predicted["averaged_cov"])
-            verdicts.append(
-                Verdict(
-                    name="clt",
-                    passed=rel <= mc.tol_rel,
-                    details={"joint_rel_error": rel, "tol_rel": mc.tol_rel},
-                )
-            )
+            joint[:d, :d] = pred["fast_cov"]
+            joint[d:, d:] = pred["slow_cov"]
+            verdicts.append(clt_verdict(final_cov, joint, dims, tol, mc.tol_cross))
         else:  # matricial: the sqrt(n)-scaled fast block carries the efficiency claim
-            rel_fast = rel_frobenius(final_cov[:d, :d], report.predicted["fast_cov"])
-            rel_slow = rel_frobenius(final_cov[d:, d:], report.predicted["slow_cov"])
-            verdicts.append(
-                Verdict(
-                    name="clt",
-                    passed=rel_fast <= mc.tol_rel,
-                    details={
-                        "fast_rel_error": rel_fast,
-                        "slow_rel_error_informational": rel_slow,
-                        "tol_rel": mc.tol_rel,
-                    },
-                )
-            )
+            rel_fast = rel_frobenius(final_cov[:d, :d], pred["fast_cov"])
+            rel_slow = rel_frobenius(final_cov[d:, d:], pred["slow_cov"])
+            details = {"fast_rel_error": rel_fast,
+                       "slow_rel_error_informational": rel_slow, "tol_rel": tol}
+            verdicts.append(Verdict("clt", rel_fast <= tol, details))
 
     if "averaged_blocks" in mc.checks:
-        rel_f = rel_frobenius(final_avg_cov[:d, :d], report.predicted["optimal_fast_cov"])
-        rel_s = rel_frobenius(final_avg_cov[d:, d:], report.predicted["optimal_slow_cov"])
-        verdicts.append(
-            Verdict(
-                name="averaged_blocks",
-                passed=rel_f <= mc.tol_rel and rel_s <= mc.tol_rel,
-                details={
-                    "fast_rel_error": rel_f,
-                    "slow_rel_error": rel_s,
-                    "tol_rel": mc.tol_rel,
-                },
-            )
-        )
+        rel_f = rel_frobenius(final_avg_cov[:d, :d], pred["optimal_fast_cov"])
+        rel_s = rel_frobenius(final_avg_cov[d:, d:], pred["optimal_slow_cov"])
+        details = {"fast_rel_error": rel_f, "slow_rel_error": rel_s, "tol_rel": tol}
+        verdicts.append(Verdict("averaged_blocks", rel_f <= tol and rel_s <= tol, details))
 
     if "slopes" in mc.checks:
-        if not report.rate_slopes:
-            verdicts.append(
-                Verdict("slopes", False, {"diagnostic": "not enough checkpoints to fit"})
-            )
+        slopes = report.rate_slopes
+        if not slopes:
+            details = {"diagnostic": "not enough checkpoints to fit"}
+            verdicts.append(Verdict("slopes", False, details))
         else:
-            target_f = -run_schedule.b / 2.0
-            target_s = -run_schedule.a / 2.0
-            dev_f = abs(report.rate_slopes["fast"] - target_f)
-            dev_s = abs(report.rate_slopes["slow"] - target_s)
-            verdicts.append(
-                Verdict(
-                    name="slopes",
-                    passed=dev_f <= SLOPE_TOLERANCE and dev_s <= SLOPE_TOLERANCE,
-                    details={
-                        "fast_slope": report.rate_slopes["fast"],
-                        "fast_target": target_f,
-                        "slow_slope": report.rate_slopes["slow"],
-                        "slow_target": target_s,
-                        "tolerance": SLOPE_TOLERANCE,
-                    },
-                )
-            )
+            target_f = -resolved.schedule.b / 2.0
+            target_s = -resolved.schedule.a / 2.0
+            passed = (abs(slopes["fast"] - target_f) <= SLOPE_TOLERANCE
+                      and abs(slopes["slow"] - target_s) <= SLOPE_TOLERANCE)
+            details = {"fast_slope": slopes["fast"], "fast_target": target_f,
+                       "slow_slope": slopes["slow"], "slow_target": target_s,
+                       "tolerance": SLOPE_TOLERANCE}
+            verdicts.append(Verdict("slopes", passed, details))
 
     if "lil" in mc.checks:
         if not report.lil_stability:
-            verdicts.append(
-                Verdict("lil", False, {"diagnostic": "not enough checkpoints"})
-            )
+            verdicts.append(Verdict("lil", False, {"diagnostic": "not enough checkpoints"}))
         else:
             frac_f = report.lil_stability["fast_fraction"]
             frac_s = report.lil_stability["slow_fraction"]
-            verdicts.append(
-                Verdict(
-                    name="lil",
-                    passed=frac_f >= LIL_STABILITY_MIN_FRACTION
-                    and frac_s >= LIL_STABILITY_MIN_FRACTION,
-                    details={
-                        "fast_fraction": frac_f,
-                        "slow_fraction": frac_s,
-                        "min_fraction": LIL_STABILITY_MIN_FRACTION,
-                    },
-                )
-            )
+            passed = min(frac_f, frac_s) >= LIL_STABILITY_MIN_FRACTION
+            details = {"fast_fraction": frac_f, "slow_fraction": frac_s,
+                       "min_fraction": LIL_STABILITY_MIN_FRACTION}
+            verdicts.append(Verdict("lil", passed, details))
 
     if "negligibility" in mc.checks:
         verdicts.append(_negligibility_verdict(report))
@@ -643,7 +521,7 @@ def _negligibility_verdict(report) -> Verdict:
         return Verdict(
             "negligibility", False, {"diagnostic": "decomposition tracking not enabled"}
         )
-    ns = report.ns
+    ns = report.curves["n"]
     ref = int(np.argmin(np.abs(ns - ns[-1] / 100.0)))
     details: dict = {"reference_n": int(ns[ref]), "final_n": int(ns[-1]),
                      "halving_factor": HALVING_FACTOR}

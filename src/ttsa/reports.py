@@ -141,6 +141,12 @@ def render_validation(payload: dict) -> str:
     return "\n".join(out) + "\n"
 
 
+_FINAL_COVARIANCES = (
+    ("scaled_cov", "scaled-error sample covariance"),
+    ("avg_scaled_cov", "sqrt(n)-averaged sample covariance"),
+)
+
+
 def render_montecarlo(payload: dict) -> str:
     out = [
         f"monte carlo report: problem {payload.get('problem', '?')}, "
@@ -148,20 +154,22 @@ def render_montecarlo(payload: dict) -> str:
         f"replications {payload['mc']['replications']}, "
         f"n_final {payload['mc']['n_final']}, base_seed {payload['mc']['base_seed']}",
     ]
-    if not payload.get("valid", False):
+    ckpt = payload["checkpoints"]
+    valid = payload.get("valid", False)
+    where = "final checkpoint" if valid else "last checkpoint reached"
+    if not valid:
         div = payload.get("divergence") or {}
         out.append(
             "INVALID: replication "
             f"{div.get('replication')} diverged at index {div.get('step')}"
         )
+    if ckpt["n"]:
+        out.append(f"{where} n = {ckpt['n'][-1]}")
+        for key, label in _FINAL_COVARIANCES:
+            out.append(f"{label} at {where}:")
+            out.append(_fmt_matrix(ckpt[key][-1]))
+    if not valid:
         return "\n".join(out) + "\n"
-    ckpt = payload["checkpoints"]
-    final_n = ckpt["n"][-1]
-    out.append(f"final checkpoint n = {final_n}")
-    out.append("scaled-error sample covariance at final checkpoint:")
-    out.append(_fmt_matrix(ckpt["scaled_cov"][-1]))
-    out.append("sqrt(n)-averaged sample covariance at final checkpoint:")
-    out.append(_fmt_matrix(ckpt["avg_scaled_cov"][-1]))
     if payload.get("rate_slopes"):
         slopes = payload["rate_slopes"]
         out.append(
@@ -202,14 +210,9 @@ def write_plot_bundle(payload: dict, outdir: str, stem: str = "curves") -> list[
         raise ValueError("plot bundle needs a valid montecarlo report")
     ckpt = payload["checkpoints"]
     ns = ckpt["n"]
-    curves: dict[str, list[float]] = {
-        "rms_fast": ckpt["rms_fast"],
-        "rms_slow": ckpt["rms_slow"],
-        "lil_max_fast": ckpt["lil_max_fast"],
-        "lil_max_slow": ckpt["lil_max_slow"],
-    }
-    for key, values in payload.get("negligibility", {}).items():
-        curves[key] = values
+    names = ("rms_fast", "rms_slow", "lil_max_fast", "lil_max_slow")
+    curves = {key: ckpt[key] for key in names}
+    curves.update(payload.get("negligibility", {}))
     os.makedirs(outdir, exist_ok=True)
     paths = []
     for name, values in curves.items():

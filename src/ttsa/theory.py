@@ -7,7 +7,7 @@ tolerance around b = 1.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -139,19 +139,7 @@ class TheoryReport:
     p_block: np.ndarray
 
     def as_dict(self) -> dict:
-        return {
-            "fast_matrix": self.fast_matrix.tolist(),
-            "slow_matrix": self.slow_matrix.tolist(),
-            "fast_noise_cov": self.fast_noise_cov.tolist(),
-            "slow_noise_cov": self.slow_noise_cov.tolist(),
-            "fast_cov": self.fast_cov.tolist(),
-            "slow_cov": self.slow_cov.tolist(),
-            "optimal_fast_cov": self.optimal_fast_cov.tolist(),
-            "optimal_slow_cov": self.optimal_slow_cov.tolist(),
-            "averaged_cov": self.averaged_cov.tolist(),
-            "d_block": self.d_block.tolist(),
-            "p_block": self.p_block.tolist(),
-        }
+        return {f.name: getattr(self, f.name).tolist() for f in fields(self)}
 
 
 def theory_report(problem: ProblemSpec, schedule: StepSchedule) -> TheoryReport:

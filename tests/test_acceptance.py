@@ -172,7 +172,7 @@ def test_criterion_4_quadratic_clt(quad_report):
     joint[:2, :2] = quad_report.predicted["fast_cov"]
     joint[2:, 2:] = quad_report.predicted["slow_cov"]
     verdict = clt_verdict(
-        quad_report.scaled_cov[-1], joint, (2, 2), tol_rel=0.20, tol_cross=0.10
+        quad_report.curves["scaled_cov"][-1], joint, (2, 2), tol_rel=0.20, tol_cross=0.10
     )
     assert quad_report.valid
     assert verdict.passed
@@ -196,10 +196,10 @@ def test_criterion_5_averaged_clt(quad_report, linear_report):
     # on the nonlinear run and on the linear one
     err_ref = err_final = None
     for report in (quad_report, linear_report):
-        ref = int(np.argmin(np.abs(report.ns - 1000)))
+        ref = int(np.argmin(np.abs(report.curves["n"] - 1000)))
         pred = report.predicted["averaged_cov"]
-        err_ref = rel_frobenius(report.avg_scaled_cov[ref], pred)
-        err_final = rel_frobenius(report.avg_scaled_cov[-1], pred)
+        err_ref = rel_frobenius(report.curves["avg_scaled_cov"][ref], pred)
+        err_final = rel_frobenius(report.curves["avg_scaled_cov"][-1], pred)
         assert err_final < err_ref
     print(
         f"ACCEPTANCE 5 (averaged CLT): PASS joint {joint.details['joint_rel_error']:.3f}, "

@@ -1,5 +1,6 @@
 import math
 import os
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -251,6 +252,46 @@ class TestValidateCommand:
         assert cli.main(["validate", "--config", path]) == 2
         err = capsys.readouterr().err
         assert "A3" in err
+
+
+class TestBadStart:
+    """Setups that cannot start a run exit 2 before any step, naming the key."""
+
+    def test_offset_of_wrong_length(self, tmp_path, capsys):
+        text = "problem.name = scalar-coupled\nrun.theta0_offset = [1.0, 2.0]\n"
+        path = write_config(tmp_path, text)
+        for command in ("validate", "run", "montecarlo"):
+            out = str(tmp_path / "out")
+            assert cli.main([command, "--config", path, "--output", out]) == 2
+            err = capsys.readouterr().err
+            assert "run.theta0_offset" in err and "expected length 1" in err
+
+    @pytest.mark.parametrize("text, key", [
+        ("problem.name = scalar-coupled\nrun.theta0_offset = [1e308]\n", "run.theta0_offset"),
+        ("problem.name = scalar-coupled\nrun.mu0_offset = [1e308]\n", "run.mu0_offset"),
+        # the default offset starts near the root, so the root is at fault
+        ("problem.name = custom\nproblem.theta_star = [2e9]\nproblem.mu_star = [0.0]\n"
+         "problem.q11 = [[-1.0]]\nproblem.q12 = [[0.0]]\nproblem.q21 = [[0.0]]\n"
+         "problem.q22 = [[-1.0]]\nproblem.noise_cov = [[1.0, 0.0], [0.0, 1.0]]\n",
+         "problem.theta_star"),
+    ])
+    def test_start_beyond_the_divergence_guard(self, tmp_path, capsys, text, key):
+        path = write_config(tmp_path, text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for command in ("validate", "run", "montecarlo"):
+                out = str(tmp_path / "out")
+                assert cli.main([command, "--config", path, "--output", out]) == 2
+                err = capsys.readouterr().err
+                assert key in err and "1e+09" in err
+
+    def test_averaged_on_a_plain_schedule(self, tmp_path, capsys):
+        text = MINIMAL + "run.n_final = 20\nrun.algorithm = averaged\n"
+        path = write_config(tmp_path, text)
+        for command in ("validate", "run", "montecarlo"):
+            out = str(tmp_path / "out")
+            assert cli.main([command, "--config", path, "--output", out]) == 2
+            assert "averaging regime" in capsys.readouterr().err
 
 
 class TestTheoryCommand:

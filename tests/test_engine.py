@@ -398,6 +398,12 @@ class TestRun:
         with pytest.raises(ConfigError):
             run(linear_problem, schedule, 10, seed=0, algorithm="sgd")
 
+    def test_averaged_requires_averaging_regime(self, linear_problem, schedule):
+        # the same assumption (A'3) that run_monte_carlo enforces
+        assert schedule.regime == "plain"
+        with pytest.raises(ConfigError, match="averaging regime"):
+            run(linear_problem, schedule, 10, seed=0, algorithm="averaged")
+
 
 class TestCheckpointGrid:
     def test_single(self):

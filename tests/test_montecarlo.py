@@ -12,8 +12,9 @@ from ttsa import (
     sample_covariance,
     simulate_batch,
 )
-from ttsa.errors import ConfigError, DegenerateDataError
+from ttsa.errors import ConfigError, DegenerateDataError, DivergenceError
 from ttsa.montecarlo import rel_frobenius
+from ttsa.reports import render_montecarlo
 
 from conftest import scalar_spec
 
@@ -184,15 +185,15 @@ class TestRunMonteCarlo:
         mc = MCConfig(replications=2, n_final=1, base_seed=0, checks=())
         report = run_monte_carlo(linear_problem, schedule, mc)
         assert report.valid
-        assert report.ns.tolist() == [1]
+        assert report.curves["n"].tolist() == [1]
         # both replications start at the same point: zero covariance
-        np.testing.assert_array_equal(report.scaled_cov[0], np.zeros((4, 4)))
+        np.testing.assert_array_equal(report.curves["scaled_cov"][0], np.zeros((4, 4)))
 
     def test_zero_noise_covariance_collapses(self, schedule):
         p = scalar_spec(-2.0, 0.5, 0.5, -1.0, gamma=np.zeros((2, 2)))
         mc = MCConfig(replications=4, n_final=5000, base_seed=0, checks=())
         report = run_monte_carlo(p, schedule, mc)
-        assert np.linalg.norm(report.scaled_cov[-1]) <= 1e-20
+        assert np.linalg.norm(report.curves["scaled_cov"][-1]) <= 1e-20
 
     def test_reproducible_bitwise(self, linear_problem, schedule):
         mc = MCConfig(replications=8, n_final=2000, base_seed=7,
@@ -208,16 +209,41 @@ class TestRunMonteCarlo:
         with pytest.raises(ConfigError):
             run_monte_carlo(linear_problem, schedule, mc)
 
-    def test_divergence_recorded_and_invalidates(self, schedule):
-        # stable drift but steps far too large for it: the iteration blows up
-        # numerically while the predicted covariances stay well defined
+    @staticmethod
+    def _divergent_report(schedule, checkpoints=None):
+        """The report of an ensemble that diverges, and its trace prefix.
+
+        Stable drift but steps far too large for it: the iteration blows up
+        numerically while the predicted covariances stay well defined.
+        """
         p = scalar_spec(-30.0, 0.0, 0.0, -30.0)
-        mc = MCConfig(replications=3, n_final=100, base_seed=1, checks=("clt",))
+        mc = MCConfig(replications=3, n_final=100, base_seed=1, checks=("clt",),
+                      checkpoints=checkpoints)
+        with pytest.raises(DivergenceError) as err:
+            simulate_batch(p, schedule, 100, base_seed=1, replications=3,
+                           checkpoints=checkpoints)
         report = run_monte_carlo(p, schedule, mc)
         assert not report.valid
         assert not report.passed
         assert report.divergence is not None
         assert report.divergence["step"] is not None
+        # the report keeps the checkpoints reached before the divergence
+        prefix = err.value.trace.ns
+        np.testing.assert_array_equal(report.curves["n"], prefix)
+        back = json.loads(json.dumps(report.as_dict(), sort_keys=True))
+        assert back["checkpoints"]["n"] == prefix.tolist()
+        assert set(back["checkpoints"]) == set(report.curves)
+        assert "INVALID: replication" in render_montecarlo(back)
+        return report, err.value
+
+    def test_divergence_recorded_and_invalidates(self, schedule):
+        report, exc = self._divergent_report(schedule)
+        assert 0 < report.curves["n"][-1] < exc.step
+
+    def test_divergence_before_the_first_checkpoint(self, schedule):
+        report, exc = self._divergent_report(schedule, checkpoints=(50, 100))
+        assert exc.step < 50
+        assert report.curves["n"].size == 0
 
     def test_matricial_uses_implied_schedule(self, linear_problem, schedule):
         mc = MCConfig(replications=4, n_final=500, base_seed=2, algorithm="matricial",
@@ -249,7 +275,8 @@ class TestRunMonteCarlo:
         # live in the acceptance suite
         mc = MCConfig(replications=300, n_final=20000, base_seed=11, checks=())
         report = run_monte_carlo(linear_problem, schedule, mc)
-        rel = rel_frobenius(report.scaled_cov[-1][:2, :2], report.predicted["fast_cov"])
+        final_cov = report.curves["scaled_cov"][-1]
+        rel = rel_frobenius(final_cov[:2, :2], report.predicted["fast_cov"])
         assert rel < 0.35
 
 
@@ -262,11 +289,10 @@ class TestReportShape:
         text = json.dumps(payload, sort_keys=True)
         back = json.loads(text)
         assert back["kind"] == "montecarlo"
-        assert len(back["checkpoints"]["n"]) == report.ns.size
+        assert len(back["checkpoints"]["n"]) == report.curves["n"].size
         assert back["verdicts"][0]["name"] == "clt"
 
     def test_final_samples_available_for_dump(self, linear_problem, schedule):
         mc = MCConfig(replications=4, n_final=50, base_seed=5, checks=())
         report = run_monte_carlo(linear_problem, schedule, mc)
         assert report.final_scaled.shape == (4, 4)
-        assert report.final_avg_scaled.shape == (4, 4)
