@@ -4,21 +4,27 @@ Runs the plain fast/slow recursion, the matricial-gain variant, and the
 running averages, optionally tracking the martingale / coupling / remainder
 decomposition of each error component alongside the main path.
 
-One kernel advances every path, and its state is the stacked iterate
-x = (theta, mu) with one row per replication, shape (B, d+d'). One step is
+One kernel advances every path, in error coordinates: its state is
+z = x - x* for the stacked iterate x = (theta, mu), one row per replication,
+shape (B, d+d'). In z the coupled recursion is affine, with matrices that
+depend on the step index alone, so one step is one table product
 
-    x_{n+1} = x_n + s_n * (((x_n - x*) Q^T + xi_{n+1} + rho + r_n) G^T)
+    z_{n+1} = z_n A_n + u_n  [+ rho(z_n) R_n]  [+ c_n]
 
-with Q = [[Q11, Q12], [Q21, Q22]] the full Jacobian, xi = (V, W) the stacked
-innovation, rho the residual, r_n the bias, G = blockdiag(A_fast, A_slow) for
-the matricial variant (the identity otherwise) and s_n = (beta_n 1_d,
-gamma_n 1_d') the per-component step. ``step``, ``matricial_step``, ``run``
-and ``simulate_batch`` all go through this kernel.
+with A_n = I + Q^T G^T S_n and R_n = G^T S_n. Q = [[Q11, Q12], [Q21, Q22]] is
+the full Jacobian, G = blockdiag(A_fast, A_slow) for the matricial variant
+(the identity otherwise) and S_n = diag(beta_n 1_d, gamma_n 1_d') the
+per-component step; G and S_n commute. The innovation term
+u_n = (xi_{n+1} S_n) G^T is pre-scaled as the noise of a chunk is drawn, the
+residual rho enters through R_n, and the bias row c_n = r_n R_n is added per
+step. ``simulate_batch`` builds A, R and c once per chunk of steps as stacked
+(span, ., .) tables; ``step`` and ``matricial_step`` build one-step tables
+through the same code.
 
-The trace keeps the same layout: a ``BatchTrace`` holds the checkpointed x
-and its running average x_bar as (checkpoint, replication, d+d') arrays, with
-theta, mu and their averages as views. ``BatchTrace.replication(r)`` is one
-replication's trace with the replication axis dropped; ``run`` returns
+The trace keeps the iterate's layout: a ``BatchTrace`` holds the checkpointed
+x = z + x* and its running average x_bar as (checkpoint, replication, d+d')
+arrays, with theta, mu and their averages as views. ``BatchTrace.replication(r)``
+is one replication's trace with the replication axis dropped; ``run`` returns
 replication 0. Checkpoints 1..n_final give the every-step paths.
 
 The kernel never advances fewer than two rows, because a one-row matrix
@@ -28,11 +34,16 @@ two identical rows and keeps one.
 
 Replication r of a seed draws from its own counter-based stream, so its path
 does not depend on the batch size. Its path does not depend on the chunk
-size either, because the noise model scales a one-row draw as two rows. A
-single run is exactly replication 0 of a batch with the same seed.
+size either, because the noise model scales a one-row draw as two rows and
+no table entry depends on the chunk it is built in. A single run is exactly
+replication 0 of a batch with the same seed, and chained ``step`` /
+``decompose_step`` calls reproduce ``run``; all of these hold bit for bit.
+Advancing z rounds differently from advancing x itself, so the paths agree
+with the x recursion in their leading digits only, to about 1e-13 relative.
 """
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, replace
 
@@ -163,17 +174,23 @@ def resolve_algorithm(
 class SAState:
     """One trajectory's state at iteration index n (indices start at 1).
 
-    ``x`` is the stacked iterate (theta, mu), whose first ``d`` components are
-    the fast ones, and (``x_sum``, ``x_comp``) its compensated running sum, so
-    the averages stay accurate over long runs. ``theta``, ``mu``,
-    ``theta_bar`` and ``mu_bar`` are read-only views of them.
+    ``z`` is the error x - x* of the stacked iterate x = (theta, mu), whose
+    first ``d`` components are the fast ones, and (``z_sum``, ``z_comp``) its
+    compensated running sum, so the averages stay accurate over long runs.
+    ``x``, ``theta``, ``mu``, ``theta_bar`` and ``mu_bar`` are computed from
+    them and the root ``x_star``.
     """
 
     n: int
     d: int
-    x: np.ndarray
-    x_sum: np.ndarray
-    x_comp: np.ndarray
+    x_star: np.ndarray
+    z: np.ndarray
+    z_sum: np.ndarray
+    z_comp: np.ndarray
+
+    @property
+    def x(self) -> np.ndarray:
+        return self.z + self.x_star
 
     @property
     def theta(self) -> np.ndarray:
@@ -185,11 +202,11 @@ class SAState:
 
     @property
     def theta_bar(self) -> np.ndarray:
-        return self.x_sum[: self.d] / self.n
+        return (self.z_sum / self.n + self.x_star)[: self.d]
 
     @property
     def mu_bar(self) -> np.ndarray:
-        return self.x_sum[self.d :] / self.n
+        return (self.z_sum / self.n + self.x_star)[self.d :]
 
 
 def _initial_iterate(problem: ProblemSpec, theta0, mu0) -> np.ndarray:
@@ -208,8 +225,10 @@ def initial_state(
     theta0=None,
     mu0=None,
 ) -> SAState:
-    x = _initial_iterate(problem, theta0, mu0)
-    return SAState(n=1, d=problem.d, x=x, x_sum=x.copy(), x_comp=np.zeros_like(x))
+    x_star = _once(problem, _Kernel).x_star
+    z = _initial_iterate(problem, theta0, mu0) - x_star
+    return SAState(n=1, d=problem.d, x_star=x_star, z=z, z_sum=z.copy(),
+                   z_comp=np.zeros_like(z))
 
 
 @dataclass(frozen=True)
@@ -263,44 +282,111 @@ def _once(problem: ProblemSpec, build):
     return pieces
 
 
-def _kernel_pieces(problem: ProblemSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The root x* = (theta*, mu*) and the transposed full Jacobian Q^T."""
-    q = np.block([[problem.q11, problem.q12], [problem.q21, problem.q22]])
-    return problem.x_star, q.T.copy()
+def _step_sizes(d: int, dp: int, beta: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """Per-component steps (beta_n 1_d, gamma_n 1_d'), one row per index."""
+    s = np.empty((len(beta), d + dp))
+    s[:, :d] = beta[:, None]
+    s[:, d:] = gamma[:, None]
+    return s
+
+
+@dataclass(frozen=True)
+class _StepTables:
+    """The affine step of a chunk of indices, stacked on axis 0.
+
+    ``s`` holds the steps s_j as (span, dim) rows, ``a`` and ``r`` the
+    (span, dim, dim) tables A_j and R_j, and ``c`` the (span, dim) bias rows
+    c_j = r_j R_j, or None without a bias.
+    """
+
+    s: np.ndarray
+    a: np.ndarray
+    r: np.ndarray
+    c: np.ndarray | None
 
 
 class _Kernel:
-    """Precomputed pieces of one advance of the stacked state."""
+    """The affine step z_{n+1} = z_n A_n + u_n + rho(z_n) R_n + c_n of one algorithm.
 
-    def __init__(self, problem: ProblemSpec, rows: int, gains: GainMatrices | None = None):
-        x_star, self.qT = _once(problem, _kernel_pieces)
-        # one row per state row: a same-shape subtraction is far cheaper than
-        # broadcasting a short vector across the rows
-        self.x_star = np.tile(x_star, (rows, 1))
+    A and R are built entry by entry, and c and the gain product of u row by
+    row, so no step's entries depend on the chunk they are built in.
+    """
+
+    def __init__(self, problem: ProblemSpec):
+        self.d, self.dp = problem.d, problem.d_prime
+        self.x_star = problem.x_star
+        self.x_star.flags.writeable = False  # shared by every state it starts
         self.residual = None if problem.residual.kind == "none" else problem.residual
         self.bias = None if problem.bias.is_zero() else problem.bias
-        self.gainT = None
-        if gains is not None:
-            gain = np.zeros_like(self.qT)
-            gain[: problem.d, : problem.d] = gains.fast
-            gain[problem.d :, problem.d :] = gains.slow
-            self.gainT = gain.T.copy()
+        q = np.block([[problem.q11, problem.q12], [problem.q21, problem.q22]])
+        self.eye = np.eye(problem.dim)
+        self.gainT = None  # G^T, None for the identity
+        self.qgT = q.T.copy()  # Q^T G^T
+        # Sum z^2 <= bound^2 puts every |x_i| below 0.49 guard + rounding, so
+        # max|theta| + max|mu| of every row is within the guard
+        bound = 0.49 * DIVERGENCE_GUARD - np.abs(self.x_star).max()
+        self.z_sq_max = bound * bound if bound > 0 else -1.0
 
-    def advance(self, x, xi, n, steps, bias=None):
-        """The rows of x_{n+1}; a given stacked ``bias`` replaces the model's r_n."""
-        e = x - self.x_star
-        obs = e @ self.qT
-        obs += xi
+    def with_gains(self, gains: GainMatrices | None) -> _Kernel:
+        """This kernel for the matricial variant with ``gains``; itself for None."""
+        if gains is None:
+            return self
+        d = self.d
+        gain = np.zeros_like(self.eye)
+        gain[:d, :d] = gains.fast
+        gain[d:, d:] = gains.slow
+        kernel = copy.copy(self)
+        kernel.gainT = gain.T.copy()
+        kernel.qgT = self.qgT @ kernel.gainT
+        return kernel
+
+    def tables(self, n: int, beta: np.ndarray, gamma: np.ndarray, biases=None) -> _StepTables:
+        """The tables of steps n, n+1, ... with sizes (beta[j], gamma[j]).
+
+        ``biases``, (span, dim) rows, replace the problem's own r_n.
+        """
+        s = _step_sizes(self.d, self.dp, beta, gamma)
+        a = self.qgT * s[:, None, :]
+        a += self.eye
+        r = (self.eye if self.gainT is None else self.gainT) * s[:, None, :]
+        if biases is None and self.bias is not None:
+            biases = np.stack([self.bias.values(m) for m in range(n, n + len(beta))])
+        c = None if biases is None else np.matmul(biases[:, None, :], r)[:, 0]
+        return _StepTables(s, a, r, c)
+
+    def innovations(self, block: np.ndarray, draws, s: np.ndarray) -> np.ndarray:
+        """The innovation terms u_j of a chunk, shape (span, rows, dim).
+
+        ``draws`` yields one replication's (span, dim) noise at a time; each
+        is scaled by the steps ``s`` as it is copied into ``block``, and rows
+        past the last replication repeat the first (the two-row rule).
+        """
+        r = -1
+        for r, xi in enumerate(draws):
+            np.multiply(xi, s, out=block[:, r])
+        block[:, r + 1 :] = block[:, :1]
+        if self.gainT is None:
+            return block
+        return (block.reshape(-1, block.shape[-1]) @ self.gainT).reshape(block.shape)
+
+    def affine_step(self, z, u, tables: _StepTables, j: int, out: np.ndarray) -> np.ndarray:
+        """The rows of z_{n+1} for step j of ``tables``, written into ``out``."""
+        z.dot(tables.a[j], out=out)  # ndarray.dot: the same GEMM as @, less dispatch
+        out += u
         if self.residual is not None:
-            obs += self.residual.evaluate(e)
-        if bias is None and self.bias is not None:
-            bias = self.bias.values(n)
-        if bias is not None:
-            obs += bias
-        if self.gainT is not None:
-            obs = obs @ self.gainT
-        obs *= steps
-        return x + obs
+            out += self.residual.evaluate(z).dot(tables.r[j])
+        if tables.c is not None:
+            out += tables.c[j]
+        return out
+
+    def first_diverged(self, z: np.ndarray) -> int:
+        """``_first_diverged`` of the iterates z + x*, behind a one-dot test.
+
+        A sum of squares that overflows is infinite and takes the exact path.
+        """
+        if np.vdot(z, z) <= self.z_sq_max:
+            return -1
+        return _first_diverged(z + self.x_star, self.d)
 
 
 def _first_diverged(x: np.ndarray, d: int) -> int:
@@ -319,18 +405,28 @@ def _first_diverged(x: np.ndarray, d: int) -> int:
     return int(np.argmax(bad)) if bad.any() else -1
 
 
-def _step_sizes(d: int, dp: int, beta, gamma) -> np.ndarray:
-    """Per-component steps (beta_n 1_d, gamma_n 1_d'), one row per index."""
-    return np.repeat(np.stack([beta, gamma], axis=-1), (d, dp), axis=-1)
+def _kahan_add(total, comp, term, scratch, out) -> None:
+    """Add ``term`` to the compensated sum (``total``, ``comp``).
+
+    The new total is written to ``out`` and the new compensation to
+    ``comp``; ``scratch`` is overwritten.
+    """
+    np.subtract(term, comp, out=scratch)
+    np.add(total, scratch, out=out)
+    np.subtract(out, total, out=comp)
+    comp -= scratch
 
 
 class _DecompKernel:
     """Recursive updates of the decomposition parts, stacked like the state.
 
     A state row is (martingale, coupling), each in the (fast, slow) layout of
-    x, so one update is  dec @ T1 + xi @ T2 + dx @ T3  with dx = x_{n+1} - x_n:
+    z, so one update is  dec @ T1 + v @ T2  with v = (u, dx) the step's
+    pre-scaled innovation u = (beta V, gamma W) and its increment
+    dx = x_{n+1} - x_n of the iterate, taken as ``decompose_step`` callers
+    take it, from x = z + x*:
 
-        martingale' = martingale E^T + (beta (V - W K^T), gamma W)
+        martingale' = martingale E^T + (u_f - (beta/gamma) u_s K^T, u_s)
         coupling'   = coupling E^T + ((beta/gamma) dmu K^T,
                                       gamma (l_f + c_f) Q21^T)
 
@@ -338,6 +434,8 @@ class _DecompKernel:
     fast component's sensitivity to slow innovations. The coupling's slow
     part consumes the pre-update fast parts. The tables depend on the step
     index only, so ``tables`` builds them for a whole chunk of steps at once.
+    Two products of depth 2 dim rather than one of depth 4 dim: BLAS rounds
+    a row the same at any batch size only for shallow products.
     """
 
     def __init__(self, problem: ProblemSpec):
@@ -346,30 +444,25 @@ class _DecompKernel:
         self.q22 = problem.q22
         self.q21T = problem.q21.T.copy()
         self.kT = (problem.q12 @ linalg.invert(problem.q22)).T.copy()
+        self.eye_fast, self.eye_slow = np.eye(problem.d), np.eye(problem.d_prime)
 
-    def tables(self, beta: np.ndarray, gamma: np.ndarray):
-        """T1, T2 and T3 for the steps (beta[j], gamma[j]), stacked on axis 0."""
-        d, dim, span = self.d, self.dim, len(beta)
+    def tables(self, beta: np.ndarray, gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """T1 and T2 for the steps (beta[j], gamma[j]), stacked on axis 0."""
+        d, dim = self.d, self.dim
         b, g = beta[:, None, None], gamma[:, None, None]
-        t1 = np.zeros((span, 2 * dim, 2 * dim))
-        t2 = np.zeros((span, dim, 2 * dim))
-        t3 = np.zeros((span, dim, 2 * dim))
-        e_fast = np.stack([linalg.mat_exp(beta_n * self.h).T for beta_n in beta])
-        e_slow = np.stack([linalg.mat_exp(gamma_n * self.q22).T for gamma_n in gamma])
-        t1[:, :d, :d] = t1[:, dim : dim + d, dim : dim + d] = e_fast
-        t1[:, d:dim, d:dim] = t1[:, dim + d :, dim + d :] = e_slow
+        t = np.zeros((len(beta), 4 * dim, 2 * dim))
+        t1, t2 = t[:, : 2 * dim], t[:, 2 * dim :]
+        for j, (beta_n, gamma_n) in enumerate(zip(beta, gamma)):
+            t1[j, :d, :d] = linalg.mat_exp(beta_n * self.h).T
+            t1[j, d:dim, d:dim] = linalg.mat_exp(gamma_n * self.q22).T
+        t1[:, dim : dim + d, dim : dim + d] = t1[:, :d, :d]
+        t1[:, dim + d :, dim + d :] = t1[:, d:dim, d:dim]
         t1[:, :d, dim + d :] = t1[:, dim : dim + d, dim + d :] = g * self.q21T
-        t2[:, :d, :d] = b * np.eye(d)
-        t2[:, d:, :d] = -b * self.kT
-        t2[:, d:, d:dim] = g * np.eye(dim - d)
-        t3[:, d:, dim : dim + d] = (b / g) * self.kT
-        return t1, t2, t3
-
-
-def _decomp_advance(dec, xi, dx, tables, j):
-    """The decomposition rows after step j of ``tables``."""
-    t1, t2, t3 = tables
-    return dec @ t1[j] + xi @ t2[j] + dx @ t3[j]
+        t2[:, :d, :d] = self.eye_fast
+        t2[:, d:dim, d:dim] = self.eye_slow
+        t2[:, d:dim, :d] = -(b / g) * self.kT
+        t2[:, dim + d :, dim : dim + d] = (b / g) * self.kT
+        return t1, t2
 
 
 def step(
@@ -404,10 +497,6 @@ def matricial_step(
     )
 
 
-def _two_rows(*vectors) -> list[np.ndarray]:
-    return [np.tile(v, (_MIN_ROWS, 1)) for v in vectors]
-
-
 def _stacked(problem: ProblemSpec, pair, name: str) -> np.ndarray:
     """A per-step (fast, slow) pair as one vector in the layout of the state."""
     fast, slow = (np.asarray(part, dtype=float).reshape(-1) for part in pair)
@@ -417,18 +506,28 @@ def _stacked(problem: ProblemSpec, pair, name: str) -> np.ndarray:
 
 
 def _single_advance(problem, schedule, state, noise, bias_values, gains):
-    n = state.n
+    """One step of the batch path on one-step tables and two identical rows."""
+    n, dim = state.n, problem.dim
+    kernel = _once(problem, _Kernel).with_gains(gains)
     if bias_values is not None:
-        bias_values = _stacked(problem, bias_values, "bias")
-    x, xi = _two_rows(state.x, _stacked(problem, noise, "noise"))
-    steps = _step_sizes(problem.d, problem.d_prime, schedule.beta(n), schedule.gamma(n))
-    x = _Kernel(problem, _MIN_ROWS, gains).advance(x, xi, n, steps, bias_values)[:1]
-    if _first_diverged(x, problem.d) >= 0:
-        raise DivergenceError(
-            f"iterate diverged at index {n + 1}", step=n + 1, replication=0
-        )
-    x_sum, x_comp = _kahan_add(state.x_sum, state.x_comp, x[0])
-    return SAState(n=n + 1, d=problem.d, x=x[0], x_sum=x_sum, x_comp=x_comp)
+        bias_values = _stacked(problem, bias_values, "bias")[None]
+    tables = kernel.tables(
+        n, np.array([schedule.beta(n)]), np.array([schedule.gamma(n)]), bias_values
+    )
+    xi = _stacked(problem, noise, "noise")[None]
+    u = kernel.innovations(np.empty((1, _MIN_ROWS, dim)), [xi], tables.s)
+    z_rows, z = np.empty((_MIN_ROWS, dim)), np.empty((_MIN_ROWS, dim))
+    z_rows[:] = state.z
+    with np.errstate(over="ignore"):
+        kernel.affine_step(z_rows, u[0], tables, 0, out=z)
+        if kernel.first_diverged(z) >= 0:
+            raise DivergenceError(
+                f"iterate diverged at index {n + 1}", step=n + 1, replication=0
+            )
+    z_sum, z_comp = np.empty(dim), state.z_comp.copy()
+    _kahan_add(state.z_sum, z_comp, z[0], np.empty(dim), out=z_sum)
+    return SAState(n=n + 1, d=problem.d, x_star=kernel.x_star, z=z[0],
+                   z_sum=z_sum, z_comp=z_comp)
 
 
 def decompose_step(
@@ -442,24 +541,22 @@ def decompose_step(
 
     ``mu_delta`` is the realized slow increment mu_{n+1} - mu_n.
     """
-    n = dstate.n
-    dec, xi, dx = _two_rows(
-        dstate.parts,
-        _stacked(problem, noise, "noise"),
-        _stacked(problem, (np.zeros(problem.d), mu_delta), "slow increment"),
-    )
-    tables = _once(problem, _DecompKernel).tables(
-        np.array([schedule.beta(n)]), np.array([schedule.gamma(n)])
-    )
-    dec = _decomp_advance(dec, xi, dx, tables, 0)
-    return DecompositionState(n=n + 1, d=problem.d, parts=dec[0])
-
-
-def _kahan_add(total, comp, term):
-    y = term - comp
-    t = total + y
-    comp_new = (t - total) - y
-    return t, comp_new
+    n, d, dim = dstate.n, problem.d, problem.dim
+    beta, gamma = np.array([schedule.beta(n)]), np.array([schedule.gamma(n)])
+    xi = _stacked(problem, noise, "noise")
+    mu_delta = np.asarray(mu_delta, dtype=float).reshape(-1)
+    if mu_delta.shape != (problem.d_prime,):
+        raise DimensionError("slow increment dimensions do not match the problem")
+    # the batch's two rows; the fast part of dx meets zero rows of T2
+    v = np.zeros((_MIN_ROWS, 2 * dim))
+    np.multiply(xi, _step_sizes(d, problem.d_prime, beta, gamma)[0], out=v[:, :dim])
+    v[:, dim + d :] = mu_delta
+    t1, t2 = _once(problem, _DecompKernel).tables(beta, gamma)
+    dec = np.empty((_MIN_ROWS, 2 * dim))
+    dec[:] = dstate.parts
+    dec = dec.dot(t1[0])
+    dec += v.dot(t2[0])
+    return DecompositionState(n=n + 1, d=d, parts=dec[0])
 
 
 DECOMP_KEYS = (
@@ -552,11 +649,12 @@ def simulate_batch(
         if track_decomposition:
             raise ConfigError("decomposition tracking applies to the plain iteration only")
 
-    d, dp, dim = problem.d, problem.d_prime, problem.dim
+    d, dim = problem.d, problem.dim
     b = replications
     rows = max(b, _MIN_ROWS)
-    kernel = _Kernel(problem, rows, gains)
+    kernel = _once(problem, _Kernel).with_gains(gains)
     dkernel = _once(problem, _DecompKernel) if track_decomposition else None
+    x_star = kernel.x_star
 
     beta_arr = schedule.beta_array(n_final)
     gamma_arr = schedule.gamma_array(n_final)
@@ -568,24 +666,27 @@ def simulate_batch(
     ckpt_pos = {int(n): i for i, n in enumerate(grid)}
     k = grid.size
 
-    x = np.tile(_initial_iterate(problem, theta0, mu0), (rows, 1))
-    xsum, xcomp = x.copy(), np.zeros_like(x)
-
-    dec = np.zeros((rows, 2 * dim)) if track_decomposition else None
+    z = np.tile(_initial_iterate(problem, theta0, mu0) - x_star, (rows, 1))
+    z_next = np.empty_like(z)
+    zsum, zcomp = z.copy(), np.zeros_like(z)
+    scratch, zsum_next = np.empty_like(z), np.empty_like(z)
+    # the decomposition rows, their inputs v = (u, dx) and the iterates
+    # x = z + x* that dx is taken from; see _DecompKernel
+    dec = v = x_now = x_new = None
+    if track_decomposition:
+        dec, v = np.zeros((rows, 2 * dim)), np.empty((rows, 2 * dim))
+        x_now, x_new = z + x_star, np.empty_like(z)
 
     out_x = np.empty((k, b, dim))
     out_xbar = np.empty((k, b, dim))
     out_decomp = {key: np.empty((k, b)) for key in DECOMP_KEYS} if track_decomposition else None
 
-    def record(n: int) -> None:
-        i = ckpt_pos.get(n)
-        if i is None:
-            return
-        out_x[i] = x[:b]
-        out_xbar[i] = xsum[:b] / n
+    def record(i: int, n: int) -> None:
+        np.add(z[:b], x_star, out=out_x[i])
+        np.add(zsum[:b] / n, x_star, out=out_xbar[i])
         if dec is not None:
             mart, coup = dec[:b, :dim], dec[:b, dim:]
-            remainder = x[:b] - kernel.x_star[:b] - mart - coup
+            remainder = out_x[i] - x_star - mart - coup  # the error as states give it
             for name, part in (("martingale", mart), ("coupling", coup), ("remainder", remainder)):
                 out_decomp[name + "_fast"][i] = np.linalg.norm(part[:, :d], axis=1)
                 out_decomp[name + "_slow"][i] = np.linalg.norm(part[:, d:], axis=1)
@@ -608,36 +709,44 @@ def simulate_batch(
         )
 
     rngs = [replication_rng(base_seed, r) for r in range(b)]
-    record(1)
+    record(0, 1)
 
     n = 1
     # step-major, so each step reads one contiguous (rows, dim) slice
     noise_block = np.empty((chunk, rows, dim))
-    while n < n_final:
-        span = min(chunk, n_final - n)
-        for r in range(b):
-            noise_block[:span, r] = problem.noise.draw(rngs[r], (span,))
-        noise_block[:span, b:] = noise_block[:span, :1]  # the two-row copy, if any
-        beta, gamma = beta_arr[n - 1 : n - 1 + span], gamma_arr[n - 1 : n - 1 + span]
-        steps = _step_sizes(d, dp, beta, gamma)
-        tables = dkernel.tables(beta, gamma) if dec is not None else None
-        for j in range(span):
-            xi = noise_block[j]
-            x_new = kernel.advance(x, xi, n, steps[j])
-            if dec is not None:
-                dec = _decomp_advance(dec, xi, x_new - x, tables, j)
-            x = x_new
-            xsum, xcomp = _kahan_add(xsum, xcomp, x)
-            n += 1
-            bad = _first_diverged(x, d)
-            if bad >= 0:
-                raise DivergenceError(
-                    f"replication {bad} diverged at index {n}",
-                    step=n,
-                    replication=bad,
-                    trace=trace(int(np.searchsorted(grid, n))),
-                )
-            record(n)
+    # an overflow makes a row infinite, and the guard reports it that step
+    with np.errstate(over="ignore"):
+        while n < n_final:
+            span = min(chunk, n_final - n)
+            beta, gamma = beta_arr[n - 1 : n - 1 + span], gamma_arr[n - 1 : n - 1 + span]
+            tables = kernel.tables(n, beta, gamma)
+            draws = (problem.noise.draw(rng, (span,)) for rng in rngs)
+            u = kernel.innovations(noise_block[:span], draws, tables.s)
+            t1, t2 = dkernel.tables(beta, gamma) if dec is not None else (None, None)
+            for j in range(span):
+                kernel.affine_step(z, u[j], tables, j, out=z_next)
+                n += 1
+                bad = kernel.first_diverged(z_next)
+                if bad >= 0:
+                    raise DivergenceError(
+                        f"replication {bad} diverged at index {n}",
+                        step=n,
+                        replication=bad,
+                        trace=trace(int(np.searchsorted(grid, n))),
+                    )
+                if dec is not None:
+                    v[:, :dim] = u[j]
+                    np.add(z_next, x_star, out=x_new)
+                    np.subtract(x_new, x_now, out=v[:, dim:])
+                    x_now, x_new = x_new, x_now
+                    dec = dec.dot(t1[j])
+                    dec += v.dot(t2[j])
+                z, z_next = z_next, z
+                _kahan_add(zsum, zcomp, z, scratch, out=zsum_next)
+                zsum, zsum_next = zsum_next, zsum
+                i = ckpt_pos.get(n)
+                if i is not None:
+                    record(i, n)
 
     return trace(k)
 

@@ -317,7 +317,10 @@ def run_monte_carlo(
         report.valid = False
         report.divergence = {"replication": exc.replication, "step": exc.step}
         diagnostic = f"replication {exc.replication} diverged at index {exc.step}"
-        report.verdicts = [Verdict("clt", False, {"diagnostic": diagnostic})]
+        report.verdicts = [  # one failing verdict per check, in the valid order
+            Verdict(name, False, {"diagnostic": diagnostic})
+            for name in KNOWN_CHECKS if name in mc.checks
+        ]
         return report
     return _aggregate(problem, resolved, mc, trace, predicted)
 

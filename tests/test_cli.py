@@ -395,6 +395,31 @@ class TestMonteCarloCommand:
         out_file = str(tmp_path / "mc.json")
         assert cli.main(["montecarlo", "--config", path, "--output", out_file]) == 1
 
+    def test_divergent_report_has_one_failing_verdict_per_check(self, tmp_path):
+        # stable drift, steps far too large for it: the ensemble blows up
+        text = (
+            "problem.name = custom\n"
+            "problem.theta_star = [0.0]\nproblem.mu_star = [0.0]\n"
+            "problem.q11 = [[-40.0]]\nproblem.q12 = [[0.0]]\n"
+            "problem.q21 = [[0.0]]\nproblem.q22 = [[-40.0]]\n"
+            "problem.noise_cov = [[0.01, 0.0], [0.0, 0.01]]\n"
+            "step.beta0 = 2.0\nstep.gamma0 = 2.0\n"
+            "run.n_final = 200\n"
+            "mc.replications = 4\nmc.base_seed = 1\nmc.checks = slopes,lil\n"
+        )
+        path = write_config(tmp_path, text)
+        out_file = str(tmp_path / "mc.json")
+        assert cli.main(["montecarlo", "--config", path, "--output", out_file]) == 1
+        payload = read_report(out_file)
+        assert not payload["valid"]
+        assert payload["mc"]["checks"] == ["slopes", "lil"]
+        assert [v["name"] for v in payload["verdicts"]] == ["slopes", "lil"]
+        div = payload["divergence"]
+        diagnostic = f"replication {div['replication']} diverged at index {div['step']}"
+        for verdict in payload["verdicts"]:
+            assert not verdict["passed"]
+            assert verdict["details"] == {"diagnostic": diagnostic}
+
     def test_samples_dump(self, tmp_path):
         text = FAST_MC + "mc.dump_samples = true\noutput.directory = " + str(tmp_path) + "\n"
         path = write_config(tmp_path, text)

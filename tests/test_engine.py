@@ -1,4 +1,6 @@
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,7 +22,14 @@ from ttsa import (
     step,
 )
 from ttsa import linalg
-from ttsa.engine import DECOMP_KEYS, DIVERGENCE_GUARD, _first_diverged, replication_rng
+from ttsa.engine import (
+    DECOMP_KEYS,
+    DIVERGENCE_GUARD,
+    _first_diverged,
+    _Kernel,
+    matricial_schedule,
+    replication_rng,
+)
 from ttsa.errors import ConfigError, DivergenceError
 from ttsa.linalg import invert, mat_exp
 from ttsa.problems import library_problem
@@ -293,36 +302,47 @@ class TestRun:
         np.testing.assert_array_equal(trace.mu, batch.mu[:, 0])
 
     def test_replay_oracle(self, linear_problem, schedule):
-        # independent straight-line replay of the stacked affine recursion on
-        # a two-row state, bit-comparable given the identical noise stream:
-        # the same products on the same shapes keep the arithmetic identical
-        # to the engine's, so the comparison is exact rather than within
-        # BLAS rounding
+        # independent straight-line replay of the affine recursion in error
+        # coordinates, z_{n+1} = z_n A_n + u_n with A_n = I + Q^T S_n and
+        # u_n = xi_{n+1} S_n, on a two-row state, bit-comparable given the
+        # identical noise stream: the same products on the same shapes keep
+        # the arithmetic identical to the engine's, so the comparison is
+        # exact rather than within BLAS rounding
         p = linear_problem
         n_final = 300
         trace = run(p, schedule, n_final, seed=9, checkpoints=np.arange(1, n_final + 1))
 
         draws = p.noise.draw(replication_rng(9, 0), (n_final - 1,))
         q_t = np.block([[p.q11, p.q12], [p.q21, p.q22]]).T.copy()
-        x_star = np.tile(np.concatenate([p.theta_star, p.mu_star]), (2, 1))
-        x = x_star + np.ones(4) / math.sqrt(2)
-        path = [x[0].copy()]
+        x_star = np.concatenate([p.theta_star, p.mu_star])
+        z = np.tile(x_star + np.ones(4) / math.sqrt(2) - x_star, (2, 1))
+        path = [z[0] + x_star]
         for n in range(1, n_final):
             steps = np.repeat([schedule.beta(n), schedule.gamma(n)], 2)
-            x = x + ((x - x_star) @ q_t + draws[n - 1]) * steps
-            path.append(x[0].copy())
+            z = z @ (q_t * steps + np.eye(4)) + draws[n - 1] * steps
+            path.append(z[0] + x_star)
         path = np.array(path)
         np.testing.assert_array_equal(trace.theta, path[:, :2])
         np.testing.assert_array_equal(trace.mu, path[:, 2:])
 
-    @pytest.mark.parametrize("name", ["linear-2x2", "quadratic-2x2"])
-    def test_matches_split_block_recursion(self, name, schedule):
-        # the split (theta, mu) recursion with four block products and the
-        # residual as two einsums: the stacked kernel sums the same terms in
-        # another order, so the two agree to rounding
-        p = library_problem(name)
+    @pytest.mark.parametrize("case", ["linear-2x2", "quadratic-2x2", "matricial", "power_decay"])
+    def test_matches_split_block_recursion(self, case, schedule):
+        # the split (theta, mu) recursion with four block products, the
+        # residual as two einsums, the bias added per block and the gains
+        # applied per block: the error-coordinate kernel sums the same terms
+        # in another order, so the two agree to rounding
+        p = library_problem("quadratic-2x2" if case == "quadratic-2x2" else "linear-2x2")
+        algorithm, gain_f, gain_s, steps = "standard", np.eye(2), np.eye(2), schedule
+        if case == "matricial":
+            gains = optimal_gains(p)
+            algorithm, gain_f, gain_s = "matricial", gains.fast, gains.slow
+            steps = matricial_schedule(schedule.a)
+        if case == "power_decay":
+            p = replace(p, bias=BiasModel(kind="power_decay", coeff_fast=[0.5, -0.3],
+                                          coeff_slow=[0.2, 0.4], rho=0.9))
         n_final = 300
-        trace = run(p, schedule, n_final, seed=9, checkpoints=np.arange(1, n_final + 1))
+        trace = run(p, schedule, n_final, seed=9, algorithm=algorithm,
+                    checkpoints=np.arange(1, n_final + 1))
 
         draws = p.noise.draw(replication_rng(9, 0), (n_final - 1,))
         theta = p.theta_star + np.ones(2) / math.sqrt(2)
@@ -337,8 +357,11 @@ class TestRun:
                 inside = np.linalg.norm(z) <= p.residual.clamp_radius
                 x = x + inside * np.einsum("j,ijk,k->i", z, p.residual.coeff_fast, z)
                 y = y + inside * np.einsum("j,ijk,k->i", z, p.residual.coeff_slow, z)
-            theta = theta + schedule.beta(n) * x
-            mu = mu + schedule.gamma(n) * y
+            if p.bias.kind == "power_decay":
+                x = x + p.bias.coeff_fast * float(n) ** -p.bias.rho
+                y = y + p.bias.coeff_slow * float(n) ** -p.bias.rho
+            theta = theta + steps.beta(n) * (gain_f @ x)
+            mu = mu + steps.gamma(n) * (gain_s @ y)
             thetas.append(theta)
             mus.append(mu)
         for got, want in ((trace.theta, np.array(thetas)), (trace.mu, np.array(mus))):
@@ -467,6 +490,21 @@ class TestDeterminismContracts:
                     traces[0].decomposition[key], other.decomposition[key]
                 )
 
+    def test_chunk_size_does_not_change_a_matricial_biased_trace(self, linear_problem):
+        # the gain product on the innovation block and the per-chunk bias
+        # rows must not depend on where a chunk starts or how long it is
+        p = replace(linear_problem, bias=BiasModel(
+            kind="power_decay", coeff_fast=[0.5, -0.3], coeff_slow=[0.2, 0.4], rho=0.9))
+        s = matricial_schedule(0.6)
+        n_final = 1030
+        traces = [
+            simulate_batch(p, s, n_final, base_seed=4, replications=3, chunk=chunk,
+                           gains=optimal_gains(p), checkpoints=np.arange(1, n_final + 1))
+            for chunk in (1, 7, 512)
+        ]
+        for other in traces[1:]:
+            assert_same_paths(traces[0], other)
+
     @pytest.mark.parametrize("d, dp", [(1, 1), (2, 2), (3, 3), (4, 1)])
     def test_run_equals_replication_zero(self, d, dp, schedule):
         p = random_problem(d, dp, seed=10 * d + dp)
@@ -570,3 +608,57 @@ class TestDivergenceGuard:
     def test_guard_is_inclusive(self):
         x = np.array([[DIVERGENCE_GUARD / 2, 0.0, DIVERGENCE_GUARD / 2, 0.0]] * 2)
         assert _first_diverged(x, 2) == -1
+
+
+class TestGuardFastPath:
+    # the kernel tests sum(z^2) <= (0.49 guard - max|x*|)^2 before the exact
+    # per-row guard on z + x*, and must agree with the exact guard everywhere
+
+    @staticmethod
+    def kernel(theta_star, mu_star):
+        return _Kernel(replace(scalar_spec(-1.0, 0.0, 0.0, -1.0),
+                               theta_star=theta_star, mu_star=mu_star))
+
+    def test_root_margin_decides(self):
+        # x* alone sums to 8e8; a z of norm 3e8 would pass a test that
+        # ignores the root, yet puts both components at 5.5e8
+        kernel = self.kernel([4e8], [-4e8])
+        z = np.array([[1.5e8, -1.5e8]] * 2)
+        assert kernel.first_diverged(z) == 0
+        assert kernel.first_diverged(np.array([[1e7, -1e7]] * 2)) == -1
+        # exactly at the guard, which is inclusive
+        assert kernel.first_diverged(np.array([[1e8, -1e8]] * 2)) == -1
+
+    def test_agrees_with_the_exact_guard(self):
+        rng = np.random.default_rng(8)
+        for x_star in ([0.0, 0.0], [4e8, -4e8], [6e8, 1.0]):
+            kernel = self.kernel(x_star[:1], x_star[1:])
+            for scale in (1e6, 1e8, 2.5e8, 5e8, 1e9):
+                z = scale * rng.uniform(-1.0, 1.0, size=(5, 2))
+                assert kernel.first_diverged(z) == _first_diverged(z + x_star, 1)
+
+    def test_non_finite_rows_are_named(self):
+        kernel = self.kernel([0.3], [-0.2])
+        z = np.zeros((3, 2))
+        z[2, 1] = np.inf
+        assert kernel.first_diverged(z) == 2
+        z[1, 0] = np.nan
+        assert kernel.first_diverged(z) == 1
+        z[0, 1] = -np.inf
+        assert kernel.first_diverged(z) == 0
+
+    @pytest.mark.parametrize("start", [1e200, 1e308])
+    def test_start_far_beyond_the_guard_raises_without_warnings(self, start, schedule):
+        # sum(z^2) overflows to inf and takes the exact path; at 1e308 the
+        # table product overflows too, and the guard reports the infinite row
+        p = library_problem("linear-2x2")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            state = initial_state(p, schedule, theta0=[start, start])
+            with pytest.raises(DivergenceError) as err:
+                step(p, schedule, state, zero_noise(p))
+            assert err.value.step == 2
+            with pytest.raises(DivergenceError) as err:
+                simulate_batch(p, schedule, 10, base_seed=0, replications=3,
+                               theta0=[start, start])
+            assert (err.value.step, err.value.replication) == (2, 0)
