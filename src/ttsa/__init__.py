@@ -5,8 +5,6 @@ from .engine import (
     GainMatrices,
     SAState,
     checkpoint_indices,
-    decompose_step,
-    initial_decomposition,
     initial_state,
     matricial_step,
     optimal_gains,
@@ -59,9 +57,7 @@ __all__ = [
     "averaged_covariance",
     "checkpoint_indices",
     "clt_verdict",
-    "decompose_step",
     "fast_error_cov",
-    "initial_decomposition",
     "initial_state",
     "is_hurwitz",
     "library_problem",

@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .engine import ALGORITHMS, DIVERGENCE_GUARD, _first_diverged, _initial_iterate
+from .engine import ALGORITHMS, DIVERGENCE_GUARD, MATRICIAL, _first_diverged, _initial_iterate
 from .errors import ConfigError
 from .montecarlo import KNOWN_CHECKS, MCConfig
 from .problems import (
@@ -222,6 +222,12 @@ def _validate(config: ExperimentConfig) -> None:
     if config.run_algorithm not in ALGORITHMS:
         raise ConfigError(
             f"unknown run.algorithm {config.run_algorithm!r}", key="run.algorithm"
+        )
+    if config.run_algorithm == MATRICIAL and config.run_track_decomposition:
+        raise ConfigError(
+            "run.track_decomposition: decomposition tracking applies to the plain "
+            "iteration only, not to run.algorithm = matricial",
+            key="run.track_decomposition",
         )
     if config.problem_noise not in (GAUSSIAN, BOUNDED_UNIFORM):
         raise ConfigError(

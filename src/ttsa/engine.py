@@ -21,25 +21,32 @@ step. ``simulate_batch`` builds A, R and c once per chunk of steps as stacked
 (span, ., .) tables; ``step`` and ``matricial_step`` build one-step tables
 through the same code.
 
+One state and one step loop serve every caller. An ``SAState`` holds z, its
+compensated sum and, when the decomposition is tracked, the (martingale,
+coupling) ``parts``. ``_Rows`` tiles a state to rows, and its ``advance``
+runs a chunk's steps: affine step, divergence guard, decomposition update,
+compensated sum, checkpoint record. ``simulate_batch`` tiles
+``initial_state`` to its replications, ``step`` the given state. Never to
+fewer than two rows (the two-row rule): a one-row product runs as a
+matrix-vector BLAS kernel that rounds differently from the matrix-matrix
+kernel of a batch, so a single trajectory runs as two rows and keeps one.
+
 The trace keeps the iterate's layout: a ``BatchTrace`` holds the checkpointed
 x = z + x* and its running average x_bar as (checkpoint, replication, d+d')
 arrays, with theta, mu and their averages as views. ``BatchTrace.replication(r)``
 is one replication's trace with the replication axis dropped; ``run`` returns
 replication 0. Checkpoints 1..n_final give the every-step paths.
 
-The kernel never advances fewer than two rows, because a one-row matrix
-product runs as a matrix-vector BLAS kernel that rounds differently from the
-matrix-matrix kernel of a larger batch; a single trajectory therefore runs as
-two identical rows and keeps one.
-
 Replication r of a seed draws from its own counter-based stream, so its path
-does not depend on the batch size. Its path does not depend on the chunk
-size either, because the noise model scales a one-row draw as two rows and
-no table entry depends on the chunk it is built in. A single run is exactly
-replication 0 of a batch with the same seed, and chained ``step`` /
-``decompose_step`` calls reproduce ``run``; all of these hold bit for bit.
-Advancing z rounds differently from advancing x itself, so the paths agree
-with the x recursion in their leading digits only, to about 1e-13 relative.
+does not depend on the batch size; nor on the chunk size, because the noise
+model scales a one-row draw as two rows and no table entry depends on the
+chunk it is built in. A single run is exactly replication 0 of a batch with
+the same seed, and chained ``step`` calls reproduce ``run``, decomposition
+included; all bit for bit. The batch-size rule needs BLAS to round a row the
+same at every row count. In the tests that holds up to d + d' = 24; at 25
+(OpenBLAS 0.3.31) ``run`` and replication 0 differ by about 1e-14.
+Advancing z rounds differently from advancing x, so the paths agree with the
+x recursion to about 1e-13 relative.
 """
 from __future__ import annotations
 
@@ -179,6 +186,13 @@ class SAState:
     compensated running sum, so the averages stay accurate over long runs.
     ``x``, ``theta``, ``mu``, ``theta_bar`` and ``mu_bar`` are computed from
     them and the root ``x_star``.
+
+    ``parts`` is None unless the decomposition is tracked. Then it is one
+    ``_DecompKernel`` row, (martingale, coupling) in the (fast, slow) layout
+    of z, with ``martingale_fast`` ... ``coupling_slow`` views of it. The
+    martingale carries the CLT (the noise-driven leading part), the coupling
+    the averaged cross-component part. The remainders are never stored; they
+    are the differences error - martingale - coupling.
     """
 
     n: int
@@ -187,6 +201,7 @@ class SAState:
     z: np.ndarray
     z_sum: np.ndarray
     z_comp: np.ndarray
+    parts: np.ndarray | None = None
 
     @property
     def x(self) -> np.ndarray:
@@ -208,45 +223,6 @@ class SAState:
     def mu_bar(self) -> np.ndarray:
         return (self.z_sum / self.n + self.x_star)[self.d :]
 
-
-def _initial_iterate(problem: ProblemSpec, theta0, mu0) -> np.ndarray:
-    """The stacked starting point (theta_1, mu_1)."""
-    off_f, off_s = default_offsets(problem)
-    theta = np.array(theta0, dtype=float) if theta0 is not None else problem.theta_star + off_f
-    mu = np.array(mu0, dtype=float) if mu0 is not None else problem.mu_star + off_s
-    if theta.shape != (problem.d,) or mu.shape != (problem.d_prime,):
-        raise DimensionError("initial iterates do not match the problem dimensions")
-    return np.concatenate([theta, mu])
-
-
-def initial_state(
-    problem: ProblemSpec,
-    schedule: StepSchedule,
-    theta0=None,
-    mu0=None,
-) -> SAState:
-    x_star = _once(problem, _Kernel).x_star
-    z = _initial_iterate(problem, theta0, mu0) - x_star
-    return SAState(n=1, d=problem.d, x_star=x_star, z=z, z_sum=z.copy(),
-                   z_comp=np.zeros_like(z))
-
-
-@dataclass(frozen=True)
-class DecompositionState:
-    """Error decomposition companions at index n.
-
-    ``martingale_*`` carries the CLT (the noise-driven leading part),
-    ``coupling_*`` the averaged cross-component part. ``parts`` stacks them
-    as one ``_DecompKernel`` row, (martingale, coupling) in the (fast, slow)
-    layout of the state, and the four attributes are read-only views of it.
-    The remainders are never stored; they are the differences
-    error - martingale - coupling. All parts start at zero at n = 1.
-    """
-
-    n: int
-    d: int
-    parts: np.ndarray
-
     @property
     def martingale_fast(self) -> np.ndarray:
         return self.parts.reshape(2, -1)[0, : self.d]
@@ -264,8 +240,29 @@ class DecompositionState:
         return self.parts.reshape(2, -1)[1, self.d :]
 
 
-def initial_decomposition(problem: ProblemSpec) -> DecompositionState:
-    return DecompositionState(n=1, d=problem.d, parts=np.zeros(2 * problem.dim))
+def _initial_iterate(problem: ProblemSpec, theta0, mu0) -> np.ndarray:
+    """The stacked starting point (theta_1, mu_1)."""
+    off_f, off_s = default_offsets(problem)
+    theta = np.array(theta0, dtype=float) if theta0 is not None else problem.theta_star + off_f
+    mu = np.array(mu0, dtype=float) if mu0 is not None else problem.mu_star + off_s
+    if theta.shape != (problem.d,) or mu.shape != (problem.d_prime,):
+        raise DimensionError("initial iterates do not match the problem dimensions")
+    return np.concatenate([theta, mu])
+
+
+def initial_state(
+    problem: ProblemSpec,
+    schedule: StepSchedule,
+    theta0=None,
+    mu0=None,
+    track_decomposition: bool = False,
+) -> SAState:
+    """The state at n = 1; tracked decomposition parts start at zero."""
+    x_star = _once(problem, _Kernel).x_star
+    z = _initial_iterate(problem, theta0, mu0) - x_star
+    parts = np.zeros(2 * problem.dim) if track_decomposition else None
+    return SAState(n=1, d=problem.d, x_star=x_star, z=z, z_sum=z.copy(),
+                   z_comp=np.zeros_like(z), parts=parts)
 
 
 def _once(problem: ProblemSpec, build):
@@ -423,8 +420,8 @@ class _DecompKernel:
     A state row is (martingale, coupling), each in the (fast, slow) layout of
     z, so one update is  dec @ T1 + v @ T2  with v = (u, dx) the step's
     pre-scaled innovation u = (beta V, gamma W) and its increment
-    dx = x_{n+1} - x_n of the iterate, taken as ``decompose_step`` callers
-    take it, from x = z + x*:
+    dx = x_{n+1} - x_n of the iterate, taken from x = z + x* (an increment
+    of z rounds differently):
 
         martingale' = martingale E^T + (u_f - (beta/gamma) u_s K^T, u_s)
         coupling'   = coupling E^T + ((beta/gamma) dmu K^T,
@@ -465,6 +462,70 @@ class _DecompKernel:
         return t1, t2
 
 
+class _Rows:
+    """A state tiled to ``rows`` identical rows, and the one step loop.
+
+    Row r is replication r of a batch; a single trajectory is two rows, of
+    which the first is kept (the two-row rule of the module docstring).
+    """
+
+    def __init__(self, kernel: _Kernel, state: SAState, rows: int):
+        if kernel.gainT is not None and state.parts is not None:
+            raise ConfigError("decomposition tracking applies to the plain iteration only")
+        self.kernel, self.n, self.d = kernel, state.n, state.d
+        # one block, not a tile each: per-step callers pay this on every call
+        self.z, self.z_sum, self.z_comp = block = np.empty((3, rows, state.z.size))
+        block[:] = np.array((state.z, state.z_sum, state.z_comp))[:, None]
+        self.parts = None if state.parts is None else state.parts[None].repeat(rows, 0)
+
+    def state(self, r: int) -> SAState:
+        """Row r, as views into these rows."""
+        return SAState(n=self.n, d=self.d, x_star=self.kernel.x_star, z=self.z[r],
+                       z_sum=self.z_sum[r], z_comp=self.z_comp[r],
+                       parts=None if self.parts is None else self.parts[r])
+
+    def advance(self, u, tables: _StepTables, dtables, marks: dict, record) -> None:
+        """Take the steps of a chunk: ``u`` and ``tables`` from ``_Kernel``,
+        ``dtables`` the (T1, T2) of ``_DecompKernel`` or None untracked.
+
+        Each step is the affine step, the guard, the decomposition update and
+        the Kahan sum; after a step to index n in ``marks``,
+        ``record(marks[n], n, z, z_sum, parts)`` sees the rows. Raises
+        DivergenceError, with no trace, at the first row the guard flags.
+        """
+        kernel, x_star, dim = self.kernel, self.kernel.x_star, self.z.shape[1]
+        n, z, zsum, zcomp, dec = self.n, self.z, self.z_sum, self.z_comp, self.parts
+        z_next, zsum_next, scratch = np.empty((3, *z.shape))
+        if dec is not None:
+            t1, t2 = dtables
+            # v = (u, dx), with dx taken from the iterates x = z + x*
+            v, x_now, x_new = np.empty_like(dec), z + x_star, np.empty_like(z)
+        # an overflow makes a row infinite, and the guard reports it that step
+        with np.errstate(over="ignore"):
+            for j in range(len(u)):
+                kernel.affine_step(z, u[j], tables, j, out=z_next)
+                n += 1
+                bad = kernel.first_diverged(z_next)
+                if bad >= 0:
+                    raise DivergenceError(
+                        f"replication {bad} diverged at index {n}", step=n, replication=bad
+                    )
+                if dec is not None:
+                    v[:, :dim] = u[j]
+                    np.add(z_next, x_star, out=x_new)
+                    np.subtract(x_new, x_now, out=v[:, dim:])
+                    x_now, x_new = x_new, x_now
+                    dec = dec.dot(t1[j])
+                    dec += v.dot(t2[j])
+                z, z_next = z_next, z
+                _kahan_add(zsum, zcomp, z, scratch, out=zsum_next)
+                zsum, zsum_next = zsum_next, zsum
+                i = marks.get(n)
+                if i is not None:
+                    record(i, n, z, zsum, dec)
+        self.n, self.z, self.z_sum, self.parts = n, z, zsum, dec
+
+
 def step(
     problem: ProblemSpec,
     schedule: StepSchedule,
@@ -477,8 +538,9 @@ def step(
     ``noise`` is the freshly drawn innovation pair (V, W); drawing it fresh
     per call is the martingale-difference contract. ``bias_values``, when
     given, is this step's bias pair (r_f, r_g) and replaces the problem's own
-    bias model for the step. Raises DivergenceError if the new iterate is
-    non-finite or beyond the guard.
+    bias model for the step. A tracked state's decomposition parts advance
+    with it. Raises DivergenceError if the new iterate is non-finite or
+    beyond the guard.
     """
     return _single_advance(problem, schedule, state, noise, bias_values, gains=None)
 
@@ -491,7 +553,10 @@ def matricial_step(
     noise: tuple[np.ndarray, np.ndarray],
     bias_values=None,
 ) -> SAState:
-    """Advance the matricial variant: gain/n fast step, gain/n^a slow step."""
+    """Advance the matricial variant: gain/n fast step, gain/n^a slow step.
+
+    Raises ConfigError on a state that tracks the decomposition.
+    """
     return _single_advance(
         problem, matricial_schedule(a), state, noise, bias_values, gains=gains
     )
@@ -506,57 +571,19 @@ def _stacked(problem: ProblemSpec, pair, name: str) -> np.ndarray:
 
 
 def _single_advance(problem, schedule, state, noise, bias_values, gains):
-    """One step of the batch path on one-step tables and two identical rows."""
-    n, dim = state.n, problem.dim
+    """One step of the batch loop, on one-step tables and two identical rows."""
+    n = state.n
     kernel = _once(problem, _Kernel).with_gains(gains)
+    rows = _Rows(kernel, state, _MIN_ROWS)
     if bias_values is not None:
         bias_values = _stacked(problem, bias_values, "bias")[None]
-    tables = kernel.tables(
-        n, np.array([schedule.beta(n)]), np.array([schedule.gamma(n)]), bias_values
-    )
-    xi = _stacked(problem, noise, "noise")[None]
-    u = kernel.innovations(np.empty((1, _MIN_ROWS, dim)), [xi], tables.s)
-    z_rows, z = np.empty((_MIN_ROWS, dim)), np.empty((_MIN_ROWS, dim))
-    z_rows[:] = state.z
-    with np.errstate(over="ignore"):
-        kernel.affine_step(z_rows, u[0], tables, 0, out=z)
-        if kernel.first_diverged(z) >= 0:
-            raise DivergenceError(
-                f"iterate diverged at index {n + 1}", step=n + 1, replication=0
-            )
-    z_sum, z_comp = np.empty(dim), state.z_comp.copy()
-    _kahan_add(state.z_sum, z_comp, z[0], np.empty(dim), out=z_sum)
-    return SAState(n=n + 1, d=problem.d, x_star=kernel.x_star, z=z[0],
-                   z_sum=z_sum, z_comp=z_comp)
-
-
-def decompose_step(
-    problem: ProblemSpec,
-    schedule: StepSchedule,
-    dstate: DecompositionState,
-    noise: tuple[np.ndarray, np.ndarray],
-    mu_delta: np.ndarray,
-) -> DecompositionState:
-    """Advance the decomposition with the same (V, W) the main step used.
-
-    ``mu_delta`` is the realized slow increment mu_{n+1} - mu_n.
-    """
-    n, d, dim = dstate.n, problem.d, problem.dim
     beta, gamma = np.array([schedule.beta(n)]), np.array([schedule.gamma(n)])
-    xi = _stacked(problem, noise, "noise")
-    mu_delta = np.asarray(mu_delta, dtype=float).reshape(-1)
-    if mu_delta.shape != (problem.d_prime,):
-        raise DimensionError("slow increment dimensions do not match the problem")
-    # the batch's two rows; the fast part of dx meets zero rows of T2
-    v = np.zeros((_MIN_ROWS, 2 * dim))
-    np.multiply(xi, _step_sizes(d, problem.d_prime, beta, gamma)[0], out=v[:, :dim])
-    v[:, dim + d :] = mu_delta
-    t1, t2 = _once(problem, _DecompKernel).tables(beta, gamma)
-    dec = np.empty((_MIN_ROWS, 2 * dim))
-    dec[:] = dstate.parts
-    dec = dec.dot(t1[0])
-    dec += v.dot(t2[0])
-    return DecompositionState(n=n + 1, d=d, parts=dec[0])
+    tables = kernel.tables(n, beta, gamma, bias_values)
+    xi = _stacked(problem, noise, "noise")[None]
+    u = kernel.innovations(np.empty((1, _MIN_ROWS, problem.dim)), [xi], tables.s)
+    dtables = None if rows.parts is None else _once(problem, _DecompKernel).tables(beta, gamma)
+    rows.advance(u, tables, dtables, {}, None)
+    return rows.state(0)
 
 
 DECOMP_KEYS = (
@@ -646,15 +673,14 @@ def simulate_batch(
         raise ValueError("replications must be >= 1")
     if gains is not None:
         validate_gains(problem, gains)
-        if track_decomposition:
-            raise ConfigError("decomposition tracking applies to the plain iteration only")
 
     d, dim = problem.d, problem.dim
     b = replications
-    rows = max(b, _MIN_ROWS)
     kernel = _once(problem, _Kernel).with_gains(gains)
-    dkernel = _once(problem, _DecompKernel) if track_decomposition else None
     x_star = kernel.x_star
+    state = initial_state(problem, schedule, theta0, mu0, track_decomposition)
+    rows = _Rows(kernel, state, max(b, _MIN_ROWS))
+    dkernel = _once(problem, _DecompKernel) if track_decomposition else None
 
     beta_arr = schedule.beta_array(n_final)
     gamma_arr = schedule.gamma_array(n_final)
@@ -666,22 +692,11 @@ def simulate_batch(
     ckpt_pos = {int(n): i for i, n in enumerate(grid)}
     k = grid.size
 
-    z = np.tile(_initial_iterate(problem, theta0, mu0) - x_star, (rows, 1))
-    z_next = np.empty_like(z)
-    zsum, zcomp = z.copy(), np.zeros_like(z)
-    scratch, zsum_next = np.empty_like(z), np.empty_like(z)
-    # the decomposition rows, their inputs v = (u, dx) and the iterates
-    # x = z + x* that dx is taken from; see _DecompKernel
-    dec = v = x_now = x_new = None
-    if track_decomposition:
-        dec, v = np.zeros((rows, 2 * dim)), np.empty((rows, 2 * dim))
-        x_now, x_new = z + x_star, np.empty_like(z)
-
     out_x = np.empty((k, b, dim))
     out_xbar = np.empty((k, b, dim))
     out_decomp = {key: np.empty((k, b)) for key in DECOMP_KEYS} if track_decomposition else None
 
-    def record(i: int, n: int) -> None:
+    def record(i: int, n: int, z, zsum, dec) -> None:
         np.add(z[:b], x_star, out=out_x[i])
         np.add(zsum[:b] / n, x_star, out=out_xbar[i])
         if dec is not None:
@@ -703,50 +718,29 @@ def simulate_batch(
             d=d,
             x=out_x[:m],
             x_bar=out_xbar[:m],
-            decomposition=None if dec is None else {
+            decomposition=None if out_decomp is None else {
                 key: val[:m] for key, val in out_decomp.items()
             },
         )
 
     rngs = [replication_rng(base_seed, r) for r in range(b)]
-    record(0, 1)
+    record(0, 1, rows.z, rows.z_sum, rows.parts)
 
-    n = 1
     # step-major, so each step reads one contiguous (rows, dim) slice
-    noise_block = np.empty((chunk, rows, dim))
-    # an overflow makes a row infinite, and the guard reports it that step
-    with np.errstate(over="ignore"):
-        while n < n_final:
-            span = min(chunk, n_final - n)
-            beta, gamma = beta_arr[n - 1 : n - 1 + span], gamma_arr[n - 1 : n - 1 + span]
-            tables = kernel.tables(n, beta, gamma)
-            draws = (problem.noise.draw(rng, (span,)) for rng in rngs)
-            u = kernel.innovations(noise_block[:span], draws, tables.s)
-            t1, t2 = dkernel.tables(beta, gamma) if dec is not None else (None, None)
-            for j in range(span):
-                kernel.affine_step(z, u[j], tables, j, out=z_next)
-                n += 1
-                bad = kernel.first_diverged(z_next)
-                if bad >= 0:
-                    raise DivergenceError(
-                        f"replication {bad} diverged at index {n}",
-                        step=n,
-                        replication=bad,
-                        trace=trace(int(np.searchsorted(grid, n))),
-                    )
-                if dec is not None:
-                    v[:, :dim] = u[j]
-                    np.add(z_next, x_star, out=x_new)
-                    np.subtract(x_new, x_now, out=v[:, dim:])
-                    x_now, x_new = x_new, x_now
-                    dec = dec.dot(t1[j])
-                    dec += v.dot(t2[j])
-                z, z_next = z_next, z
-                _kahan_add(zsum, zcomp, z, scratch, out=zsum_next)
-                zsum, zsum_next = zsum_next, zsum
-                i = ckpt_pos.get(n)
-                if i is not None:
-                    record(i, n)
+    noise_block = np.empty((chunk, len(rows.z), dim))
+    while rows.n < n_final:
+        n = rows.n
+        span = min(chunk, n_final - n)
+        beta, gamma = beta_arr[n - 1 : n - 1 + span], gamma_arr[n - 1 : n - 1 + span]
+        tables = kernel.tables(n, beta, gamma)
+        draws = (problem.noise.draw(rng, (span,)) for rng in rngs)
+        u = kernel.innovations(noise_block[:span], draws, tables.s)
+        dtables = None if dkernel is None else dkernel.tables(beta, gamma)
+        try:
+            rows.advance(u, tables, dtables, ckpt_pos, record)
+        except DivergenceError as exc:
+            exc.trace = trace(int(np.searchsorted(grid, exc.step)))
+            raise
 
     return trace(k)
 

@@ -13,8 +13,6 @@ from ttsa import (
     MCConfig,
     StepSchedule,
     clt_verdict,
-    decompose_step,
-    initial_decomposition,
     initial_state,
     library_problem,
     linalg,
@@ -229,8 +227,7 @@ def test_criterion_7_decomposition_structure(decomposition_report):
     problem = library_problem("linear-2x2")
     schedule = StepSchedule(beta0=2.0, b=0.95, gamma0=2.0, a=0.55)
     rng = np.random.default_rng(77)
-    state = initial_state(problem, schedule)
-    dstate = initial_decomposition(problem)
+    state = initial_state(problem, schedule, track_decomposition=True)
     k_fast = problem.q12 @ invert(problem.q22)
     h = problem.fast_matrix()
     n_last = 50
@@ -238,11 +235,9 @@ def test_criterion_7_decomposition_structure(decomposition_report):
     for n in range(1, n_last + 1):
         draws = problem.noise.draw(rng, ())
         v, w = draws[:2], draws[2:]
-        new = step(problem, schedule, state, (v, w))
-        dstate = decompose_step(problem, schedule, dstate, (v, w), new.mu - state.mu)
+        state = step(problem, schedule, state, (v, w))
         vs.append(v)
         ws.append(w)
-        state = new
     u = np.cumsum(schedule.beta_array(n_last))
     s = np.cumsum(schedule.gamma_array(n_last))
     lf = sum(
@@ -254,8 +249,8 @@ def test_criterion_7_decomposition_structure(decomposition_report):
         mat_exp((s[-1] - s[k - 1]) * problem.q22) @ (schedule.gamma(k) * ws[k - 1])
         for k in range(1, n_last + 1)
     )
-    gap_f = np.linalg.norm(dstate.martingale_fast - lf)
-    gap_s = np.linalg.norm(dstate.martingale_slow - ls)
+    gap_f = np.linalg.norm(state.martingale_fast - lf)
+    gap_s = np.linalg.norm(state.martingale_slow - ls)
     assert gap_f <= 1e-10
     assert gap_s <= 1e-10
 

@@ -82,6 +82,7 @@ def experiment_configs(draw):
     a, b = sorted((draw(exponent), draw(exponent)))
     assume(a < b)
     values.update(step_a=a, step_b=b)
+    assume(not (values["run_algorithm"] == "matricial" and values["run_track_decomposition"]))
     custom = draw(st.booleans())
     values["problem_name"] = "custom" if custom else draw(st.sampled_from(LIBRARY_NAMES))
     matrix = st.lists(st.lists(_FINITE, min_size=1, max_size=2), min_size=1, max_size=2)
@@ -284,6 +285,15 @@ class TestBadStart:
                 assert cli.main([command, "--config", path, "--output", out]) == 2
                 err = capsys.readouterr().err
                 assert key in err and "1e+09" in err
+
+    def test_matricial_with_decomposition_tracking(self, tmp_path, capsys):
+        text = MINIMAL + "run.algorithm = matricial\nrun.track_decomposition = true\n"
+        path = write_config(tmp_path, text)
+        for command in ("validate", "run", "montecarlo"):
+            out = str(tmp_path / "out")
+            assert cli.main([command, "--config", path, "--output", out]) == 2
+            err = capsys.readouterr().err
+            assert "run.track_decomposition" in err and "plain iteration only" in err
 
     def test_averaged_on_a_plain_schedule(self, tmp_path, capsys):
         text = MINIMAL + "run.n_final = 20\nrun.algorithm = averaged\n"

@@ -12,8 +12,6 @@ from ttsa import (
     ProblemSpec,
     StepSchedule,
     checkpoint_indices,
-    decompose_step,
-    initial_decomposition,
     initial_state,
     matricial_step,
     optimal_gains,
@@ -156,31 +154,43 @@ class TestOptimalGains:
 class TestDecomposition:
     def test_zero_noise_keeps_martingale_parts_zero(self, linear_problem, schedule):
         p = linear_problem
-        state = initial_state(p, schedule)
-        dstate = initial_decomposition(p)
+        state = initial_state(p, schedule, track_decomposition=True)
         for _ in range(20):
-            new = step(p, schedule, state, zero_noise(p))
-            dstate = decompose_step(
-                p, schedule, dstate, zero_noise(p), new.mu - state.mu
-            )
-            state = new
-        np.testing.assert_array_equal(dstate.martingale_fast, np.zeros(2))
-        np.testing.assert_array_equal(dstate.martingale_slow, np.zeros(2))
+            state = step(p, schedule, state, zero_noise(p))
+        np.testing.assert_array_equal(state.martingale_fast, np.zeros(2))
+        np.testing.assert_array_equal(state.martingale_slow, np.zeros(2))
 
     def test_first_step_closed_form(self, linear_problem, schedule):
         p = linear_problem
-        state = initial_state(p, schedule)
-        dstate = initial_decomposition(p)
+        state = initial_state(p, schedule, track_decomposition=True)
         rng = np.random.default_rng(2)
         v = rng.normal(size=2)
         w = rng.normal(size=2)
-        new = step(p, schedule, state, (v, w))
-        dstate = decompose_step(p, schedule, dstate, (v, w), new.mu - state.mu)
+        state = step(p, schedule, state, (v, w))
         k = p.q12 @ invert(p.q22)
         np.testing.assert_allclose(
-            dstate.martingale_fast, schedule.beta(1) * (v - k @ w), atol=1e-15
+            state.martingale_fast, schedule.beta(1) * (v - k @ w), atol=1e-15
         )
-        np.testing.assert_allclose(dstate.martingale_slow, schedule.gamma(1) * w, atol=1e-15)
+        np.testing.assert_allclose(state.martingale_slow, schedule.gamma(1) * w, atol=1e-15)
+
+    def test_tracked_state_starts_at_zero_parts(self, linear_problem, schedule):
+        state = initial_state(linear_problem, schedule, track_decomposition=True)
+        np.testing.assert_array_equal(state.parts, np.zeros(2 * linear_problem.dim))
+        for part in ("martingale_fast", "martingale_slow", "coupling_fast", "coupling_slow"):
+            np.testing.assert_array_equal(getattr(state, part), np.zeros(2))
+
+    def test_untracked_state_stays_untracked(self, linear_problem, schedule):
+        state = initial_state(linear_problem, schedule)
+        assert state.parts is None
+        for _ in range(3):
+            state = step(linear_problem, schedule, state, zero_noise(linear_problem))
+        assert state.parts is None
+
+    def test_tracked_matricial_step_is_rejected(self, linear_problem, schedule):
+        p = linear_problem
+        state = initial_state(p, schedule, track_decomposition=True)
+        with pytest.raises(ConfigError, match="plain iteration only"):
+            matricial_step(p, state, optimal_gains(p), 0.6, zero_noise(p))
 
     def test_recursions_match_direct_sums(self, linear_problem, schedule):
         # the recursive updates must reproduce the exponential-weighted sums
@@ -188,8 +198,7 @@ class TestDecomposition:
         p = linear_problem
         n_last = 50
         rng = np.random.default_rng(31)
-        state = initial_state(p, schedule)
-        dstate = initial_decomposition(p)
+        state = initial_state(p, schedule, track_decomposition=True)
         h = p.fast_matrix()
         k_fast = p.q12 @ invert(p.q22)
 
@@ -198,17 +207,15 @@ class TestDecomposition:
         for n in range(1, n_last + 1):
             draws = p.noise.draw(rng, ())
             v, w = draws[:2], draws[2:]
-            new = step(p, schedule, state, (v, w))
-            dstate = decompose_step(p, schedule, dstate, (v, w), new.mu - state.mu)
+            state = step(p, schedule, state, (v, w))
             vs.append(v)
             ws.append(w)
-            mu_path.append(new.mu.copy())
-            state = new
+            mu_path.append(state.mu.copy())
             recursive[n + 1] = (
-                dstate.martingale_fast.copy(),
-                dstate.coupling_fast.copy(),
-                dstate.martingale_slow.copy(),
-                dstate.coupling_slow.copy(),
+                state.martingale_fast.copy(),
+                state.coupling_fast.copy(),
+                state.martingale_slow.copy(),
+                state.coupling_slow.copy(),
             )
 
         u = np.cumsum(schedule.beta_array(n_last))
@@ -505,7 +512,7 @@ class TestDeterminismContracts:
         for other in traces[1:]:
             assert_same_paths(traces[0], other)
 
-    @pytest.mark.parametrize("d, dp", [(1, 1), (2, 2), (3, 3), (4, 1)])
+    @pytest.mark.parametrize("d, dp", [(1, 1), (2, 2), (3, 3), (4, 1), (12, 12)])
     def test_run_equals_replication_zero(self, d, dp, schedule):
         p = random_problem(d, dp, seed=10 * d + dp)
         trace = run(p, schedule, 700, seed=21, track_decomposition=True)
@@ -525,17 +532,17 @@ class TestDeterminismContracts:
 class TestPerStepApi:
     @pytest.mark.parametrize("name", ["linear-2x2", "quadratic-2x2"])
     def test_chained_steps_equal_run(self, name, schedule):
-        # step and decompose_step advance the same stacked state as the batch
-        # path, on the same two-row shapes and noise, so the paths agree bit
-        # for bit; the norms are taken over differently shaped arrays and
-        # agree to rounding
+        # step advances a tracked state through the batch's step loop, on
+        # the same two-row shapes and noise, so the paths agree bit for bit;
+        # the norms are taken over differently shaped arrays and agree to
+        # rounding
         p = library_problem(name)
         n_final = 600
         trace = run(p, schedule, n_final, seed=9, track_decomposition=True,
                     checkpoints=np.arange(1, n_final + 1))
 
         draws = p.noise.draw(replication_rng(9, 0), (n_final - 1,))
-        state, dstate = initial_state(p, schedule), initial_decomposition(p)
+        state = initial_state(p, schedule, track_decomposition=True)
         paths = {key: [] for key in ("theta", "mu", "theta_bar", "mu_bar")}
         norms = {key: [] for key in DECOMP_KEYS}
 
@@ -544,8 +551,8 @@ class TestPerStepApi:
                 path.append(getattr(state, key).copy())
             errors = {"fast": state.theta - p.theta_star, "slow": state.mu - p.mu_star}
             for part, err in errors.items():
-                mart = getattr(dstate, "martingale_" + part)
-                coup = getattr(dstate, "coupling_" + part)
+                mart = getattr(state, "martingale_" + part)
+                coup = getattr(state, "coupling_" + part)
                 norms["martingale_" + part].append(np.linalg.norm(mart))
                 norms["coupling_" + part].append(np.linalg.norm(coup))
                 norms["remainder_" + part].append(np.linalg.norm(err - mart - coup))
@@ -553,11 +560,9 @@ class TestPerStepApi:
         record()
         for xi in draws:
             v, w = xi[: p.d], xi[p.d :]
-            new = step(p, schedule, state, (v, w))
-            dstate = decompose_step(p, schedule, dstate, (v, w), new.mu - state.mu)
-            state = new
+            state = step(p, schedule, state, (v, w))
             record()
-        assert state.n == dstate.n == n_final
+        assert state.n == n_final
         for key, path in paths.items():
             np.testing.assert_array_equal(np.array(path), getattr(trace, key))
         for key, got in norms.items():
@@ -578,12 +583,10 @@ class TestPerStepApi:
         monkeypatch.setattr(
             ProblemSpec, "fast_matrix", counting("fast_matrix", ProblemSpec.fast_matrix)
         )
-        state, dstate = initial_state(p, schedule), initial_decomposition(p)
+        state = initial_state(p, schedule, track_decomposition=True)
         counts = []
         for _ in range(2):
-            new = step(p, schedule, state, zero_noise(p))
-            dstate = decompose_step(p, schedule, dstate, zero_noise(p), new.mu - state.mu)
-            state = new
+            state = step(p, schedule, state, zero_noise(p))
             counts.append(dict(calls))
         assert counts[0]["invert"] > 0 and counts[0]["fast_matrix"] == 1
         assert counts[1] == counts[0]
