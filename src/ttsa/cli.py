@@ -81,7 +81,9 @@ def _simulation(args):
     return config, problem, schedule, cfg.initial_iterates(config, problem)
 
 
-def _run_trace(args, track_decomposition: bool, default_name: str) -> int:
+def _run_trace(args, always_track: bool, default_name: str) -> int:
+    """``run`` and ``decompose``: one trajectory to CSV, with the decomposition
+    when ``always_track`` or ``run.track_decomposition`` asks for it."""
     config, problem, schedule, (theta0, mu0) = _simulation(args)
     try:
         trace = engine.run(
@@ -92,7 +94,7 @@ def _run_trace(args, track_decomposition: bool, default_name: str) -> int:
             algorithm=config.run_algorithm,
             theta0=theta0,
             mu0=mu0,
-            track_decomposition=track_decomposition,
+            track_decomposition=always_track or config.run_track_decomposition,
             checkpoints=engine.checkpoint_indices(
                 config.run_n_final, config.run_checkpoints_per_decade
             ),
@@ -107,11 +109,11 @@ def _run_trace(args, track_decomposition: bool, default_name: str) -> int:
 
 
 def _cmd_run(args) -> int:
-    return _run_trace(args, track_decomposition=False, default_name="trace.csv")
+    return _run_trace(args, always_track=False, default_name="trace.csv")
 
 
 def _cmd_decompose(args) -> int:
-    return _run_trace(args, track_decomposition=True, default_name="decompose.csv")
+    return _run_trace(args, always_track=True, default_name="decompose.csv")
 
 
 def _cmd_montecarlo(args) -> int:

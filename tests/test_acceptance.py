@@ -227,7 +227,7 @@ def test_criterion_7_decomposition_structure(decomposition_report):
     problem = library_problem("linear-2x2")
     schedule = StepSchedule(beta0=2.0, b=0.95, gamma0=2.0, a=0.55)
     rng = np.random.default_rng(77)
-    state = initial_state(problem, schedule, track_decomposition=True)
+    state = initial_state(problem, track_decomposition=True)
     k_fast = problem.q12 @ invert(problem.q22)
     h = problem.fast_matrix()
     n_last = 50

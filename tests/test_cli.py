@@ -18,7 +18,7 @@ from ttsa.config import (
     parse_config,
     render_config,
 )
-from ttsa.engine import ALGORITHMS
+from ttsa.engine import ALGORITHMS, DECOMP_KEYS
 from ttsa.errors import ConfigError
 from ttsa.montecarlo import KNOWN_CHECKS
 from ttsa.problems import BOUNDED_UNIFORM, GAUSSIAN, LIBRARY_NAMES
@@ -346,6 +346,17 @@ class TestRunCommand:
         header = next(l for l in lines if not l.startswith("#"))
         assert "martingale_fast_norm" in header
         assert "remainder_slow_norm" in header
+
+    def test_run_reads_the_tracking_key(self, tmp_path, capsys):
+        norms = [f"{key}_norm" for key in DECOMP_KEYS]
+        for flag, expected in (("false", []), ("true", norms)):
+            text = MINIMAL + f"run.n_final = 50\nrun.track_decomposition = {flag}\n"
+            path = write_config(tmp_path, text)
+            out_file = tmp_path / f"trace_{flag}.csv"
+            assert cli.main(["run", "--config", path, "--output", str(out_file)]) == 0
+            lines = out_file.read_text().splitlines()
+            header = next(l for l in lines if not l.startswith("#")).split(",")
+            assert header[9:] == expected  # n, theta, mu, theta_bar, mu_bar: 9 columns
 
     def test_divergent_run_exits_one(self, tmp_path, capsys):
         text = (

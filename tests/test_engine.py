@@ -1,6 +1,10 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +23,7 @@ from ttsa import (
     simulate_batch,
     step,
 )
+import ttsa
 from ttsa import linalg
 from ttsa.engine import (
     DECOMP_KEYS,
@@ -43,7 +48,7 @@ def zero_noise(problem):
 class TestStep:
     def test_root_is_fixed_point(self, linear_problem, schedule):
         p = linear_problem
-        state = initial_state(p, schedule, theta0=p.theta_star, mu0=p.mu_star)
+        state = initial_state(p, theta0=p.theta_star, mu0=p.mu_star)
         new = step(p, schedule, state, zero_noise(p))
         np.testing.assert_array_equal(new.theta, p.theta_star)
         np.testing.assert_array_equal(new.mu, p.mu_star)
@@ -52,14 +57,14 @@ class TestStep:
     def test_one_step_arithmetic(self):
         p = scalar_spec(-1.0, 0.0, 0.0, -1.0)
         s = StepSchedule(beta0=0.5, b=0.8, gamma0=0.5, a=0.6)
-        state = initial_state(p, s, theta0=[1.0], mu0=[1.0])
+        state = initial_state(p, theta0=[1.0], mu0=[1.0])
         new = step(p, s, state, zero_noise(p))
         assert new.theta[0] == 0.5
         assert new.mu[0] == 0.5
 
     def test_noise_enters_linearly(self, linear_problem, schedule):
         p = linear_problem
-        state = initial_state(p, schedule, theta0=p.theta_star, mu0=p.mu_star)
+        state = initial_state(p, theta0=p.theta_star, mu0=p.mu_star)
         v = np.array([0.3, -0.2])
         w = np.array([0.1, 0.4])
         new = step(p, schedule, state, (v, w))
@@ -69,7 +74,7 @@ class TestStep:
     def test_bias_values_added(self):
         p = scalar_spec(-1.0, 0.0, 0.0, -1.0)
         s = StepSchedule(beta0=1.0, b=0.8, gamma0=1.0, a=0.6)
-        state = initial_state(p, s, theta0=[0.0], mu0=[0.0])
+        state = initial_state(p, theta0=[0.0], mu0=[0.0])
         new = step(p, s, state, zero_noise(p), bias_values=(np.array([0.25]), np.array([-0.5])))
         assert new.theta[0] == 0.25
         assert new.mu[0] == -0.5
@@ -82,7 +87,7 @@ class TestStep:
             bias=BiasModel(kind="power_decay", coeff_fast=[1.0], coeff_slow=[2.0], rho=1.0),
         )
         s = StepSchedule(beta0=1.0, b=0.8, gamma0=1.0, a=0.6)
-        state = initial_state(p, s, theta0=[0.0], mu0=[0.0])
+        state = initial_state(p, theta0=[0.0], mu0=[0.0])
         own = step(p, s, state, zero_noise(p))
         assert (own.theta[0], own.mu[0]) == (1.0, 2.0)  # r_1 = coeff * 1^-1
         given = step(p, s, state, zero_noise(p), bias_values=(np.array([0.25]), np.array([-0.5])))
@@ -91,7 +96,7 @@ class TestStep:
     def test_divergent_iterate_raises(self):
         p = scalar_spec(30.0, 0.0, 0.0, 30.0)
         s = StepSchedule(beta0=2.0, b=0.8, gamma0=2.0, a=0.6)
-        state = initial_state(p, s, theta0=[1.0], mu0=[1.0])
+        state = initial_state(p, theta0=[1.0], mu0=[1.0])
         with pytest.raises(DivergenceError) as err:
             for _ in range(200):
                 state = step(p, s, state, zero_noise(p))
@@ -102,7 +107,7 @@ class TestMatricialStep:
     def test_identity_gains_reduce_to_plain_step(self, linear_problem):
         p = linear_problem
         s = StepSchedule(beta0=1.0, b=1.0, gamma0=1.0, a=0.6)
-        state = initial_state(p, s)
+        state = initial_state(p)
         v = np.array([0.1, -0.6])
         w = np.array([-0.2, 0.3])
         gains = GainMatrices(fast=np.eye(2), slow=np.eye(2))
@@ -113,16 +118,14 @@ class TestMatricialStep:
 
     def test_root_fixed_point(self, linear_problem):
         p = linear_problem
-        s = StepSchedule(beta0=1.0, b=1.0, gamma0=1.0, a=0.6)
-        state = initial_state(p, s, theta0=p.theta_star, mu0=p.mu_star)
+        state = initial_state(p, theta0=p.theta_star, mu0=p.mu_star)
         new = matricial_step(p, state, optimal_gains(p), 0.6, zero_noise(p))
         np.testing.assert_array_equal(new.theta, p.theta_star)
 
     def test_scalar_optimal_gain_one_shot(self):
         # gain 0.5 on drift -2 theta jumps to the root in one deterministic step
         p = scalar_spec(-2.0, 0.0, 0.0, -0.5)
-        s = StepSchedule(beta0=1.0, b=1.0, gamma0=1.0, a=0.6)
-        state = initial_state(p, s, theta0=[1.0], mu0=[0.0])
+        state = initial_state(p, theta0=[1.0], mu0=[0.0])
         gains = optimal_gains(p)
         assert gains.fast[0, 0] == pytest.approx(0.5)
         assert gains.slow[0, 0] == pytest.approx(2.0)
@@ -154,7 +157,7 @@ class TestOptimalGains:
 class TestDecomposition:
     def test_zero_noise_keeps_martingale_parts_zero(self, linear_problem, schedule):
         p = linear_problem
-        state = initial_state(p, schedule, track_decomposition=True)
+        state = initial_state(p, track_decomposition=True)
         for _ in range(20):
             state = step(p, schedule, state, zero_noise(p))
         np.testing.assert_array_equal(state.martingale_fast, np.zeros(2))
@@ -162,7 +165,7 @@ class TestDecomposition:
 
     def test_first_step_closed_form(self, linear_problem, schedule):
         p = linear_problem
-        state = initial_state(p, schedule, track_decomposition=True)
+        state = initial_state(p, track_decomposition=True)
         rng = np.random.default_rng(2)
         v = rng.normal(size=2)
         w = rng.normal(size=2)
@@ -174,13 +177,13 @@ class TestDecomposition:
         np.testing.assert_allclose(state.martingale_slow, schedule.gamma(1) * w, atol=1e-15)
 
     def test_tracked_state_starts_at_zero_parts(self, linear_problem, schedule):
-        state = initial_state(linear_problem, schedule, track_decomposition=True)
+        state = initial_state(linear_problem, track_decomposition=True)
         np.testing.assert_array_equal(state.parts, np.zeros(2 * linear_problem.dim))
         for part in ("martingale_fast", "martingale_slow", "coupling_fast", "coupling_slow"):
             np.testing.assert_array_equal(getattr(state, part), np.zeros(2))
 
     def test_untracked_state_stays_untracked(self, linear_problem, schedule):
-        state = initial_state(linear_problem, schedule)
+        state = initial_state(linear_problem)
         assert state.parts is None
         for _ in range(3):
             state = step(linear_problem, schedule, state, zero_noise(linear_problem))
@@ -188,7 +191,7 @@ class TestDecomposition:
 
     def test_tracked_matricial_step_is_rejected(self, linear_problem, schedule):
         p = linear_problem
-        state = initial_state(p, schedule, track_decomposition=True)
+        state = initial_state(p, track_decomposition=True)
         with pytest.raises(ConfigError, match="plain iteration only"):
             matricial_step(p, state, optimal_gains(p), 0.6, zero_noise(p))
 
@@ -198,7 +201,7 @@ class TestDecomposition:
         p = linear_problem
         n_last = 50
         rng = np.random.default_rng(31)
-        state = initial_state(p, schedule, track_decomposition=True)
+        state = initial_state(p, track_decomposition=True)
         h = p.fast_matrix()
         k_fast = p.q12 @ invert(p.q22)
 
@@ -435,6 +438,24 @@ class TestRun:
             run(linear_problem, schedule, 10, seed=0, algorithm="averaged")
 
 
+class TestRunningSum:
+    @pytest.mark.parametrize("seed", [7, 8, 9])
+    def test_average_keeps_the_compensated_accuracy(self, linear_problem, schedule, seed):
+        # with the root at 0 the path is z itself and n x_bar its running sum.
+        # The worst error over the three seeds is 0.8 eps sum|z|; a fold
+        # without compensation reaches 2.2 eps, a plain running sum 10 eps
+        p = replace(linear_problem, theta_star=np.zeros(2), mu_star=np.zeros(2))
+        n_final = 10**5
+        trace = run(p, schedule, n_final, seed=seed, checkpoints=np.arange(1, n_final + 1))
+        eps = np.finfo(float).eps
+        for n in (64, 4096, 65537, n_final):
+            path = trace.x[:n]
+            for c in range(p.dim):
+                exact = math.fsum(path[:, c])
+                error = abs(n * trace.x_bar[n - 1, c] - exact)
+                assert error <= 2 * eps * np.abs(path[:, c]).sum(), (n, c, error)
+
+
 class TestCheckpointGrid:
     def test_single(self):
         assert checkpoint_indices(1).tolist() == [1]
@@ -449,6 +470,31 @@ class TestCheckpointGrid:
     def test_density(self):
         grid = checkpoint_indices(10**4, per_decade=8)
         assert 30 <= grid.size <= 36
+
+    def test_equals_the_np_unique_grid(self):
+        def reference(n_final, per_decade):
+            exps = np.arange(0, per_decade * math.ceil(math.log10(max(n_final, 2))) + 1)
+            grid = np.unique(np.rint(10.0 ** (exps / per_decade)).astype(int))
+            grid = grid[(grid >= 1) & (grid <= n_final)]
+            if grid.size == 0 or grid[-1] != n_final:
+                grid = np.append(grid, n_final)
+            return grid
+
+        for n_final in [*range(1, 2001), *(10**k for k in range(8))]:
+            for per_decade in range(1, 21):
+                got = checkpoint_indices(n_final, per_decade).tolist()
+                assert got == reference(n_final, per_decade).tolist(), (n_final, per_decade)
+
+    def test_does_not_import_numpy_ma(self):
+        # numpy.ma costs about 15 ms of import in every process that loads it
+        code = (
+            "import sys, ttsa.cli\n"
+            "from ttsa.engine import checkpoint_indices\n"
+            "checkpoint_indices(4000)\n"
+            "sys.exit('numpy.ma' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(ttsa.__file__).resolve().parents[1]))
+        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
 class TestNoiseStreams:
@@ -522,6 +568,17 @@ class TestDeterminismContracts:
         for key, val in trace.decomposition.items():
             np.testing.assert_array_equal(val, batch.decomposition[key][:, 0])
 
+    def test_running_sum_folds_at_the_same_indices_at_any_chunk(self, linear_problem, schedule):
+        # the sum folds at n = 64, 128 and 192; chunks of 63, 64 and 65 steps put
+        # those indices at different places within a chunk
+        traces = [
+            simulate_batch(linear_problem, schedule, 200, base_seed=4, replications=3,
+                           chunk=chunk, checkpoints=np.arange(1, 201))
+            for chunk in (1, 63, 64, 65)
+        ]
+        for other in traces[1:]:
+            np.testing.assert_array_equal(traces[0].x_bar, other.x_bar)
+
     def test_replication_unchanged_as_the_batch_grows(self, quadratic_problem, schedule):
         small = simulate_batch(quadratic_problem, schedule, 700, base_seed=5, replications=3)
         large = simulate_batch(quadratic_problem, schedule, 700, base_seed=5, replications=5)
@@ -542,7 +599,7 @@ class TestPerStepApi:
                     checkpoints=np.arange(1, n_final + 1))
 
         draws = p.noise.draw(replication_rng(9, 0), (n_final - 1,))
-        state = initial_state(p, schedule, track_decomposition=True)
+        state = initial_state(p, track_decomposition=True)
         paths = {key: [] for key in ("theta", "mu", "theta_bar", "mu_bar")}
         norms = {key: [] for key in DECOMP_KEYS}
 
@@ -583,7 +640,7 @@ class TestPerStepApi:
         monkeypatch.setattr(
             ProblemSpec, "fast_matrix", counting("fast_matrix", ProblemSpec.fast_matrix)
         )
-        state = initial_state(p, schedule, track_decomposition=True)
+        state = initial_state(p, track_decomposition=True)
         counts = []
         for _ in range(2):
             state = step(p, schedule, state, zero_noise(p))
@@ -657,7 +714,7 @@ class TestGuardFastPath:
         p = library_problem("linear-2x2")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            state = initial_state(p, schedule, theta0=[start, start])
+            state = initial_state(p, theta0=[start, start])
             with pytest.raises(DivergenceError) as err:
                 step(p, schedule, state, zero_noise(p))
             assert err.value.step == 2
