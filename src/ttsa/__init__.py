@@ -6,7 +6,7 @@ from .engine import (
     SAState,
     checkpoint_indices,
     initial_state,
-    matricial_step,
+    matricial_schedule,
     optimal_gains,
     run,
     simulate_batch,
@@ -62,7 +62,7 @@ __all__ = [
     "is_hurwitz",
     "library_problem",
     "mat_exp",
-    "matricial_step",
+    "matricial_schedule",
     "negligibility_curves",
     "optimal_covariances",
     "optimal_gains",

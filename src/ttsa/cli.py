@@ -57,7 +57,8 @@ def _cmd_theory(args) -> int:
     config = _load(args.config)
     problem = cfg.build_problem(config)
     schedule = cfg.build_schedule(config)
-    report = theory.theory_report(problem, schedule)
+    resolved = engine.resolve_algorithm(problem, schedule, config.run_algorithm)
+    report = theory.theory_report(problem, resolved.schedule, resolved.gains)
     payload = {
         "kind": "theory",
         "problem": problem.name,

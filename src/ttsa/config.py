@@ -202,6 +202,14 @@ def parse_config(text: str) -> ExperimentConfig:
     return config
 
 
+# the keys a custom problem requires, and those only it reads
+_CUSTOM_KEYS = (
+    "problem.q11", "problem.q12", "problem.q21", "problem.q22", "problem.noise_cov",
+    "problem.theta_star", "problem.mu_star",
+)
+_CUSTOM_ONLY_KEYS = (*_CUSTOM_KEYS, "problem.residual_coeff_fast", "problem.residual_coeff_slow")
+
+
 def _validate(config: ExperimentConfig) -> None:
     a, b = config.step_a, config.step_b
     if not (0.0 < a <= 1.0) or not (0.0 < b <= 1.0):
@@ -239,20 +247,23 @@ def _validate(config: ExperimentConfig) -> None:
             f"(library: {', '.join(LIBRARY_NAMES)}, or 'custom' with inline blocks)",
             key="problem.name",
         )
-    inline_keys = [config.problem_q11, config.problem_q12, config.problem_q21,
-                   config.problem_q22, config.problem_noise_cov]
-    if config.problem_name == "custom" and any(v is None for v in inline_keys):
+    given = [key for key in _CUSTOM_ONLY_KEYS if getattr(config, KEY_TABLE[key][0]) is not None]
+    if config.problem_name == "custom" and not set(_CUSTOM_KEYS) <= set(given):
         raise ConfigError(
             "problem.name = custom requires problem.q11..q22, problem.noise_cov, "
             "problem.theta_star and problem.mu_star",
             key="problem.name",
         )
-    if config.problem_name != "custom" and any(v is not None for v in inline_keys):
-        raise ConfigError(
-            "inline problem blocks conflict with a library problem.name; "
-            "use problem.name = custom",
-            key="problem.name",
-        )
+    if config.problem_name != "custom":
+        # a library problem has its own blocks, root and residual: these would be ignored
+        if config.problem_residual != "none":
+            given.append("problem.residual")
+        if given:
+            raise ConfigError(
+                f"{given[0]}: inline problem keys conflict with a library problem.name "
+                f"({config.problem_name} has its own); use problem.name = custom",
+                key=given[0],
+            )
     unknown = set(config.mc_checks) - set(KNOWN_CHECKS)
     if unknown:
         raise ConfigError(f"unknown mc.checks entries: {sorted(unknown)}", key="mc.checks")
@@ -286,8 +297,6 @@ def build_problem(config: ExperimentConfig) -> ProblemSpec:
             moment_order=config.problem_moment_order,
         )
         return replace(problem, noise=noise, bias=_build_bias(config))
-    if config.problem_theta_star is None or config.problem_mu_star is None:
-        raise ConfigError("custom problem requires problem.theta_star and problem.mu_star")
     noise = NoiseModel(
         cov=np.asarray(config.problem_noise_cov, dtype=float),
         distribution=config.problem_noise,

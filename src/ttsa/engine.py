@@ -1,7 +1,7 @@
 """Coupled two-time-scale iteration engine.
 
-Runs the plain fast/slow recursion, the matricial-gain variant, and the
-running averages, optionally tracking the martingale / coupling / remainder
+Runs the fast/slow recursion, its matricial-gain variant and the running
+averages, optionally tracking the martingale / coupling / remainder
 decomposition of each error component alongside the main path.
 
 One kernel advances every path, in error coordinates: its state is
@@ -18,8 +18,9 @@ per-component step; G and S_n commute. The innovation term
 u_n = (xi_{n+1} S_n) G^T is pre-scaled as the noise of a chunk is drawn, the
 residual rho enters through R_n, and the bias row c_n = r_n R_n is added per
 step. ``simulate_batch`` builds A, R and c once per chunk of steps as stacked
-(span, ., .) tables; ``step`` and ``matricial_step`` build one-step tables
-through the same code.
+(span, ., .) tables; ``step`` builds one-step tables through the same code.
+The matricial variant is this recursion with the gain G and the schedule
+``matricial_schedule(a)``, a pair ``step`` and ``simulate_batch`` both take.
 
 One state and one step loop serve every caller. An ``SAState`` holds z, its
 running sum and, when the decomposition is tracked, the (martingale,
@@ -136,12 +137,10 @@ def validate_gains(problem: ProblemSpec, gains: GainMatrices) -> None:
 
 def optimal_gains(problem: ProblemSpec) -> GainMatrices:
     """The efficiency-optimal gains (-H^-1, -G^-1)."""
-    gains = GainMatrices(
+    return GainMatrices(
         fast=-linalg.invert(problem.fast_matrix()),
         slow=-linalg.invert(problem.slow_matrix()),
     )
-    validate_gains(problem, gains)
-    return gains
 
 
 def matricial_schedule(a: float) -> StepSchedule:
@@ -171,7 +170,8 @@ def resolve_algorithm(
 
     The averaged algorithm needs a schedule in the averaging regime (A'3).
     The matricial one replaces the schedule with its implied one and
-    defaults to the optimal gains; the others ignore ``gains``.
+    defaults to the optimal gains; the gains must stabilize it
+    (``validate_gains``). The others ignore ``gains``.
     """
     if algorithm not in ALGORITHMS:
         raise ConfigError(f"unknown algorithm {algorithm!r}")
@@ -181,11 +181,9 @@ def resolve_algorithm(
         )
     if algorithm != MATRICIAL:
         return ResolvedAlgorithm(algorithm, schedule)
-    return ResolvedAlgorithm(
-        algorithm,
-        matricial_schedule(schedule.a),
-        gains if gains is not None else optimal_gains(problem),
-    )
+    gains = gains if gains is not None else optimal_gains(problem)
+    validate_gains(problem, gains)
+    return ResolvedAlgorithm(algorithm, matricial_schedule(schedule.a), gains)
 
 
 @dataclass(frozen=True)
@@ -550,46 +548,20 @@ def step(
     state: SAState,
     noise: tuple[np.ndarray, np.ndarray],
     bias_values: tuple[np.ndarray, np.ndarray] | None = None,
+    gains: GainMatrices | None = None,
 ) -> SAState:
     """Advance one trajectory by a single iteration.
 
     ``noise`` is the freshly drawn innovation pair (V, W); drawing it fresh
     per call is the martingale-difference contract. ``bias_values``, when
     given, is this step's bias pair (r_f, r_g) and replaces the problem's own
-    bias model for the step. A tracked state's decomposition parts advance
-    with it. Raises DivergenceError if the new iterate is non-finite or
-    beyond the guard.
+    bias model for the step. ``schedule`` and ``gains`` are the pair
+    ``simulate_batch`` takes: the matricial variant is
+    ``matricial_schedule(a)`` with gains, which reject a tracked state with
+    ConfigError. A tracked state's decomposition parts advance with it.
+    Raises DivergenceError if the new iterate is non-finite or beyond the
+    guard.
     """
-    return _single_advance(problem, schedule, state, noise, bias_values, gains=None)
-
-
-def matricial_step(
-    problem: ProblemSpec,
-    state: SAState,
-    gains: GainMatrices,
-    a: float,
-    noise: tuple[np.ndarray, np.ndarray],
-    bias_values=None,
-) -> SAState:
-    """Advance the matricial variant: gain/n fast step, gain/n^a slow step.
-
-    Raises ConfigError on a state that tracks the decomposition.
-    """
-    return _single_advance(
-        problem, matricial_schedule(a), state, noise, bias_values, gains=gains
-    )
-
-
-def _stacked(problem: ProblemSpec, pair, name: str) -> np.ndarray:
-    """A per-step (fast, slow) pair as one vector in the layout of the state."""
-    fast, slow = (np.asarray(part, dtype=float).reshape(-1) for part in pair)
-    if fast.shape != (problem.d,) or slow.shape != (problem.d_prime,):
-        raise DimensionError(f"{name} dimensions do not match the problem")
-    return np.concatenate([fast, slow])
-
-
-def _single_advance(problem, schedule, state, noise, bias_values, gains):
-    """One step of the batch loop, on one-step tables and two identical rows."""
     n = state.n
     kernel = _once(problem, _Kernel).with_gains(gains)
     rows = _Rows(kernel, state, _MIN_ROWS)
@@ -602,6 +574,14 @@ def _single_advance(problem, schedule, state, noise, bias_values, gains):
     dtables = None if rows.parts is None else _once(problem, _DecompKernel).tables(beta, gamma)
     rows.advance(u, tables, dtables, {}, None)
     return rows.state(0)
+
+
+def _stacked(problem: ProblemSpec, pair, name: str) -> np.ndarray:
+    """A per-step (fast, slow) pair as one vector in the layout of the state."""
+    fast, slow = (np.asarray(part, dtype=float).reshape(-1) for part in pair)
+    if fast.shape != (problem.d,) or slow.shape != (problem.d_prime,):
+        raise DimensionError(f"{name} dimensions do not match the problem")
+    return np.concatenate([fast, slow])
 
 
 DECOMP_KEYS = (

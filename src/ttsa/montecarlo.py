@@ -200,7 +200,7 @@ def negligibility_curves(trace: BatchTrace) -> dict[str, np.ndarray]:
             "coupling_slow_over_martingale": dec["coupling_slow"]
             / np.where(dec["martingale_slow"] > 0, dec["martingale_slow"], np.nan),
         }
-    return {key: _nan_rows(np.nanmedian, val) for key, val in curves.items()}
+    return {key: _nan_rows(_nanmedian, val) for key, val in curves.items()}
 
 
 @dataclass
@@ -272,13 +272,26 @@ def _kurtosis_deviation(samples: np.ndarray) -> float:
 
 
 def _nan_rows(reduce, values: np.ndarray) -> np.ndarray:
-    """Row-wise ``reduce`` (nanmax, nanmedian) that gives NaN, without a
+    """Row-wise ``reduce`` (nanmax, _nanmedian) that gives NaN, without a
     warning, for rows with no finite value."""
     out = np.full(values.shape[0], np.nan)
     has_data = np.isfinite(values).any(axis=1)
     if np.any(has_data):
         out[has_data] = reduce(values[has_data], axis=1)
     return out
+
+
+def _nanmedian(values: np.ndarray, axis: int) -> np.ndarray:
+    """``np.nanmedian`` by sorting: the mean of the two middle non-NaN entries.
+
+    Equal to it bit for bit, and NaN where every entry is NaN; below 600
+    entries np.nanmedian goes through numpy.ma, about 15 ms of import.
+    """
+    ordered = np.sort(values, axis=axis)  # NaN sorts last
+    count = np.sum(~np.isnan(values), axis=axis, keepdims=True)
+    lo = np.take_along_axis(ordered, (count - 1) // 2, axis)
+    hi = np.take_along_axis(ordered, count // 2, axis)
+    return ((lo + hi) / 2).squeeze(axis)
 
 
 def _window_max(ns, values, lo: float, hi: float) -> np.ndarray:
@@ -326,20 +339,10 @@ def run_monte_carlo(
 
 
 def _predictions(problem, resolved: ResolvedAlgorithm) -> dict:
-    if resolved.gains is None:
-        fast = theory.fast_error_cov(problem, resolved.schedule)
-        slow = theory.slow_error_cov(problem)
-    else:
-        fast = theory.gain_fast_cov(problem, resolved.gains.fast)
-        slow = theory.gain_slow_cov(problem, resolved.gains.slow)
-    opt_fast, opt_slow = theory.optimal_covariances(problem)
-    return {
-        "fast_cov": fast,
-        "slow_cov": slow,
-        "optimal_fast_cov": opt_fast,
-        "optimal_slow_cov": opt_slow,
-        "averaged_cov": theory.averaged_covariance(problem),
-    }
+    """The covariances a report checks, read from the one theory assembly."""
+    report = theory.theory_report(problem, resolved.schedule, resolved.gains)
+    keys = ("fast_cov", "slow_cov", "optimal_fast_cov", "optimal_slow_cov", "averaged_cov")
+    return {key: getattr(report, key) for key in keys}
 
 
 def _aggregate(problem, resolved, mc, trace, predicted) -> MonteCarloReport:

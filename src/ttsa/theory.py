@@ -3,7 +3,9 @@
 Every integral formula is evaluated through its Lyapunov-equation
 characterization; quadrature exists only as a test oracle. The b = 1
 indicator on the fast schedule is taken exactly from the schedule, with no
-tolerance around b = 1.
+tolerance around b = 1. The matricial variant is the plain recursion with
+gain matrices, so it has no formulas of its own: its I/2 is that b = 1 shift
+at beta0 = 1.
 """
 from __future__ import annotations
 
@@ -12,75 +14,64 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import linalg
+from .engine import GainMatrices
 from .errors import InfeasibleError
 from .problems import ProblemSpec
 from .schedules import StepSchedule
 
 
-def fast_error_cov(problem: ProblemSpec, schedule: StepSchedule) -> np.ndarray:
+def fast_error_cov(
+    problem: ProblemSpec, schedule: StepSchedule, gain: np.ndarray | None = None
+) -> np.ndarray:
     """Asymptotic covariance of the beta-scaled fast error.
 
-    Solves [H + shift I] S + S [H + shift I]^T = -Gamma_fast with
-    shift = 1/(2 beta0) when b = 1 and zero otherwise. The shifted matrix
-    must be Hurwitz; for b = 1 that is exactly the beta0 > 1/(2 Lambda(H))
-    admissibility condition.
+    Solves [A H + shift I] S + S [.]^T = -A Gamma_fast A^T with the gain A
+    (the identity by default) and shift = 1/(2 beta0) when b = 1, zero
+    otherwise. Without a gain the shifted matrix must be Hurwitz; for b = 1
+    that is exactly the beta0 > 1/(2 Lambda(H)) admissibility condition.
+    With one, the Lyapunov solver's own Hurwitz check is the only check.
     """
     h = problem.fast_matrix()
-    gap = linalg.stability_gap(h)
-    if gap <= 0.0:
-        raise InfeasibleError(
-            f"A2(ii) violated: fast matrix is not Hurwitz (Lambda(H) = {gap:.6g})"
-        )
     shift = 1.0 / (2.0 * schedule.beta0) if schedule.b == 1.0 else 0.0
-    if shift >= gap:
-        raise InfeasibleError(
-            "A3(ii) violated: b = 1 requires beta0 > 1/(2*Lambda(H)) "
-            f"= {1.0 / (2.0 * gap):.6g} (beta0 = {schedule.beta0}, "
-            f"Lambda(H) = {gap:.6g})"
-        )
-    shifted = h + shift * np.eye(problem.d)
-    return linalg.solve_lyapunov(shifted, problem.fast_noise_cov())
+    if gain is None:
+        gap = linalg.stability_gap(h)
+        if gap <= 0.0:
+            raise InfeasibleError(
+                f"A2(ii) violated: fast matrix is not Hurwitz (Lambda(H) = {gap:.6g})"
+            )
+        if shift >= gap:
+            raise InfeasibleError(
+                "A3(ii) violated: b = 1 requires beta0 > 1/(2*Lambda(H)) "
+                f"= {1.0 / (2.0 * gap):.6g} (beta0 = {schedule.beta0}, "
+                f"Lambda(H) = {gap:.6g})"
+            )
+    drift, noise = _with_gain(h, problem.fast_noise_cov(), gain, "fast gain")
+    return linalg.solve_lyapunov(drift + shift * np.eye(problem.d), noise)
 
 
-def slow_error_cov(problem: ProblemSpec) -> np.ndarray:
+def slow_error_cov(problem: ProblemSpec, gain: np.ndarray | None = None) -> np.ndarray:
     """Asymptotic covariance of the gamma-scaled slow error.
 
-    Solves Q22 S + S Q22^T = -Gamma22; Q22 must be Hurwitz.
+    Solves (A Q22) S + S (.)^T = -A Gamma22 A^T with the gain A (the identity
+    by default). Without a gain Q22 must be Hurwitz; with one, the Lyapunov
+    solver's own Hurwitz check is the only check.
     """
-    if not linalg.is_hurwitz(problem.q22):
+    if gain is None and not linalg.is_hurwitz(problem.q22):
         raise InfeasibleError(
             "A2(ii) violated: Q22 is not Hurwitz "
             f"(Lambda(Q22) = {linalg.stability_gap(problem.q22):.6g})"
         )
-    return linalg.solve_lyapunov(problem.q22, problem.noise_block(1, 1))
+    drift, noise = _with_gain(problem.q22, problem.noise_block(1, 1), gain, "slow gain")
+    return linalg.solve_lyapunov(drift, noise)
 
 
-def gain_fast_cov(problem: ProblemSpec, gain: np.ndarray) -> np.ndarray:
-    """Asymptotic covariance of sqrt(n) times the fast error under a 1/n gain.
-
-    Solves [A H + I/2] S + S [A H + I/2]^T = -A Gamma_fast A^T for the gain
-    matrix A; A H + I/2 must be Hurwitz.
-    """
-    h = problem.fast_matrix()
-    a = linalg.as_square(gain, "fast gain")
-    m = a @ h + 0.5 * np.eye(problem.d)
-    if not linalg.is_hurwitz(m):
-        raise InfeasibleError("fast gain does not stabilize: A*H + I/2 is not Hurwitz")
-    rhs = a @ problem.fast_noise_cov() @ a.T
-    return linalg.solve_lyapunov(m, 0.5 * (rhs + rhs.T))
-
-
-def gain_slow_cov(problem: ProblemSpec, gain: np.ndarray) -> np.ndarray:
-    """Asymptotic covariance of the gamma-scaled slow error under a slow gain.
-
-    Solves (A Q22) S + S (A Q22)^T = -A Gamma22 A^T; A Q22 must be Hurwitz.
-    """
-    a = linalg.as_square(gain, "slow gain")
-    m = a @ problem.q22
-    if not linalg.is_hurwitz(m):
-        raise InfeasibleError("slow gain does not stabilize: A*Q22 is not Hurwitz")
-    rhs = a @ problem.noise_block(1, 1) @ a.T
-    return linalg.solve_lyapunov(m, 0.5 * (rhs + rhs.T))
+def _with_gain(drift, noise, gain, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """(A M, A Gamma A^T) for the gain A, or (M, Gamma) unchanged without one."""
+    if gain is None:
+        return drift, noise
+    a = linalg.as_square(gain, name)
+    rhs = a @ noise @ a.T
+    return a @ drift, 0.5 * (rhs + rhs.T)
 
 
 def optimal_covariances(problem: ProblemSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -124,7 +115,7 @@ def averaged_covariance(problem: ProblemSpec) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TheoryReport:
-    """Every covariance the theory predicts for a validated problem/schedule."""
+    """Every covariance the theory predicts for a validated problem, schedule and gains."""
 
     fast_matrix: np.ndarray          # H
     slow_matrix: np.ndarray          # G
@@ -142,7 +133,12 @@ class TheoryReport:
         return {f.name: getattr(self, f.name).tolist() for f in fields(self)}
 
 
-def theory_report(problem: ProblemSpec, schedule: StepSchedule) -> TheoryReport:
+def theory_report(
+    problem: ProblemSpec, schedule: StepSchedule, gains: GainMatrices | None = None
+) -> TheoryReport:
+    """The one assembly of the predictions, for the schedule and gains that
+    ``engine.resolve_algorithm`` returns."""
+    fast_gain, slow_gain = (None, None) if gains is None else (gains.fast, gains.slow)
     opt_fast, opt_slow = optimal_covariances(problem)
     dmat, pmat = coupling_blocks(problem)
     return TheoryReport(
@@ -150,8 +146,8 @@ def theory_report(problem: ProblemSpec, schedule: StepSchedule) -> TheoryReport:
         slow_matrix=problem.slow_matrix(),
         fast_noise_cov=problem.fast_noise_cov(),
         slow_noise_cov=problem.slow_noise_cov(),
-        fast_cov=fast_error_cov(problem, schedule),
-        slow_cov=slow_error_cov(problem),
+        fast_cov=fast_error_cov(problem, schedule, fast_gain),
+        slow_cov=slow_error_cov(problem, slow_gain),
         optimal_fast_cov=opt_fast,
         optimal_slow_cov=opt_slow,
         averaged_cov=averaged_covariance(problem),

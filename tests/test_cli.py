@@ -88,6 +88,12 @@ def experiment_configs(draw):
     matrix = st.lists(st.lists(_FINITE, min_size=1, max_size=2), min_size=1, max_size=2)
     for name in _INLINE:
         values[name] = draw(matrix) if custom else None
+    if custom:  # a custom problem needs its root
+        for name in ("problem_theta_star", "problem_mu_star"):
+            values[name] = draw(st.lists(_FINITE, min_size=1, max_size=2))
+    else:  # a library problem has its own root and residual
+        values.update(problem_theta_star=None, problem_mu_star=None, problem_residual="none",
+                      problem_residual_coeff_fast=None, problem_residual_coeff_slow=None)
     return ExperimentConfig(**values)
 
 
@@ -155,6 +161,32 @@ class TestParseConfig:
     def test_custom_requires_blocks(self):
         with pytest.raises(ConfigError, match="custom"):
             parse_config("problem.name = custom\n")
+
+    @pytest.mark.parametrize("line", [
+        "problem.theta_star = [5.0, 5.0]",
+        "problem.mu_star = [5.0, 5.0]",
+        "problem.residual = quadratic_form",
+        "problem.residual_coeff_fast = [1.0]",
+        "problem.residual_coeff_slow = [1.0]",
+    ])
+    def test_library_problem_rejects_the_keys_it_would_ignore(self, line):
+        key = line.partition(" = ")[0]
+        with pytest.raises(ConfigError, match="inline") as err:
+            parse_config(f"{MINIMAL}{line}\n")
+        assert err.value.key == key
+        assert key in str(err.value)
+
+    @pytest.mark.parametrize("missing", ["problem.theta_star", "problem.mu_star"])
+    def test_custom_requires_the_root_at_parse(self, missing):
+        lines = [
+            "problem.name = custom", "problem.theta_star = [0.0]", "problem.mu_star = [0.0]",
+            "problem.q11 = [[-1.0]]", "problem.q12 = [[0.0]]", "problem.q21 = [[0.0]]",
+            "problem.q22 = [[-1.0]]", "problem.noise_cov = [[1.0, 0.0], [0.0, 1.0]]",
+        ]
+        text = "".join(f"{line}\n" for line in lines if not line.startswith(missing))
+        with pytest.raises(ConfigError, match="theta_star and problem.mu_star") as err:
+            parse_config(text)
+        assert err.value.key == "problem.name"
 
     def test_round_trip_default(self):
         config = parse_config(MINIMAL)
@@ -315,6 +347,24 @@ class TestTheoryCommand:
         assert payload["kind"] == "theory"
         fast_cov = np.array(payload["theory"]["fast_cov"])
         assert fast_cov.shape == (2, 2)
+
+    def test_matricial_predicts_what_montecarlo_checks(self, tmp_path, capsys):
+        text = (MINIMAL + "run.algorithm = matricial\nrun.n_final = 20\n"
+                "mc.replications = 2\nmc.checks = clt\n")
+        path = write_config(tmp_path, text)
+        theory_file, mc_file = str(tmp_path / "theory.json"), str(tmp_path / "mc.json")
+        assert cli.main(["theory", "--config", path, "--output", theory_file]) == 0
+        cli.main(["montecarlo", "--config", path, "--output", mc_file])
+        predicted = read_report(mc_file)["predicted"]
+        theory = read_report(theory_file)["theory"]
+        for key in ("fast_cov", "slow_cov", "optimal_fast_cov", "optimal_slow_cov",
+                    "averaged_cov"):
+            assert theory[key] == predicted[key], key
+
+    def test_averaged_on_a_plain_schedule_exits_two(self, tmp_path, capsys):
+        path = write_config(tmp_path, MINIMAL + "run.algorithm = averaged\n")
+        assert cli.main(["theory", "--config", path]) == 2
+        assert "averaging regime" in capsys.readouterr().err
 
 
 class TestRunCommand:

@@ -17,7 +17,7 @@ from ttsa import (
     StepSchedule,
     checkpoint_indices,
     initial_state,
-    matricial_step,
+    matricial_schedule,
     optimal_gains,
     run,
     simulate_batch,
@@ -30,7 +30,6 @@ from ttsa.engine import (
     DIVERGENCE_GUARD,
     _first_diverged,
     _Kernel,
-    matricial_schedule,
     replication_rng,
 )
 from ttsa.errors import ConfigError, DivergenceError
@@ -112,14 +111,14 @@ class TestMatricialStep:
         w = np.array([-0.2, 0.3])
         gains = GainMatrices(fast=np.eye(2), slow=np.eye(2))
         plain = step(p, s, state, (v, w))
-        matricial = matricial_step(p, state, gains, 0.6, (v, w))
+        matricial = step(p, matricial_schedule(0.6), state, (v, w), gains=gains)
         np.testing.assert_array_equal(plain.theta, matricial.theta)
         np.testing.assert_array_equal(plain.mu, matricial.mu)
 
     def test_root_fixed_point(self, linear_problem):
         p = linear_problem
         state = initial_state(p, theta0=p.theta_star, mu0=p.mu_star)
-        new = matricial_step(p, state, optimal_gains(p), 0.6, zero_noise(p))
+        new = step(p, matricial_schedule(0.6), state, zero_noise(p), gains=optimal_gains(p))
         np.testing.assert_array_equal(new.theta, p.theta_star)
 
     def test_scalar_optimal_gain_one_shot(self):
@@ -129,7 +128,7 @@ class TestMatricialStep:
         gains = optimal_gains(p)
         assert gains.fast[0, 0] == pytest.approx(0.5)
         assert gains.slow[0, 0] == pytest.approx(2.0)
-        new = matricial_step(p, state, gains, 0.6, zero_noise(p))
+        new = step(p, matricial_schedule(0.6), state, zero_noise(p), gains=gains)
         assert new.theta[0] == pytest.approx(0.0, abs=1e-15)
 
 
@@ -193,7 +192,7 @@ class TestDecomposition:
         p = linear_problem
         state = initial_state(p, track_decomposition=True)
         with pytest.raises(ConfigError, match="plain iteration only"):
-            matricial_step(p, state, optimal_gains(p), 0.6, zero_noise(p))
+            step(p, matricial_schedule(0.6), state, zero_noise(p), gains=optimal_gains(p))
 
     def test_recursions_match_direct_sums(self, linear_problem, schedule):
         # the recursive updates must reproduce the exponential-weighted sums
@@ -624,6 +623,26 @@ class TestPerStepApi:
             np.testing.assert_array_equal(np.array(path), getattr(trace, key))
         for key, got in norms.items():
             np.testing.assert_allclose(got, trace.decomposition[key], rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("name", ["linear-2x2", "quadratic-2x2"])
+    def test_chained_steps_equal_run_matricial(self, name, schedule):
+        # the matricial variant is step with its schedule and gains, so it
+        # reproduces run(algorithm="matricial") bit for bit too
+        p = library_problem(name)
+        n_final = 600
+        trace = run(p, schedule, n_final, seed=9, algorithm="matricial",
+                    checkpoints=np.arange(1, n_final + 1))
+
+        steps, gains = matricial_schedule(schedule.a), optimal_gains(p)
+        state = initial_state(p)
+        x, x_bar = [state.x], [np.concatenate([state.theta_bar, state.mu_bar])]
+        for xi in p.noise.draw(replication_rng(9, 0), (n_final - 1,)):
+            state = step(p, steps, state, (xi[: p.d], xi[p.d :]), gains=gains)
+            x.append(state.x)
+            x_bar.append(np.concatenate([state.theta_bar, state.mu_bar]))
+        assert state.n == n_final
+        np.testing.assert_array_equal(np.array(x), trace.x)
+        np.testing.assert_array_equal(np.array(x_bar), trace.x_bar)
 
     def test_kernel_pieces_are_built_once_per_problem(self, schedule, monkeypatch):
         # per-step callers must not pay for an inversion or H on every call

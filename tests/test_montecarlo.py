@@ -1,9 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ttsa
 from ttsa import (
+    GainMatrices,
     MCConfig,
     clt_verdict,
     negligibility_curves,
@@ -12,8 +19,9 @@ from ttsa import (
     sample_covariance,
     simulate_batch,
 )
+from ttsa import linalg
 from ttsa.errors import ConfigError, DegenerateDataError, DivergenceError
-from ttsa.montecarlo import rel_frobenius
+from ttsa.montecarlo import _nanmedian, rel_frobenius
 from ttsa.reports import render_montecarlo
 
 from conftest import scalar_spec
@@ -180,6 +188,36 @@ class TestNegligibilityCurves:
             assert values.shape == trace.ns.shape
 
 
+class TestNanMedian:
+    def test_equals_np_nanmedian(self):
+        rng = np.random.default_rng(17)
+        for _ in range(300):
+            rows, width = int(rng.integers(1, 6)), int(rng.integers(2, 701))
+            values = rng.normal(size=(rows, width)) * 10.0 ** rng.uniform(-5, 5, (rows, width))
+            values[rng.random((rows, width)) < rng.random()] = np.nan
+            if rng.random() < 0.3:
+                values[0] = np.nan
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)  # all-NaN rows
+                want = np.nanmedian(values, axis=1)
+            np.testing.assert_array_equal(_nanmedian(values, axis=1), want)
+
+    def test_decomposition_report_does_not_import_numpy_ma(self):
+        # numpy.ma costs about 15 ms of import in every process that loads it
+        code = (
+            "import sys\n"
+            "from ttsa import MCConfig, StepSchedule, library_problem, run_monte_carlo\n"
+            "mc = MCConfig(replications=8, n_final=2000, base_seed=1,\n"
+            "              track_decomposition=True, checks=('negligibility',))\n"
+            "s = StepSchedule(beta0=2.0, b=0.95, gamma0=2.0, a=0.55)\n"
+            "report = run_monte_carlo(library_problem('linear-2x2'), s, mc)\n"
+            "assert report.negligibility\n"
+            "sys.exit('numpy.ma' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(ttsa.__file__).resolve().parents[1]))
+        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
+
+
 class TestRunMonteCarlo:
     def test_degenerate_single_index(self, linear_problem, schedule):
         mc = MCConfig(replications=2, n_final=1, base_seed=0, checks=())
@@ -252,6 +290,24 @@ class TestRunMonteCarlo:
         assert report.schedule["b"] == 1.0
         assert report.schedule["beta0"] == 1.0
         assert report.schedule["a"] == schedule.a
+
+    def test_destabilizing_gains_rejected_before_any_theory(
+        self, linear_problem, schedule, monkeypatch
+    ):
+        calls = []
+        solve = linalg.solve_lyapunov
+
+        def counting(*args):
+            calls.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(linalg, "solve_lyapunov", counting)
+        gains = GainMatrices(fast=-np.eye(2), slow=np.eye(2))  # A*H + I/2 unstable
+        mc = MCConfig(replications=4, n_final=100, base_seed=2, algorithm="matricial",
+                      checks=(), gains=gains)
+        with pytest.raises(ConfigError, match="fast gain does not stabilize"):
+            run_monte_carlo(linear_problem, schedule, mc)
+        assert calls == []
 
     def test_predictions_present(self, linear_problem, schedule):
         mc = MCConfig(replications=4, n_final=100, base_seed=2, checks=())

@@ -7,12 +7,13 @@ from ttsa import (
     StepSchedule,
     averaged_covariance,
     fast_error_cov,
+    matricial_schedule,
     optimal_covariances,
     slow_error_cov,
     theory_report,
 )
 from ttsa.errors import InfeasibleError
-from ttsa.theory import coupling_blocks, gain_fast_cov
+from ttsa.theory import coupling_blocks
 
 from conftest import scalar_spec
 from oracles import quadrature_lyapunov
@@ -117,7 +118,7 @@ class TestOptimalCovariances:
         from ttsa.linalg import invert
 
         h_inv = invert(linear_problem.fast_matrix())
-        via_lyapunov = gain_fast_cov(linear_problem, -h_inv)
+        via_lyapunov = fast_error_cov(linear_problem, matricial_schedule(0.6), -h_inv)
         closed_form, _ = optimal_covariances(linear_problem)
         assert np.linalg.norm(via_lyapunov - closed_form, "fro") <= 1e-10
 
