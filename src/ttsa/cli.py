@@ -155,17 +155,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, handler, needs_output in (
-        ("validate", _cmd_validate, True),
-        ("theory", _cmd_theory, True),
-        ("run", _cmd_run, True),
-        ("montecarlo", _cmd_montecarlo, True),
-        ("decompose", _cmd_decompose, True),
+    for name, handler in (
+        ("validate", _cmd_validate),
+        ("theory", _cmd_theory),
+        ("run", _cmd_run),
+        ("montecarlo", _cmd_montecarlo),
+        ("decompose", _cmd_decompose),
     ):
         p = sub.add_parser(name)
         p.add_argument("--config", "-c", required=True, help="experiment config file")
-        if needs_output:
-            p.add_argument("--output", "-o", default=None, help="output file path")
+        p.add_argument("--output", "-o", default=None, help="output file path")
         p.set_defaults(handler=handler)
 
     p = sub.add_parser("report", help="render a stored report file")

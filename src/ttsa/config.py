@@ -2,8 +2,9 @@
 
 The format is UTF-8, one ``section.key = value`` assignment per line, with
 ``#`` comments and blank lines ignored. Parsing is strict: unknown keys,
-duplicate keys, type mismatches and out-of-range step exponents are errors
-naming the offending line. The fully resolved configuration (defaults
+duplicate keys and type mismatches are errors naming the offending line;
+out-of-range values, and keys set where nothing reads them (``_READ_WHEN``),
+are errors naming the key. The fully resolved configuration (defaults
 applied) is echoed into every output file for provenance.
 
 Matrix- and vector-valued keys take JSON arrays, e.g.
@@ -202,15 +203,41 @@ def parse_config(text: str) -> ExperimentConfig:
     return config
 
 
-# the keys a custom problem requires, and those only it reads
-_CUSTOM_KEYS = (
-    "problem.q11", "problem.q12", "problem.q21", "problem.q22", "problem.noise_cov",
-    "problem.theta_star", "problem.mu_star",
+# the allowed values of each enumerated key
+_CHOICES = {
+    "problem.name": (*LIBRARY_NAMES, "custom"),
+    "problem.noise": (GAUSSIAN, BOUNDED_UNIFORM),
+    "problem.bias": ("zero", "power_decay"),
+    "problem.residual": ("none", "quadratic_form"),
+    "step.regime": REGIMES,
+    "run.algorithm": ALGORITHMS,
+}
+# (key, value, the keys read only when key = value): a key is read when every
+# row listing it holds. A read key whose default is None must be set, and an
+# unread key must keep its default: the echo would show a value no builder used.
+_READ_WHEN = (
+    ("problem.name", "custom", (
+        "problem.q11", "problem.q12", "problem.q21", "problem.q22", "problem.noise_cov",
+        "problem.theta_star", "problem.mu_star", "problem.residual",
+        "problem.residual_coeff_fast", "problem.residual_coeff_slow", "problem.residual_clamp",
+    )),
+    ("problem.residual", "quadratic_form",
+     ("problem.residual_coeff_fast", "problem.residual_coeff_slow", "problem.residual_clamp")),
+    ("problem.bias", "power_decay",
+     ("problem.bias_coeff_fast", "problem.bias_coeff_slow", "problem.bias_rho")),
 )
-_CUSTOM_ONLY_KEYS = (*_CUSTOM_KEYS, "problem.residual_coeff_fast", "problem.residual_coeff_slow")
+_DEFAULTS = ExperimentConfig()
+
+
+def _value(config: ExperimentConfig, key: str):
+    return getattr(config, KEY_TABLE[key][0])
 
 
 def _validate(config: ExperimentConfig) -> None:
+    for key, allowed in _CHOICES.items():
+        value = _value(config, key)
+        if value not in allowed:
+            raise ConfigError(f"unknown {key} {value!r} (one of: {', '.join(allowed)})", key=key)
     a, b = config.step_a, config.step_b
     if not (0.0 < a <= 1.0) or not (0.0 < b <= 1.0):
         raise ConfigError(
@@ -225,50 +252,38 @@ def _validate(config: ExperimentConfig) -> None:
         )
     if config.step_beta0 <= 0 or config.step_gamma0 <= 0:
         raise ConfigError("step scales beta0 and gamma0 must be positive (A3)")
-    if config.step_regime not in REGIMES:
-        raise ConfigError(f"unknown step.regime {config.step_regime!r}", key="step.regime")
-    if config.run_algorithm not in ALGORITHMS:
-        raise ConfigError(
-            f"unknown run.algorithm {config.run_algorithm!r}", key="run.algorithm"
-        )
     if config.run_algorithm == MATRICIAL and config.run_track_decomposition:
         raise ConfigError(
             "run.track_decomposition: decomposition tracking applies to the plain "
             "iteration only, not to run.algorithm = matricial",
             key="run.track_decomposition",
         )
-    if config.problem_noise not in (GAUSSIAN, BOUNDED_UNIFORM):
-        raise ConfigError(
-            f"unknown problem.noise {config.problem_noise!r}", key="problem.noise"
-        )
-    if config.problem_name not in LIBRARY_NAMES and config.problem_name != "custom":
-        raise ConfigError(
-            f"unknown problem.name {config.problem_name!r} "
-            f"(library: {', '.join(LIBRARY_NAMES)}, or 'custom' with inline blocks)",
-            key="problem.name",
-        )
-    given = [key for key in _CUSTOM_ONLY_KEYS if getattr(config, KEY_TABLE[key][0]) is not None]
-    if config.problem_name == "custom" and not set(_CUSTOM_KEYS) <= set(given):
-        raise ConfigError(
-            "problem.name = custom requires problem.q11..q22, problem.noise_cov, "
-            "problem.theta_star and problem.mu_star",
-            key="problem.name",
-        )
-    if config.problem_name != "custom":
-        # a library problem has its own blocks, root and residual: these would be ignored
-        if config.problem_residual != "none":
-            given.append("problem.residual")
-        if given:
-            raise ConfigError(
-                f"{given[0]}: inline problem keys conflict with a library problem.name "
-                f"({config.problem_name} has its own); use problem.name = custom",
-                key=given[0],
-            )
+    bounds = {"run.n_final": 1, "run.checkpoints_per_decade": 1, "mc.replications": 2}
+    for key, least in bounds.items():
+        if _value(config, key) < least:
+            raise ConfigError(f"{key} must be at least {least}", key=key)
+    unread = set()
+    for cond, value, keys in _READ_WHEN:
+        if _value(config, cond) == value:
+            continue
+        unread.update(keys)
+        for key in keys:
+            if _value(config, key) != _value(_DEFAULTS, key):
+                raise ConfigError(
+                    f"{key} conflicts with {cond} = {_value(config, cond)}: it is read only "
+                    f"when {cond} = {value}, so its inline value would be ignored",
+                    key=key,
+                )
+    # later rows first, so missing coefficients name their kind, not problem.name
+    for cond, value, keys in reversed(_READ_WHEN):
+        needed = [key for key in keys if key not in unread and _value(_DEFAULTS, key) is None]
+        if any(_value(config, key) is None for key in needed):
+            *rest, last = needed
+            listed = f"{', '.join(rest)} and {last}" if rest else last
+            raise ConfigError(f"{cond} = {value} requires {listed}", key=cond)
     unknown = set(config.mc_checks) - set(KNOWN_CHECKS)
     if unknown:
         raise ConfigError(f"unknown mc.checks entries: {sorted(unknown)}", key="mc.checks")
-    if config.mc_replications < 2:
-        raise ConfigError("mc.replications must be at least 2", key="mc.replications")
 
 
 def render_config(config: ExperimentConfig) -> str:
@@ -283,38 +298,22 @@ def config_echo(config: ExperimentConfig) -> dict:
 
 
 def build_problem(config: ExperimentConfig) -> ProblemSpec:
+    """The problem a validated config describes. Its unread keys hold their
+    defaults, so each model takes the keys of its kind as they stand."""
+    bias = BiasModel(
+        kind=config.problem_bias,
+        coeff_fast=config.problem_bias_coeff_fast,
+        coeff_slow=config.problem_bias_coeff_slow,
+        rho=config.problem_bias_rho,
+    )
     if config.problem_name != "custom":
         problem = library_problem(config.problem_name)
-        if (
-            config.problem_bias == "zero"
-            and config.problem_moment_order == math.inf
-            and config.problem_noise == GAUSSIAN
-        ):
-            return problem
-        noise = NoiseModel(
-            cov=problem.noise.cov,
+        noise = replace(
+            problem.noise,
             distribution=config.problem_noise,
             moment_order=config.problem_moment_order,
         )
-        return replace(problem, noise=noise, bias=_build_bias(config))
-    noise = NoiseModel(
-        cov=np.asarray(config.problem_noise_cov, dtype=float),
-        distribution=config.problem_noise,
-        moment_order=config.problem_moment_order,
-    )
-    residual = NonlinearResidual()
-    if config.problem_residual == "quadratic_form":
-        residual = NonlinearResidual(
-            kind="quadratic_form",
-            coeff_fast=config.problem_residual_coeff_fast,
-            coeff_slow=config.problem_residual_coeff_slow,
-            clamp_radius=config.problem_residual_clamp,
-        )
-    elif config.problem_residual != "none":
-        raise ConfigError(
-            f"unknown problem.residual {config.problem_residual!r}",
-            key="problem.residual",
-        )
+        return replace(problem, noise=noise, bias=bias)
     return ProblemSpec(
         q11=config.problem_q11,
         q12=config.problem_q12,
@@ -322,24 +321,20 @@ def build_problem(config: ExperimentConfig) -> ProblemSpec:
         q22=config.problem_q22,
         theta_star=config.problem_theta_star,
         mu_star=config.problem_mu_star,
-        noise=noise,
-        residual=residual,
-        bias=_build_bias(config),
+        noise=NoiseModel(
+            cov=config.problem_noise_cov,
+            distribution=config.problem_noise,
+            moment_order=config.problem_moment_order,
+        ),
+        residual=NonlinearResidual(
+            kind=config.problem_residual,
+            coeff_fast=config.problem_residual_coeff_fast,
+            coeff_slow=config.problem_residual_coeff_slow,
+            clamp_radius=config.problem_residual_clamp,
+        ),
+        bias=bias,
         name="custom",
     )
-
-
-def _build_bias(config: ExperimentConfig) -> BiasModel:
-    if config.problem_bias == "zero":
-        return BiasModel()
-    if config.problem_bias == "power_decay":
-        return BiasModel(
-            kind="power_decay",
-            coeff_fast=config.problem_bias_coeff_fast,
-            coeff_slow=config.problem_bias_coeff_slow,
-            rho=config.problem_bias_rho,
-        )
-    raise ConfigError(f"unknown problem.bias {config.problem_bias!r}", key="problem.bias")
 
 
 def build_schedule(config: ExperimentConfig) -> StepSchedule:

@@ -1,7 +1,9 @@
 import math
 import os
+import re
 import warnings
-from dataclasses import fields
+from dataclasses import fields, is_dataclass, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,9 @@ from hypothesis import strategies as st
 
 from ttsa import cli
 from ttsa.config import (
+    _CHOICES,
+    _READ_WHEN,
+    KEY_TABLE,
     ExperimentConfig,
     build_mc,
     build_problem,
@@ -18,12 +23,11 @@ from ttsa.config import (
     parse_config,
     render_config,
 )
-from ttsa.engine import ALGORITHMS, DECOMP_KEYS
+from ttsa.engine import DECOMP_KEYS
 from ttsa.errors import ConfigError
 from ttsa.montecarlo import KNOWN_CHECKS
-from ttsa.problems import BOUNDED_UNIFORM, GAUSSIAN, LIBRARY_NAMES
+from ttsa.problems import LIBRARY_NAMES
 from ttsa.reports import read_report
-from ttsa.schedules import REGIMES
 
 MINIMAL = "problem.name = linear-2x2\n"
 
@@ -62,14 +66,13 @@ _BY_TYPE = {
 # Keys parse_config validates, drawn from their valid values.
 _POSITIVE = st.floats(min_value=0.0, exclude_min=True)
 _BY_NAME = {
-    "problem_noise": st.sampled_from((GAUSSIAN, BOUNDED_UNIFORM)),
-    "step_regime": st.sampled_from(REGIMES),
-    "run_algorithm": st.sampled_from(ALGORITHMS),
+    **{KEY_TABLE[key][0]: st.sampled_from(allowed) for key, allowed in _CHOICES.items()},
     "step_beta0": _POSITIVE,
     "step_gamma0": _POSITIVE,
+    "run_n_final": st.integers(min_value=1),
+    "run_checkpoints_per_decade": st.integers(min_value=1),
     "mc_replications": st.integers(min_value=2),
 }
-_INLINE = ("problem_q11", "problem_q12", "problem_q21", "problem_q22", "problem_noise_cov")
 
 
 @st.composite
@@ -83,17 +86,17 @@ def experiment_configs(draw):
     assume(a < b)
     values.update(step_a=a, step_b=b)
     assume(not (values["run_algorithm"] == "matricial" and values["run_track_decomposition"]))
-    custom = draw(st.booleans())
-    values["problem_name"] = "custom" if custom else draw(st.sampled_from(LIBRARY_NAMES))
-    matrix = st.lists(st.lists(_FINITE, min_size=1, max_size=2), min_size=1, max_size=2)
-    for name in _INLINE:
-        values[name] = draw(matrix) if custom else None
-    if custom:  # a custom problem needs its root
-        for name in ("problem_theta_star", "problem_mu_star"):
-            values[name] = draw(st.lists(_FINITE, min_size=1, max_size=2))
-    else:  # a library problem has its own root and residual
-        values.update(problem_theta_star=None, problem_mu_star=None, problem_residual="none",
-                      problem_residual_coeff_fast=None, problem_residual_coeff_slow=None)
+    defaults, conditional, unread = ExperimentConfig(), set(), set()
+    for cond, value, keys in _READ_WHEN:  # in order: a row may reset a later row's condition
+        attrs = {KEY_TABLE[key][0] for key in keys}
+        conditional |= attrs
+        if values[KEY_TABLE[cond][0]] != value:  # unread keys keep their defaults
+            unread |= attrs
+            values.update((attr, getattr(defaults, attr)) for attr in attrs)
+    array = st.lists(st.lists(_FINITE, min_size=1, max_size=2), min_size=1, max_size=2)
+    for attr in sorted(conditional - unread):  # read keys without a default are set
+        if values[attr] is None:
+            values[attr] = draw(array)
     return ExperimentConfig(**values)
 
 
@@ -204,6 +207,9 @@ problem.q22 = [[-1.0]]
 problem.noise_cov = [[1.0, 0.0], [0.0, 1.0]]
 problem.noise = bounded_uniform
 problem.moment_order = inf
+problem.bias = power_decay
+problem.bias_coeff_fast = [0.5]
+problem.bias_coeff_slow = [-0.5]
 problem.bias_rho = -inf
 step.a = 0.55
 step.b = 0.9
@@ -248,6 +254,154 @@ run.track_decomposition = true
         echo = config_echo(config)
         assert echo["problem.name"] == "linear-2x2"
         assert "step.a" in echo
+
+
+CUSTOM_1X1 = """
+problem.name = custom
+problem.theta_star = [0.0]
+problem.mu_star = [0.0]
+problem.q11 = [[-2.0]]
+problem.q12 = [[1.0]]
+problem.q21 = [[1.0]]
+problem.q22 = [[-1.0]]
+problem.noise_cov = [[1.0, 0.0], [0.0, 1.0]]
+"""
+QUADRATIC_1X1 = """
+problem.residual = quadratic_form
+problem.residual_coeff_fast = [[[0.1, 0.0], [0.0, 0.1]]]
+problem.residual_coeff_slow = [[[0.0, 0.1], [0.1, 0.0]]]
+problem.residual_clamp = 3.0
+"""
+
+
+def power_decay(d):
+    """Bias lines for a d+d problem."""
+    return (f"problem.bias = power_decay\nproblem.bias_coeff_fast = {[0.5] * d}\n"
+            f"problem.bias_coeff_slow = {[-0.5] * d}\nproblem.bias_rho = 0.8\n")
+
+
+# Valid starts for the no-silent-key property: each library problem and a
+# custom 1+1 problem, with the zero and the power_decay bias, the custom one
+# also with and without the quadratic_form residual.
+_STARTS = [
+    *(f"problem.name = {name}\n{bias}" for name in LIBRARY_NAMES
+      for bias in ("", power_decay(1 if name == "scalar-coupled" else 2))),
+    *(f"{CUSTOM_1X1}{bias}{residual}" for bias in ("", power_decay(1))
+      for residual in ("", QUADRATIC_1X1)),
+]
+_PROBLEM_KEYS = [key for key in KEY_TABLE if key.startswith("problem.")]
+
+
+def _shape(key, d, d_prime):
+    """Shape of an array-valued problem key for a d+d' problem."""
+    dim = d + d_prime
+    return {
+        "q11": (d, d), "q12": (d, d_prime), "q21": (d_prime, d), "q22": (d_prime, d_prime),
+        "noise_cov": (dim, dim), "theta_star": (d,), "mu_star": (d_prime,),
+        "bias_coeff_fast": (d,), "bias_coeff_slow": (d_prime,),
+        "residual_coeff_fast": (d, dim, dim), "residual_coeff_slow": (d_prime, dim, dim),
+    }[key.partition(".")[2]]
+
+
+def _other_value(draw, key, current, problem):
+    """A valid value for ``key`` other than ``current``, of the same shape."""
+    if key in _CHOICES:
+        return draw(st.sampled_from([v for v in _CHOICES[key] if v != current]))
+    if isinstance(current, float):
+        value = draw(st.floats(min_value=0.01, max_value=100.0))
+    else:
+        shape = _shape(key, problem.d, problem.d_prime)
+        if key == "problem.noise_cov":  # a covariance: symmetric and positive
+            diagonal = draw(st.lists(st.floats(0.1, 10.0), min_size=shape[0], max_size=shape[0]))
+            value = np.diag(diagonal).tolist()
+        else:
+            entries = st.floats(min_value=-10.0, max_value=10.0, allow_subnormal=False)
+            size = math.prod(shape)
+            flat = draw(st.lists(entries, min_size=size, max_size=size))
+            value = np.reshape(flat, shape).tolist()
+    assume(value != current)
+    return value
+
+
+def _same(a, b):
+    """Field-by-field equality of built problems, exact on arrays."""
+    if is_dataclass(a):
+        return type(a) is type(b) and all(
+            _same(getattr(a, f.name), getattr(b, f.name)) for f in fields(a)
+        )
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.array_equal(a, b)
+    return a == b
+
+
+class TestNoSilentKeys:
+    """A key that parses is read: changing it moves the built problem, or the
+    config is rejected naming the key."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(start=st.sampled_from(_STARTS), key=st.sampled_from(_PROBLEM_KEYS), data=st.data())
+    def test_changing_a_problem_key_changes_the_problem_or_is_rejected(self, start, key, data):
+        config = parse_config(start)
+        problem = build_problem(config)
+        attr = KEY_TABLE[key][0]
+        value = _other_value(data.draw, key, getattr(config, attr), problem)
+        changed = replace(config, **{attr: value})
+        # a changed condition may leave the keys it governs unread instead
+        governed = {k for cond, _, keys in _READ_WHEN if cond == key for k in keys}
+        try:
+            rebuilt = build_problem(parse_config(render_config(changed)))
+        except ConfigError as err:
+            assert err.key == key or err.key in governed, str(err)
+        else:
+            assert not _same(rebuilt, problem), f"{key} = {value!r} was not read"
+
+    @pytest.mark.parametrize("text", [
+        "problem.name = quadratic-2x2\nproblem.residual_clamp = 0.5\n",
+        f"{MINIMAL}problem.bias_coeff_fast = [1.0, 1.0]\n",
+        f"{MINIMAL}problem.bias_coeff_slow = [1.0, 1.0]\n",
+        f"{MINIMAL}problem.bias_rho = 3.0\n",
+        f"{CUSTOM_1X1}problem.bias_rho = 3.0\n",
+        f"{CUSTOM_1X1}problem.residual_coeff_fast = [[[0.1, 0.0], [0.0, 0.1]]]\n",
+        f"{CUSTOM_1X1}problem.residual_clamp = 0.5\n",
+    ])
+    def test_a_key_its_condition_leaves_unread_is_rejected(self, text):
+        key = text.splitlines()[-1].partition(" = ")[0]
+        with pytest.raises(ConfigError, match="read only when") as err:
+            parse_config(text)
+        assert err.value.key == key and key in str(err.value)
+
+    @pytest.mark.parametrize("text, key, required", [
+        (f"{MINIMAL}problem.bias = power_decay\n", "problem.bias",
+         "problem.bias_coeff_fast and problem.bias_coeff_slow"),
+        (f"{CUSTOM_1X1}problem.residual = quadratic_form\n", "problem.residual",
+         "problem.residual_coeff_fast and problem.residual_coeff_slow"),
+    ])
+    def test_a_read_key_without_a_default_is_required(self, text, key, required):
+        with pytest.raises(ConfigError, match=required) as err:
+            parse_config(text)
+        assert err.value.key == key
+
+    @pytest.mark.parametrize("key, allowed", list(_CHOICES.items()))
+    def test_enumerated_keys_take_their_choices_only(self, key, allowed):
+        with pytest.raises(ConfigError, match=f"unknown {key} 'foo'") as err:
+            parse_config(f"{key} = foo\n")
+        assert err.value.key == key
+        assert ", ".join(allowed) in str(err.value)
+
+
+_README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+class TestReadme:
+    def test_every_config_block_parses(self):
+        text = _README.read_text(encoding="utf-8")
+        section = text.split("\n## Configuration format\n", 1)[1].split("\n## ", 1)[0]
+        blocks = re.findall(r"^```\n(.*?)^```$", section, flags=re.S | re.M)
+        assert len(blocks) >= 3
+        for block in blocks:
+            # the format has whole-line comments only: a trailing one is read as the value
+            assert all("#" not in line for line in block.splitlines() if line[:1] != "#")
+            parse_config(block)
 
 
 def write_config(tmp_path, text):
@@ -317,6 +471,27 @@ class TestBadStart:
                 assert cli.main([command, "--config", path, "--output", out]) == 2
                 err = capsys.readouterr().err
                 assert key in err and "1e+09" in err
+
+    @pytest.mark.parametrize("text, key", [
+        ("problem.name = quadratic-2x2\nproblem.residual_clamp = 0.5\n", "problem.residual_clamp"),
+        (f"{MINIMAL}problem.bias_coeff_fast = [1.0, 1.0]\n", "problem.bias_coeff_fast"),
+        (f"{MINIMAL}problem.bias_rho = 3.0\n", "problem.bias_rho"),
+        (f"{MINIMAL}problem.bias = power_decay\n", "problem.bias"),
+        (f"{MINIMAL}problem.residual = foo\n", "problem.residual"),
+        (f"{MINIMAL}run.n_final = 0\n", "run.n_final"),
+        (f"{MINIMAL}run.n_final = -5\n", "run.n_final"),
+        (f"{MINIMAL}run.checkpoints_per_decade = 0\n", "run.checkpoints_per_decade"),
+        (f"{MINIMAL}run.checkpoints_per_decade = -2\n", "run.checkpoints_per_decade"),
+    ])
+    def test_config_error_names_the_key(self, tmp_path, capsys, text, key):
+        path = write_config(tmp_path, text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for command in ("validate", "run", "montecarlo"):
+                out = str(tmp_path / "out")
+                assert cli.main([command, "--config", path, "--output", out]) == 2
+                err = capsys.readouterr().err
+                assert err.startswith("config error: ") and key in err
 
     def test_matricial_with_decomposition_tracking(self, tmp_path, capsys):
         text = MINIMAL + "run.algorithm = matricial\nrun.track_decomposition = true\n"
