@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 
 from . import config as cfg
 from . import engine, montecarlo, reports, theory
@@ -18,13 +17,16 @@ from .errors import ConfigError, DivergenceError
 from .problems import validate_problem
 
 
-def _load(path: str) -> cfg.ExperimentConfig:
+def _load(path: str):
+    """The config at ``path`` and the experiment ``cfg.build_experiment``
+    builds from it: every command reads a config the same way."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
-    return cfg.parse_config(text)
+    config = cfg.parse_config(text)
+    return config, cfg.build_experiment(config)
 
 
 def _out_path(config: cfg.ExperimentConfig, override: str | None, default_name: str) -> str:
@@ -34,11 +36,7 @@ def _out_path(config: cfg.ExperimentConfig, override: str | None, default_name: 
 
 
 def _cmd_validate(args) -> int:
-    config = _load(args.config)
-    problem = cfg.build_problem(config)
-    schedule = cfg.build_schedule(config)
-    engine.resolve_algorithm(problem, schedule, config.run_algorithm)
-    cfg.initial_iterates(config, problem)
+    config, (problem, schedule, _, _) = _load(args.config)
     report = validate_problem(problem, schedule)
     payload = {
         "kind": "validation",
@@ -54,10 +52,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_theory(args) -> int:
-    config = _load(args.config)
-    problem = cfg.build_problem(config)
-    schedule = cfg.build_schedule(config)
-    resolved = engine.resolve_algorithm(problem, schedule, config.run_algorithm)
+    config, (problem, _, resolved, _) = _load(args.config)
     report = theory.theory_report(problem, resolved.schedule, resolved.gains)
     payload = {
         "kind": "theory",
@@ -73,32 +68,21 @@ def _cmd_theory(args) -> int:
     return 0
 
 
-def _simulation(args):
-    """Config, problem and schedule of a simulating command, and its initial
-    iterates: the one place the run offsets are resolved."""
-    config = _load(args.config)
-    problem = cfg.build_problem(config)
-    schedule = cfg.build_schedule(config)
-    return config, problem, schedule, cfg.initial_iterates(config, problem)
-
-
 def _run_trace(args, always_track: bool, default_name: str) -> int:
     """``run`` and ``decompose``: one trajectory to CSV, with the decomposition
     when ``always_track`` or ``run.track_decomposition`` asks for it."""
-    config, problem, schedule, (theta0, mu0) = _simulation(args)
+    config, (problem, schedule, _, mc) = _load(args.config)
     try:
         trace = engine.run(
             problem,
             schedule,
-            config.run_n_final,
+            mc.n_final,
             config.run_seed,
-            algorithm=config.run_algorithm,
-            theta0=theta0,
-            mu0=mu0,
-            track_decomposition=always_track or config.run_track_decomposition,
-            checkpoints=engine.checkpoint_indices(
-                config.run_n_final, config.run_checkpoints_per_decade
-            ),
+            algorithm=mc.algorithm,
+            theta0=mc.theta0,
+            mu0=mc.mu0,
+            track_decomposition=always_track or mc.track_decomposition,
+            checkpoints=mc.checkpoints,
         )
     except DivergenceError as exc:
         sys.stderr.write(f"error: {exc}\n")
@@ -118,8 +102,7 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_montecarlo(args) -> int:
-    config, problem, schedule, (theta0, mu0) = _simulation(args)
-    mc = replace(cfg.build_mc(config), theta0=theta0, mu0=mu0)
+    config, (problem, schedule, _, mc) = _load(args.config)
     report = montecarlo.run_monte_carlo(problem, schedule, mc)
     payload = report.as_dict()
     payload["config"] = cfg.config_echo(config)

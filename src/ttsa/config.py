@@ -19,7 +19,10 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .engine import ALGORITHMS, DIVERGENCE_GUARD, MATRICIAL, _first_diverged, _initial_iterate
+from .engine import (
+    ALGORITHMS, DIVERGENCE_GUARD, MATRICIAL, _first_diverged, _initial_iterate,
+    checkpoint_indices, resolve_algorithm,
+)
 from .errors import ConfigError
 from .montecarlo import KNOWN_CHECKS, MCConfig
 from .problems import (
@@ -297,102 +300,101 @@ def config_echo(config: ExperimentConfig) -> dict:
     return {key: _render(value) for key, value in values if value is not None}
 
 
+def build_experiment(config: ExperimentConfig):
+    """The one place a validated config becomes an experiment.
+
+    Returns ``(problem, schedule, resolved, mc)``: the problem, the schedule
+    as configured, the ``ResolvedAlgorithm`` that runs, and the ``MCConfig``
+    carrying the start and the checkpoint grid. Every ConfigError it raises
+    names a key.
+    """
+    problem = build_problem(config)
+    schedule = StepSchedule(beta0=config.step_beta0, b=config.step_b,
+                            gamma0=config.step_gamma0, a=config.step_a, regime=config.step_regime)
+    try:
+        resolved = resolve_algorithm(problem, schedule, config.run_algorithm)
+    except ConfigError as exc:
+        raise ConfigError(
+            f"run.algorithm = {config.run_algorithm}: {exc}", key="run.algorithm"
+        ) from exc
+    theta0, mu0 = _start(config, problem)
+    grid = checkpoint_indices(config.run_n_final, config.run_checkpoints_per_decade)
+    mc = MCConfig(
+        replications=config.mc_replications, n_final=config.run_n_final,
+        base_seed=config.mc_base_seed, algorithm=config.run_algorithm,
+        tol_rel=config.mc_tol_rel, tol_cross=config.mc_tol_cross,
+        track_decomposition=config.run_track_decomposition, checks=config.mc_checks,
+        theta0=theta0, mu0=mu0, checkpoints=tuple(int(n) for n in grid),
+    )
+    return problem, schedule, resolved, mc
+
+
 def build_problem(config: ExperimentConfig) -> ProblemSpec:
     """The problem a validated config describes. Its unread keys hold their
-    defaults, so each model takes the keys of its kind as they stand."""
-    bias = BiasModel(
-        kind=config.problem_bias,
-        coeff_fast=config.problem_bias_coeff_fast,
-        coeff_slow=config.problem_bias_coeff_slow,
-        rho=config.problem_bias_rho,
-    )
-    if config.problem_name != "custom":
-        problem = library_problem(config.problem_name)
-        noise = replace(
-            problem.noise,
-            distribution=config.problem_noise,
-            moment_order=config.problem_moment_order,
+    defaults, so each model takes the keys of its kind as they stand. An array
+    key whose shape does not fit the problem's dimensions is a ConfigError
+    naming it (``_check_shapes``).
+    """
+    if config.problem_name == "custom":
+        problem = ProblemSpec(
+            q11=config.problem_q11, q12=config.problem_q12,
+            q21=config.problem_q21, q22=config.problem_q22,
+            theta_star=config.problem_theta_star, mu_star=config.problem_mu_star,
+            noise=NoiseModel(cov=config.problem_noise_cov),
         )
-        return replace(problem, noise=noise, bias=bias)
-    return ProblemSpec(
-        q11=config.problem_q11,
-        q12=config.problem_q12,
-        q21=config.problem_q21,
-        q22=config.problem_q22,
-        theta_star=config.problem_theta_star,
-        mu_star=config.problem_mu_star,
-        noise=NoiseModel(
-            cov=config.problem_noise_cov,
-            distribution=config.problem_noise,
-            moment_order=config.problem_moment_order,
-        ),
-        residual=NonlinearResidual(
+    else:
+        problem = library_problem(config.problem_name)
+    _check_shapes(config, problem.d, problem.d_prime)
+    if config.problem_name == "custom":
+        problem = replace(problem, residual=NonlinearResidual(
             kind=config.problem_residual,
             coeff_fast=config.problem_residual_coeff_fast,
             coeff_slow=config.problem_residual_coeff_slow,
             clamp_radius=config.problem_residual_clamp,
-        ),
-        bias=bias,
-        name="custom",
-    )
+        ))
+    noise = replace(problem.noise, distribution=config.problem_noise,
+                    moment_order=config.problem_moment_order)
+    bias = BiasModel(kind=config.problem_bias, coeff_fast=config.problem_bias_coeff_fast,
+                     coeff_slow=config.problem_bias_coeff_slow, rho=config.problem_bias_rho)
+    return replace(problem, noise=noise, bias=bias)
 
 
-def build_schedule(config: ExperimentConfig) -> StepSchedule:
-    try:
-        return StepSchedule(
-            beta0=config.step_beta0,
-            b=config.step_b,
-            gamma0=config.step_gamma0,
-            a=config.step_a,
-            regime=config.step_regime,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+def _check_shapes(config: ExperimentConfig, d: int, d_prime: int) -> None:
+    """Each array key that is set has the shape a d+d' problem gives it."""
+    dim = d + d_prime
+    for key, shape in (
+        ("run.theta0_offset", (d,)), ("run.mu0_offset", (d_prime,)),
+        ("problem.bias_coeff_fast", (d,)), ("problem.bias_coeff_slow", (d_prime,)),
+        ("problem.residual_coeff_fast", (d, dim, dim)),
+        ("problem.residual_coeff_slow", (d_prime, dim, dim)),
+    ):
+        value = _value(config, key)
+        try:
+            fits = value is None or np.asarray(value, dtype=float).shape == shape
+        except (TypeError, ValueError):  # ragged, or not numbers
+            fits = False
+        if not fits:
+            expected = f"length {shape[0]}" if len(shape) == 1 else f"shape {shape}"
+            raise ConfigError(f"{key}: expected {expected}, got {value}", key=key)
 
 
-def build_mc(config: ExperimentConfig) -> MCConfig:
-    from .engine import checkpoint_indices
-
-    grid = checkpoint_indices(config.run_n_final, config.run_checkpoints_per_decade)
-    return MCConfig(
-        replications=config.mc_replications,
-        n_final=config.run_n_final,
-        base_seed=config.mc_base_seed,
-        algorithm=config.run_algorithm,
-        tol_rel=config.mc_tol_rel,
-        tol_cross=config.mc_tol_cross,
-        track_decomposition=config.run_track_decomposition,
-        checks=config.mc_checks,
-        checkpoints=tuple(int(n) for n in grid),
-    )
-
-
-def initial_iterates(config: ExperimentConfig, problem: ProblemSpec):
+def _start(config: ExperimentConfig, problem: ProblemSpec):
     """(theta0, mu0) from the run offsets, or None where no offset is set.
 
-    An offset of the wrong length, or a start the engine's divergence guard
-    would flag before any step, is a ConfigError naming the offset key.
+    A start the engine's divergence guard would flag before any step is a
+    ConfigError naming the key that set the larger block: its offset, or else
+    its root.
     """
-    blocks = []  # per block, the key that set its start, and the start
-    for key, root_key, offset, root in (
-        ("run.theta0_offset", "problem.theta_star",
-         config.run_theta0_offset, problem.theta_star),
-        ("run.mu0_offset", "problem.mu_star", config.run_mu0_offset, problem.mu_star),
-    ):
-        if offset is None:
-            blocks.append((root_key, None))
-            continue
-        offset = np.asarray(offset, dtype=float)
-        if offset.shape != root.shape:
-            raise ConfigError(
-                f"{key}: expected length {root.size}, got {offset.tolist()}", key=key
-            )
-        blocks.append((key, root + offset))
-    (fast_key, theta0), (slow_key, mu0) = blocks
-    x = _initial_iterate(problem, theta0, mu0)
-    if _first_diverged(x[None], problem.d) >= 0:
-        d = problem.d
-        key = fast_key if np.abs(x[:d]).max() >= np.abs(x[d:]).max() else slow_key
+    theta0, mu0 = (
+        None if offset is None else root + np.asarray(offset, dtype=float)
+        for offset, root in ((config.run_theta0_offset, problem.theta_star),
+                             (config.run_mu0_offset, problem.mu_star))
+    )
+    x, d = _initial_iterate(problem, theta0, mu0), problem.d
+    if _first_diverged(x[None], d) >= 0:
+        fast = np.abs(x[:d]).max() >= np.abs(x[d:]).max()
+        block, start = ("theta", theta0) if fast else ("mu", mu0)
+        key = f"problem.{block}_star" if start is None else f"run.{block}0_offset"
         raise ConfigError(
             f"{key}: the start lies beyond the divergence guard, "
             f"max|theta| + max|mu| > {DIVERGENCE_GUARD:g}",
