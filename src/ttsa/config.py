@@ -253,18 +253,23 @@ def _validate(config: ExperimentConfig) -> None:
             f"step exponent ordering violated: need 1/2 < a < b (A3); got a={a}, b={b}",
             key="step.a",
         )
-    if config.step_beta0 <= 0 or config.step_gamma0 <= 0:
-        raise ConfigError("step scales beta0 and gamma0 must be positive (A3)")
     if config.run_algorithm == MATRICIAL and config.run_track_decomposition:
         raise ConfigError(
             "run.track_decomposition: decomposition tracking applies to the plain "
             "iteration only, not to run.algorithm = matricial",
             key="run.track_decomposition",
         )
-    bounds = {"run.n_final": 1, "run.checkpoints_per_decade": 1, "mc.replications": 2}
-    for key, least in bounds.items():
-        if _value(config, key) < least:
-            raise ConfigError(f"{key} must be at least {least}", key=key)
+    # each key must exceed its bound: the counts, and the step scales (A3),
+    # bias decay rate (A4), clamp radius and tolerances, which are positive
+    bounds = {
+        "run.n_final": 0, "run.checkpoints_per_decade": 0, "mc.replications": 1,
+        "step.beta0": 0.0, "step.gamma0": 0.0, "problem.bias_rho": 0.0,
+        "problem.residual_clamp": 0.0, "mc.tol_rel": 0.0, "mc.tol_cross": 0.0,
+    }
+    for key, bound in bounds.items():
+        value = _value(config, key)
+        if not value > bound:
+            raise ConfigError(f"{key} must be greater than {bound}, got {value}", key=key)
     unread = set()
     for cond, value, keys in _READ_WHEN:
         if _value(config, cond) == value:

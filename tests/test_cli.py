@@ -68,6 +68,10 @@ _BY_NAME = {
     **{KEY_TABLE[key][0]: st.sampled_from(allowed) for key, allowed in _CHOICES.items()},
     "step_beta0": _POSITIVE,
     "step_gamma0": _POSITIVE,
+    "problem_bias_rho": _POSITIVE,
+    "problem_residual_clamp": _POSITIVE,
+    "mc_tol_rel": _POSITIVE,
+    "mc_tol_cross": _POSITIVE,
     "run_n_final": st.integers(min_value=1),
     "run_checkpoints_per_decade": st.integers(min_value=1),
     "mc_replications": st.integers(min_value=2),
@@ -205,11 +209,11 @@ problem.q21 = [[1.0]]
 problem.q22 = [[-1.0]]
 problem.noise_cov = [[1.0, 0.0], [0.0, 1.0]]
 problem.noise = bounded_uniform
-problem.moment_order = inf
+problem.moment_order = -inf
 problem.bias = power_decay
 problem.bias_coeff_fast = [0.5]
 problem.bias_coeff_slow = [-0.5]
-problem.bias_rho = -inf
+problem.bias_rho = inf
 step.a = 0.55
 step.b = 0.9
 run.algorithm = averaged
@@ -220,8 +224,8 @@ run.track_decomposition = true
         config = parse_config(text)
         assert parse_config(render_config(config)) == config
         assert config.mc_checks == ("clt", "slopes")
-        assert math.isinf(config.problem_moment_order)
-        assert config.problem_bias_rho == -math.inf
+        assert config.problem_moment_order == -math.inf
+        assert config.problem_bias_rho == math.inf
 
     @settings(deadline=None)
     @given(config=experiment_configs())
@@ -442,13 +446,18 @@ class TestValidateCommand:
         assert "A3" in err
 
 
+_COMMANDS = ("validate", "theory", "run", "decompose", "montecarlo")
+# residual tensors of three 3x3 slices stack to (3, 3, 3), which fits no 1+1 problem
+_SLICE_3X3 = "[[0.1, 0.0, 0.0], [0.0, 0.1, 0.0], [0.0, 0.0, 0.1]]"
+
+
 class TestBadStart:
     """Setups that cannot start a run exit 2 before any step, naming the key."""
 
     def test_offset_of_wrong_length(self, tmp_path, capsys):
         text = "problem.name = scalar-coupled\nrun.theta0_offset = [1.0, 2.0]\n"
         path = write_config(tmp_path, text)
-        for command in ("validate", "run", "montecarlo"):
+        for command in _COMMANDS:
             out = str(tmp_path / "out")
             assert cli.main([command, "--config", path, "--output", out]) == 2
             err = capsys.readouterr().err
@@ -467,7 +476,7 @@ class TestBadStart:
         path = write_config(tmp_path, text)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for command in ("validate", "run", "montecarlo"):
+            for command in _COMMANDS:
                 out = str(tmp_path / "out")
                 assert cli.main([command, "--config", path, "--output", out]) == 2
                 err = capsys.readouterr().err
@@ -483,12 +492,26 @@ class TestBadStart:
         (f"{MINIMAL}run.n_final = -5\n", "run.n_final"),
         (f"{MINIMAL}run.checkpoints_per_decade = 0\n", "run.checkpoints_per_decade"),
         (f"{MINIMAL}run.checkpoints_per_decade = -2\n", "run.checkpoints_per_decade"),
+        (f"{CUSTOM_1X1}{QUADRATIC_1X1}".replace("= 3.0", "= -1.0"), "problem.residual_clamp"),
+        (f"{MINIMAL}{power_decay(2)}".replace("= 0.8", "= 0"), "problem.bias_rho"),
+        (f"{MINIMAL}step.beta0 = -1.0\n", "step.beta0"),
+        (f"{MINIMAL}step.gamma0 = 0\n", "step.gamma0"),
+        (f"{MINIMAL}mc.tol_rel = -1.0\n", "mc.tol_rel"),
+        (f"{MINIMAL}mc.tol_cross = 0\n", "mc.tol_cross"),
+        ("problem.name = scalar-coupled\nrun.theta0_offset = [1.0, 2.0]\n", "run.theta0_offset"),
+        ("problem.name = scalar-coupled\nproblem.bias = power_decay\n"
+         "problem.bias_coeff_fast = [0.5, 0.5]\nproblem.bias_coeff_slow = [0.5]\n",
+         "problem.bias_coeff_fast"),
+        (f"{CUSTOM_1X1}problem.residual = quadratic_form\n"
+         f"problem.residual_coeff_fast = [{_SLICE_3X3}]\n"
+         f"problem.residual_coeff_slow = [{_SLICE_3X3}, {_SLICE_3X3}]\n",
+         "problem.residual_coeff_fast"),
     ])
     def test_config_error_names_the_key(self, tmp_path, capsys, text, key):
         path = write_config(tmp_path, text)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for command in ("validate", "run", "montecarlo"):
+            for command in _COMMANDS:
                 out = str(tmp_path / "out")
                 assert cli.main([command, "--config", path, "--output", out]) == 2
                 err = capsys.readouterr().err
@@ -497,7 +520,7 @@ class TestBadStart:
     def test_matricial_with_decomposition_tracking(self, tmp_path, capsys):
         text = MINIMAL + "run.algorithm = matricial\nrun.track_decomposition = true\n"
         path = write_config(tmp_path, text)
-        for command in ("validate", "run", "montecarlo"):
+        for command in _COMMANDS:
             out = str(tmp_path / "out")
             assert cli.main([command, "--config", path, "--output", out]) == 2
             err = capsys.readouterr().err
@@ -506,7 +529,7 @@ class TestBadStart:
     def test_averaged_on_a_plain_schedule(self, tmp_path, capsys):
         text = MINIMAL + "run.n_final = 20\nrun.algorithm = averaged\n"
         path = write_config(tmp_path, text)
-        for command in ("validate", "run", "montecarlo"):
+        for command in _COMMANDS:
             out = str(tmp_path / "out")
             assert cli.main([command, "--config", path, "--output", out]) == 2
             assert "averaging regime" in capsys.readouterr().err
