@@ -259,6 +259,12 @@ def _validate(config: ExperimentConfig) -> None:
             "iteration only, not to run.algorithm = matricial",
             key="run.track_decomposition",
         )
+    if "negligibility" in config.mc_checks and not config.run_track_decomposition:
+        raise ConfigError(
+            "run.track_decomposition: mc.checks = negligibility reads the tracked "
+            "decomposition, so it needs run.track_decomposition = true",
+            key="run.track_decomposition",
+        )
     # each key must exceed its bound: the counts, and the step scales (A3),
     # bias decay rate (A4), clamp radius and tolerances, which are positive
     bounds = {

@@ -67,6 +67,8 @@ class MCConfig:
         unknown = set(self.checks) - set(KNOWN_CHECKS)
         if unknown:
             raise ConfigError(f"unknown checks: {sorted(unknown)}")
+        if "negligibility" in self.checks and not self.track_decomposition:
+            raise ConfigError("the negligibility check needs track_decomposition = True")
 
     def as_dict(self) -> dict:
         """The settings a report echoes: all but the gains, the start and the grid."""
@@ -523,10 +525,6 @@ def _build_verdicts(report, mc, resolved, dims) -> list[Verdict]:
 
 
 def _negligibility_verdict(report) -> Verdict:
-    if not report.negligibility:
-        return Verdict(
-            "negligibility", False, {"diagnostic": "decomposition tracking not enabled"}
-        )
     ns = report.curves["n"]
     ref = int(np.argmin(np.abs(ns - ns[-1] / 100.0)))
     details: dict = {"reference_n": int(ns[ref]), "final_n": int(ns[-1]),

@@ -88,6 +88,8 @@ def experiment_configs(draw):
     a, b = sorted((draw(exponent), draw(exponent)))
     assume(a < b)
     values.update(step_a=a, step_b=b)
+    if "negligibility" in values["mc_checks"]:  # it reads the tracked decomposition
+        values["run_track_decomposition"] = True
     assume(not (values["run_algorithm"] == "matricial" and values["run_track_decomposition"]))
     defaults, conditional, unread = ExperimentConfig(), set(), set()
     for cond, value, keys in _READ_WHEN:  # in order: a row may reset a later row's condition
@@ -516,6 +518,14 @@ class TestBadStart:
                 assert cli.main([command, "--config", path, "--output", out]) == 2
                 err = capsys.readouterr().err
                 assert err.startswith("config error: ") and key in err
+
+    def test_negligibility_without_decomposition_tracking(self, tmp_path, capsys):
+        path = write_config(tmp_path, MINIMAL + "run.n_final = 20\nmc.checks = negligibility\n")
+        for command in _COMMANDS:
+            out = str(tmp_path / "out")
+            assert cli.main([command, "--config", path, "--output", out]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error: run.track_decomposition")
 
     def test_matricial_with_decomposition_tracking(self, tmp_path, capsys):
         text = MINIMAL + "run.algorithm = matricial\nrun.track_decomposition = true\n"

@@ -320,6 +320,10 @@ class TestRunMonteCarlo:
         with pytest.raises(ConfigError):
             MCConfig(replications=2, n_final=10, base_seed=0, checks=("normality",))
 
+    def test_negligibility_without_tracking_rejected(self):
+        with pytest.raises(ConfigError, match="track_decomposition"):
+            MCConfig(replications=2, n_final=10, base_seed=0, checks=("negligibility",))
+
     def test_kurtosis_diagnostic_soft(self, linear_problem, schedule):
         mc = MCConfig(replications=64, n_final=200, base_seed=3, checks=())
         report = run_monte_carlo(linear_problem, schedule, mc)
