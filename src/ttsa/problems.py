@@ -204,6 +204,13 @@ class BiasModel:
         return self.kind == "zero"
 
 
+def _check_coeffs(name: str, model, fast: tuple, slow: tuple) -> None:
+    """A bias or residual model's fast and slow coefficients have these shapes."""
+    got = (model.coeff_fast.shape, model.coeff_slow.shape)
+    if got != (fast, slow):
+        raise DimensionError(f"{name} must have shapes {fast} and {slow}, got {got[0]} and {got[1]}")
+
+
 @dataclass(frozen=True)
 class ProblemSpec:
     q11: np.ndarray
@@ -232,6 +239,11 @@ class ProblemSpec:
                 f"noise covariance must have shape {(d + dp, d + dp)}, "
                 f"got {self.noise.cov.shape}"
             )
+        dim = d + dp
+        if self.bias.kind == "power_decay":
+            _check_coeffs("bias coefficients", self.bias, (d,), (dp,))
+        if self.residual.kind == "quadratic_form":
+            _check_coeffs("residual tensors", self.residual, (d, dim, dim), (dp, dim, dim))
         object.__setattr__(self, "q11", q11)
         object.__setattr__(self, "q12", q12)
         object.__setattr__(self, "q21", q21)

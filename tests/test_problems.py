@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from ttsa import NoiseModel, NonlinearResidual, ProblemSpec, StepSchedule, validate_problem
+from ttsa import (
+    BiasModel,
+    NoiseModel,
+    NonlinearResidual,
+    ProblemSpec,
+    StepSchedule,
+    validate_problem,
+)
 from ttsa.errors import DimensionError, SingularMatrixError
 from ttsa.problems import library_problem
 
@@ -239,6 +246,31 @@ class TestQuadraticResidual:
                 coeff_fast=np.zeros((2, 4, 4)),
                 coeff_slow=np.zeros((1, 4, 4)),
             )
+
+
+class TestModelDimensions:
+    """Bias and residual coefficients must fit the problem's d+d' dimensions."""
+
+    @pytest.mark.parametrize("model", [
+        BiasModel(kind="power_decay", coeff_fast=[0.5, 0.5], coeff_slow=[0.5]),
+        BiasModel(kind="power_decay", coeff_fast=[0.5], coeff_slow=[0.5, 0.5]),
+        # the slices stack to (3, 3, 3), which no 1+1 problem fits
+        NonlinearResidual(kind="quadratic_form", coeff_fast=np.zeros((1, 3, 3)),
+                          coeff_slow=np.zeros((2, 3, 3))),
+        NonlinearResidual(kind="quadratic_form", coeff_fast=np.zeros((2, 2, 2)),
+                          coeff_slow=np.zeros((0, 2, 2))),
+    ])
+    def test_misfit_coefficients_rejected(self, model):
+        field = "bias" if isinstance(model, BiasModel) else "residual"
+        with pytest.raises(DimensionError, match="must have shapes"):
+            scalar_spec(-1.0, 0.0, 0.0, -1.0, **{field: model})
+
+    def test_fitting_coefficients_accepted(self):
+        bias = BiasModel(kind="power_decay", coeff_fast=[0.5], coeff_slow=[-0.5])
+        residual = NonlinearResidual(kind="quadratic_form", coeff_fast=np.zeros((1, 2, 2)),
+                                     coeff_slow=np.zeros((1, 2, 2)))
+        problem = scalar_spec(-1.0, 0.0, 0.0, -1.0, bias=bias, residual=residual)
+        assert problem.bias is bias and problem.residual is residual
 
 
 class TestValidateProblem:
