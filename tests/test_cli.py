@@ -287,33 +287,81 @@ def power_decay(d):
 
 # Valid starts for the no-silent-key property: each library problem and a
 # custom 1+1 problem, with the zero and the power_decay bias, the custom one
-# also with and without the quadratic_form residual.
+# also with and without the quadratic_form residual; the averaged, matricial
+# and decomposition-tracking runs of the benchmark workloads; and the custom
+# problem with every model and both offsets.
 _STARTS = [
     *(f"problem.name = {name}\n{bias}" for name in LIBRARY_NAMES
       for bias in ("", power_decay(1 if name == "scalar-coupled" else 2))),
     *(f"{CUSTOM_1X1}{bias}{residual}" for bias in ("", power_decay(1))
       for residual in ("", QUADRATIC_1X1)),
+    "problem.name = quadratic-2x2\nstep.beta0 = 2.0\nstep.gamma0 = 2.0\nstep.regime = averaging\n"
+    "run.algorithm = averaged\nrun.n_final = 2000\nmc.checks = clt,averaged_blocks\n",
+    f"{MINIMAL}run.algorithm = matricial\n",
+    f"{MINIMAL}step.b = 0.95\nstep.a = 0.55\nstep.beta0 = 2.0\nstep.gamma0 = 2.0\n"
+    "run.track_decomposition = true\nrun.n_final = 4000\nmc.replications = 400\n"
+    "mc.checks = negligibility\n",
+    f"{CUSTOM_1X1}{power_decay(1)}{QUADRATIC_1X1}run.theta0_offset = [0.5]\n"
+    "run.mu0_offset = [-0.5]\n",
 ]
-_PROBLEM_KEYS = [key for key in KEY_TABLE if key.startswith("problem.")]
+# Keys the CLI reads outside build_experiment, so no built field shows them.
+_CLI_KEYS = {
+    "run.seed",  # run and decompose seed their one trajectory with it
+    "mc.dump_samples",  # montecarlo writes montecarlo_samples.csv when it is set
+    "output.directory",  # where every command writes by default
+}
+_BUILT_KEYS = [key for key in KEY_TABLE if key not in _CLI_KEYS]
+# Rules over two keys: a change to either may be rejected naming the other.
+_CROSS_KEYS = (
+    ("step.a", "step.b"),  # 1/2 < a < b (A3)
+    ("run.algorithm", "step.regime"),  # the averaged algorithm needs averaging (A'3)
+    ("run.algorithm", "run.track_decomposition"),  # matricial is not tracked
+    ("mc.checks", "run.track_decomposition"),  # negligibility reads the tracked parts
+)
+# The array keys whose shape problem.name sets (config._check_shapes).
+_SHAPED_BY_NAME = {
+    "run.theta0_offset", "run.mu0_offset", "problem.bias_coeff_fast", "problem.bias_coeff_slow",
+    "problem.residual_coeff_fast", "problem.residual_coeff_slow",
+}
+
+
+def _may_name(key):
+    """The keys a rejection of a change to ``key`` may name."""
+    names = {key, *(other for pair in _CROSS_KEYS if key in pair for other in pair)}
+    # a changed condition may leave the keys it governs unread instead
+    names.update(k for cond, _, keys in _READ_WHEN if cond == key for k in keys)
+    if key == "problem.name":  # another problem may not fit the set array keys
+        names |= _SHAPED_BY_NAME
+    return names
 
 
 def _shape(key, d, d_prime):
-    """Shape of an array-valued problem key for a d+d' problem."""
+    """Shape of an array-valued key for a d+d' problem."""
     dim = d + d_prime
     return {
         "q11": (d, d), "q12": (d, d_prime), "q21": (d_prime, d), "q22": (d_prime, d_prime),
         "noise_cov": (dim, dim), "theta_star": (d,), "mu_star": (d_prime,),
         "bias_coeff_fast": (d,), "bias_coeff_slow": (d_prime,),
         "residual_coeff_fast": (d, dim, dim), "residual_coeff_slow": (d_prime, dim, dim),
+        "theta0_offset": (d,), "mu0_offset": (d_prime,),
     }[key.partition(".")[2]]
 
 
 def _other_value(draw, key, current, problem):
-    """A valid value for ``key`` other than ``current``, of the same shape."""
+    """A valid value for ``key`` other than ``current``, of the same type and shape."""
     if key in _CHOICES:
         return draw(st.sampled_from([v for v in _CHOICES[key] if v != current]))
-    if isinstance(current, float):
-        value = draw(st.floats(min_value=0.01, max_value=100.0))
+    if isinstance(current, bool):
+        return not current
+    if isinstance(current, int):
+        value = draw(st.integers(min_value=1, max_value=1000))
+    elif isinstance(current, float):
+        low = 0.5 if key in ("step.a", "step.b") else 0.01  # exponents: 1/2 < a < b <= 1
+        value = draw(st.floats(min_value=low, max_value=1.0 if low == 0.5 else 100.0,
+                               exclude_min=True))
+    elif isinstance(current, tuple):
+        checks = st.lists(st.sampled_from(KNOWN_CHECKS), min_size=1, max_size=3, unique=True)
+        value = tuple(draw(checks))
     else:
         shape = _shape(key, problem.d, problem.d_prime)
         if key == "problem.noise_cov":  # a covariance: symmetric and positive
@@ -329,38 +377,36 @@ def _other_value(draw, key, current, problem):
 
 
 def _same(a, b):
-    """Field-by-field equality of built problems, exact on arrays."""
+    """Field-by-field equality of built experiments, exact on arrays."""
     if is_dataclass(a):
         return type(a) is type(b) and all(
             _same(getattr(a, f.name), getattr(b, f.name)) for f in fields(a)
         )
+    if isinstance(a, tuple):
+        return type(a) is type(b) and len(a) == len(b) and all(map(_same, a, b))
     if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
         return np.array_equal(a, b)
     return a == b
 
 
 class TestNoSilentKeys:
-    """A key that parses is read: changing it moves the built problem, or the
-    config is rejected naming the key."""
+    """A key that parses is read: changing it moves the built experiment, or
+    the config is rejected naming the key (``_may_name``)."""
 
-    @settings(deadline=None, max_examples=200)
-    @given(start=st.sampled_from(_STARTS), key=st.sampled_from(_PROBLEM_KEYS), data=st.data())
-    def test_changing_a_problem_key_changes_the_problem_or_is_rejected(self, start, key, data):
+    @settings(deadline=None, max_examples=300)
+    @given(start=st.sampled_from(_STARTS), key=st.sampled_from(_BUILT_KEYS), data=st.data())
+    def test_changing_a_key_changes_the_experiment_or_is_rejected(self, start, key, data):
         config = parse_config(start)
-        problem = build_problem(config)
+        experiment = build_experiment(config)
         attr = KEY_TABLE[key][0]
-        value = _other_value(data.draw, key, getattr(config, attr), problem)
+        value = _other_value(data.draw, key, getattr(config, attr), experiment[0])
         changed = replace(config, **{attr: value})
-        # a changed condition may leave the keys it governs unread instead
-        governed = {k for cond, _, keys in _READ_WHEN if cond == key for k in keys}
-        if key == "problem.name":  # another problem may not fit the set array keys
-            governed |= {"problem.bias_coeff_fast", "problem.bias_coeff_slow"}
         try:
-            rebuilt = build_problem(parse_config(render_config(changed)))
+            rebuilt = build_experiment(parse_config(render_config(changed)))
         except ConfigError as err:
-            assert err.key == key or err.key in governed, str(err)
+            assert err.key in _may_name(key), str(err)
         else:
-            assert not _same(rebuilt, problem), f"{key} = {value!r} was not read"
+            assert not _same(rebuilt, experiment), f"{key} = {value!r} was not read"
 
     @pytest.mark.parametrize("text", [
         "problem.name = quadratic-2x2\nproblem.residual_clamp = 0.5\n",
