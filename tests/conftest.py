@@ -1,7 +1,19 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from ttsa import NoiseModel, ProblemSpec, StepSchedule, library_problem
+
+# Hypothesis imports this module, and with it libcst where installed, to write
+# a patch for the first failing property. libcst warns at import, which under
+# -W error would end the session there, so it is imported once here.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:  # libcst is not installed
+        pass
 
 
 @pytest.fixture(scope="session")
