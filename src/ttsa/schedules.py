@@ -22,10 +22,14 @@ _CHUNK = 65536
 
 
 def _comp_cumsum(x: np.ndarray) -> np.ndarray:
-    """Chunked cumulative sum with exactly accumulated chunk offsets.
+    """Running sums of ``x``, restarted every ``_CHUNK`` terms.
 
-    Within a chunk numpy's pairwise summation is used; chunk totals are
-    carried with math.fsum so the running sums stay accurate over 1e7 terms.
+    ``np.cumsum`` adds one term at a time, so within a chunk a partial sum is
+    off by at most about (_CHUNK - 1) u times the sum of the magnitudes of its
+    terms, u = 2^-53. The chunk totals are carried with math.fsum, so those
+    errors add without compounding, and every output is within about
+    (_CHUNK + 1) u sum_{j<=i} |x_j| (7e-12 relative for positive steps) of the
+    exact partial sum, however many terms there are.
     """
     out = np.empty_like(x)
     totals: list[float] = []

@@ -355,10 +355,10 @@ def _other_value(draw, key, current, problem):
         return not current
     if isinstance(current, int):
         value = draw(st.integers(min_value=1, max_value=1000))
+    elif key in ("step.a", "step.b"):  # exponents: 1/2 < a < b <= 1
+        value = draw(st.floats(min_value=0.5, max_value=1.0, exclude_min=True))
     elif isinstance(current, float):
-        low = 0.5 if key in ("step.a", "step.b") else 0.01  # exponents: 1/2 < a < b <= 1
-        value = draw(st.floats(min_value=low, max_value=1.0 if low == 0.5 else 100.0,
-                               exclude_min=True))
+        value = draw(st.floats(min_value=0.01, max_value=100.0))
     elif isinstance(current, tuple):
         checks = st.lists(st.sampled_from(KNOWN_CHECKS), min_size=1, max_size=3, unique=True)
         value = tuple(draw(checks))
