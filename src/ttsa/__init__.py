@@ -8,6 +8,7 @@ from .engine import (
     initial_state,
     matricial_schedule,
     optimal_gains,
+    resolve_algorithm,
     run,
     simulate_batch,
     step,
@@ -67,6 +68,7 @@ __all__ = [
     "optimal_covariances",
     "optimal_gains",
     "rate_slope",
+    "resolve_algorithm",
     "run",
     "run_monte_carlo",
     "sample_covariance",

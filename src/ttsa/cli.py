@@ -71,14 +71,14 @@ def _cmd_theory(args) -> int:
 def _run_trace(args, always_track: bool, default_name: str) -> int:
     """``run`` and ``decompose``: one trajectory to CSV, with the decomposition
     when ``always_track`` or ``run.track_decomposition`` asks for it."""
-    config, (problem, schedule, _, mc) = _load(args.config)
+    config, (problem, _, resolved, mc) = _load(args.config)
     try:
         trace = engine.run(
             problem,
-            schedule,
+            resolved.schedule,
             mc.n_final,
             config.run_seed,
-            algorithm=mc.algorithm,
+            gains=resolved.gains,
             theta0=mc.theta0,
             mu0=mc.mu0,
             track_decomposition=always_track or mc.track_decomposition,
@@ -102,8 +102,8 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_montecarlo(args) -> int:
-    config, (problem, schedule, _, mc) = _load(args.config)
-    report = montecarlo.run_monte_carlo(problem, schedule, mc)
+    config, (problem, _, resolved, mc) = _load(args.config)
+    report = montecarlo.run_monte_carlo(problem, resolved, mc)
     payload = report.as_dict()
     payload["config"] = cfg.config_echo(config)
     payload["version"] = reports.ARTIFACT_VERSION

@@ -332,8 +332,7 @@ def build_experiment(config: ExperimentConfig):
     grid = checkpoint_indices(config.run_n_final, config.run_checkpoints_per_decade)
     mc = MCConfig(
         replications=config.mc_replications, n_final=config.run_n_final,
-        base_seed=config.mc_base_seed, algorithm=config.run_algorithm,
-        tol_rel=config.mc_tol_rel, tol_cross=config.mc_tol_cross,
+        base_seed=config.mc_base_seed, tol_rel=config.mc_tol_rel, tol_cross=config.mc_tol_cross,
         track_decomposition=config.run_track_decomposition, checks=config.mc_checks,
         theta0=theta0, mu0=mu0, checkpoints=tuple(int(n) for n in grid),
     )

@@ -20,7 +20,9 @@ residual rho enters through R_n, and the bias row c_n = r_n R_n is added per
 step. ``simulate_batch`` builds A, R and c once per chunk of steps as stacked
 (span, ., .) tables; ``step`` builds one-step tables through the same code.
 The matricial variant is this recursion with the gain G and the schedule
-``matricial_schedule(a)``, a pair ``step`` and ``simulate_batch`` both take.
+``matricial_schedule(a)``. ``step``, ``run`` and ``simulate_batch`` all take
+that (schedule, gains) pair, and ``resolve_algorithm`` is what turns an
+algorithm name into it.
 
 One state and one step loop serve every caller. An ``SAState`` holds z, its
 running sum and, when the decomposition is tracked, the (martingale,
@@ -749,7 +751,6 @@ def run(
     n_final: int,
     seed: int,
     *,
-    algorithm: str = STANDARD,
     gains: GainMatrices | None = None,
     theta0=None,
     mu0=None,
@@ -758,18 +759,18 @@ def run(
 ) -> BatchTrace:
     """Run one trajectory and return its checkpointed trace, replication axis dropped.
 
-    Traces are pure functions of (problem, schedule, n_final, seed) and the
-    options; the trajectory is identical to replication 0 of a batch with the
-    same seed.
+    ``schedule`` and ``gains`` are the pair ``step`` and ``simulate_batch``
+    take, as ``resolve_algorithm`` gives them. Traces are pure functions of
+    (problem, schedule, n_final, seed) and the options; the trajectory is
+    identical to replication 0 of a batch with the same seed.
     """
-    resolved = resolve_algorithm(problem, schedule, algorithm, gains)
     batch = simulate_batch(
         problem,
-        resolved.schedule,
+        schedule,
         n_final,
         base_seed=seed,
         replications=1,
-        gains=resolved.gains,
+        gains=gains,
         theta0=theta0,
         mu0=mu0,
         track_decomposition=track_decomposition,

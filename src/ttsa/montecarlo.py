@@ -20,19 +20,9 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from . import theory
-from .engine import (
-    AVERAGED,
-    STANDARD,
-    BatchTrace,
-    GainMatrices,
-    ResolvedAlgorithm,
-    _step_sizes,
-    resolve_algorithm,
-    simulate_batch,
-)
+from .engine import AVERAGED, BatchTrace, ResolvedAlgorithm, _step_sizes, simulate_batch
 from .errors import ConfigError, DegenerateDataError, DivergenceError
 from .problems import ProblemSpec
-from .schedules import StepSchedule
 
 KNOWN_CHECKS = ("clt", "averaged_blocks", "slopes", "lil", "negligibility")
 
@@ -49,12 +39,10 @@ class MCConfig:
     replications: int
     n_final: int
     base_seed: int
-    algorithm: str = STANDARD
     tol_rel: float = 0.15
     tol_cross: float = 0.10
     track_decomposition: bool = False
     checks: tuple[str, ...] = ("clt",)
-    gains: GainMatrices | None = None
     theta0: np.ndarray | None = None
     mu0: np.ndarray | None = None
     checkpoints: tuple | None = None
@@ -71,9 +59,9 @@ class MCConfig:
             raise ConfigError("the negligibility check needs track_decomposition = True")
 
     def as_dict(self) -> dict:
-        """The settings a report echoes: all but the gains, the start and the grid."""
+        """The settings a report echoes: all but the start and the grid."""
         echo = {f.name: getattr(self, f.name) for f in fields(self)
-                if f.name not in ("gains", "theta0", "mu0", "checkpoints")}
+                if f.name not in ("theta0", "mu0", "checkpoints")}
         return {**echo, "checks": list(self.checks)}
 
 
@@ -304,15 +292,15 @@ def _window_max(ns, values, lo: float, hi: float) -> np.ndarray:
 
 
 def run_monte_carlo(
-    problem: ProblemSpec, schedule: StepSchedule, mc: MCConfig
+    problem: ProblemSpec, resolved: ResolvedAlgorithm, mc: MCConfig
 ) -> MonteCarloReport:
     """Run the full replication experiment and assemble the report.
 
-    ``resolve_algorithm`` fixes the schedule and gains that run. A divergent
-    replication invalidates the whole report; it is recorded, never dropped,
-    and the report keeps the checkpoints reached before it.
+    ``resolved`` is the algorithm as ``resolve_algorithm`` fixed it: the
+    schedule and gains that run. A divergent replication invalidates the
+    whole report; it is recorded, never dropped, and the report keeps the
+    checkpoints reached before it.
     """
-    resolved = resolve_algorithm(problem, schedule, mc.algorithm, mc.gains)
     predicted = _predictions(problem, resolved)
     try:
         trace = simulate_batch(
@@ -384,7 +372,7 @@ def _aggregate(problem, resolved, mc, trace, predicted) -> MonteCarloReport:
         problem_name=problem.name,
         algorithm=resolved.algorithm,
         schedule=asdict(resolved.schedule),
-        config=mc.as_dict(),
+        config={**mc.as_dict(), "algorithm": resolved.algorithm},
         curves={
             "n": trace.ns,
             "beta": trace.beta,

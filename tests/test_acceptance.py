@@ -16,6 +16,7 @@ from ttsa import (
     initial_state,
     library_problem,
     linalg,
+    resolve_algorithm,
     run_monte_carlo,
     step,
 )
@@ -42,7 +43,7 @@ def linear_report():
         checks=("clt", "slopes", "lil"),
     )
     start = time.time()
-    report = run_monte_carlo(problem, schedule, mc)
+    report = run_monte_carlo(problem, resolve_algorithm(problem, schedule, "standard"), mc)
     report.diagnostics["wall_seconds"] = time.time() - start
     return report
 
@@ -55,11 +56,10 @@ def quad_report():
         replications=M,
         n_final=N_FINAL,
         base_seed=20240702,
-        algorithm="averaged",
         tol_rel=0.15,
         checks=("clt", "averaged_blocks"),
     )
-    return run_monte_carlo(problem, schedule, mc)
+    return run_monte_carlo(problem, resolve_algorithm(problem, schedule, "averaged"), mc)
 
 
 @pytest.fixture(scope="module")
@@ -70,10 +70,9 @@ def matricial_report():
         replications=M,
         n_final=N_FINAL,
         base_seed=20240703,
-        algorithm="matricial",
         checks=("clt",),
     )
-    return run_monte_carlo(problem, schedule, mc)
+    return run_monte_carlo(problem, resolve_algorithm(problem, schedule, "matricial"), mc)
 
 
 @pytest.fixture(scope="module")
@@ -87,7 +86,7 @@ def decomposition_report():
         track_decomposition=True,
         checks=("negligibility",),
     )
-    return run_monte_carlo(problem, schedule, mc)
+    return run_monte_carlo(problem, resolve_algorithm(problem, schedule, "standard"), mc)
 
 
 def test_criterion_1_matrix_kernel_suite():

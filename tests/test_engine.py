@@ -19,6 +19,7 @@ from ttsa import (
     initial_state,
     matricial_schedule,
     optimal_gains,
+    resolve_algorithm,
     run,
     simulate_batch,
     step,
@@ -341,16 +342,16 @@ class TestRun:
         # applied per block: the error-coordinate kernel sums the same terms
         # in another order, so the two agree to rounding
         p = library_problem("quadratic-2x2" if case == "quadratic-2x2" else "linear-2x2")
-        algorithm, gain_f, gain_s, steps = "standard", np.eye(2), np.eye(2), schedule
+        gains, gain_f, gain_s, steps = None, np.eye(2), np.eye(2), schedule
         if case == "matricial":
             gains = optimal_gains(p)
-            algorithm, gain_f, gain_s = "matricial", gains.fast, gains.slow
+            gain_f, gain_s = gains.fast, gains.slow
             steps = matricial_schedule(schedule.a)
         if case == "power_decay":
             p = replace(p, bias=BiasModel(kind="power_decay", coeff_fast=[0.5, -0.3],
                                           coeff_slow=[0.2, 0.4], rho=0.9))
         n_final = 300
-        trace = run(p, schedule, n_final, seed=9, algorithm=algorithm,
+        trace = run(p, steps, n_final, seed=9, gains=gains,
                     checkpoints=np.arange(1, n_final + 1))
 
         draws = p.noise.draw(replication_rng(9, 0), (n_final - 1,))
@@ -428,13 +429,13 @@ class TestRun:
 
     def test_unknown_algorithm_rejected(self, linear_problem, schedule):
         with pytest.raises(ConfigError):
-            run(linear_problem, schedule, 10, seed=0, algorithm="sgd")
+            resolve_algorithm(linear_problem, schedule, "sgd")
 
     def test_averaged_requires_averaging_regime(self, linear_problem, schedule):
-        # the same assumption (A'3) that run_monte_carlo enforces
+        # the assumption (A'3), checked where every command resolves its algorithm
         assert schedule.regime == "plain"
         with pytest.raises(ConfigError, match="averaging regime"):
-            run(linear_problem, schedule, 10, seed=0, algorithm="averaged")
+            resolve_algorithm(linear_problem, schedule, "averaged")
 
 
 class TestRunningSum:
@@ -627,13 +628,13 @@ class TestPerStepApi:
     @pytest.mark.parametrize("name", ["linear-2x2", "quadratic-2x2"])
     def test_chained_steps_equal_run_matricial(self, name, schedule):
         # the matricial variant is step with its schedule and gains, so it
-        # reproduces run(algorithm="matricial") bit for bit too
+        # reproduces run with that pair bit for bit too
         p = library_problem(name)
         n_final = 600
-        trace = run(p, schedule, n_final, seed=9, algorithm="matricial",
+        steps, gains = matricial_schedule(schedule.a), optimal_gains(p)
+        trace = run(p, steps, n_final, seed=9, gains=gains,
                     checkpoints=np.arange(1, n_final + 1))
 
-        steps, gains = matricial_schedule(schedule.a), optimal_gains(p)
         state = initial_state(p)
         x, x_bar = [state.x], [np.concatenate([state.theta_bar, state.mu_bar])]
         for xi in p.noise.draw(replication_rng(9, 0), (n_final - 1,)):

@@ -15,6 +15,7 @@ from ttsa import (
     clt_verdict,
     negligibility_curves,
     rate_slope,
+    resolve_algorithm,
     run_monte_carlo,
     sample_covariance,
     simulate_batch,
@@ -206,11 +207,13 @@ class TestNanMedian:
         # numpy.ma costs about 15 ms of import in every process that loads it
         code = (
             "import sys\n"
-            "from ttsa import MCConfig, StepSchedule, library_problem, run_monte_carlo\n"
+            "from ttsa import (MCConfig, StepSchedule, library_problem, resolve_algorithm,\n"
+            "                  run_monte_carlo)\n"
             "mc = MCConfig(replications=8, n_final=2000, base_seed=1,\n"
             "              track_decomposition=True, checks=('negligibility',))\n"
             "s = StepSchedule(beta0=2.0, b=0.95, gamma0=2.0, a=0.55)\n"
-            "report = run_monte_carlo(library_problem('linear-2x2'), s, mc)\n"
+            "p = library_problem('linear-2x2')\n"
+            "report = run_monte_carlo(p, resolve_algorithm(p, s, 'standard'), mc)\n"
             "assert report.negligibility\n"
             "sys.exit('numpy.ma' in sys.modules)\n"
         )
@@ -221,7 +224,7 @@ class TestNanMedian:
 class TestRunMonteCarlo:
     def test_degenerate_single_index(self, linear_problem, schedule):
         mc = MCConfig(replications=2, n_final=1, base_seed=0, checks=())
-        report = run_monte_carlo(linear_problem, schedule, mc)
+        report = run_monte_carlo(linear_problem, resolve_algorithm(linear_problem, schedule, "standard"), mc)
         assert report.valid
         assert report.curves["n"].tolist() == [1]
         # both replications start at the same point: zero covariance
@@ -230,22 +233,22 @@ class TestRunMonteCarlo:
     def test_zero_noise_covariance_collapses(self, schedule):
         p = scalar_spec(-2.0, 0.5, 0.5, -1.0, gamma=np.zeros((2, 2)))
         mc = MCConfig(replications=4, n_final=5000, base_seed=0, checks=())
-        report = run_monte_carlo(p, schedule, mc)
+        report = run_monte_carlo(p, resolve_algorithm(p, schedule, "standard"), mc)
         assert np.linalg.norm(report.curves["scaled_cov"][-1]) <= 1e-20
 
     def test_reproducible_bitwise(self, linear_problem, schedule):
         mc = MCConfig(replications=8, n_final=2000, base_seed=7,
                       checks=("clt",), track_decomposition=True)
-        a = run_monte_carlo(linear_problem, schedule, mc)
-        b = run_monte_carlo(linear_problem, schedule, mc)
+        a = run_monte_carlo(linear_problem, resolve_algorithm(linear_problem, schedule, "standard"), mc)
+        b = run_monte_carlo(linear_problem, resolve_algorithm(linear_problem, schedule, "standard"), mc)
         assert json.dumps(a.as_dict(), sort_keys=True) == json.dumps(
             b.as_dict(), sort_keys=True
         )
 
     def test_averaged_requires_averaging_regime(self, linear_problem, schedule):
-        mc = MCConfig(replications=4, n_final=100, base_seed=0, algorithm="averaged")
+        mc = MCConfig(replications=4, n_final=100, base_seed=0)
         with pytest.raises(ConfigError):
-            run_monte_carlo(linear_problem, schedule, mc)
+            run_monte_carlo(linear_problem, resolve_algorithm(linear_problem, schedule, "averaged"), mc)
 
     @staticmethod
     def _divergent_report(schedule, checkpoints=None):
@@ -260,7 +263,7 @@ class TestRunMonteCarlo:
         with pytest.raises(DivergenceError) as err:
             simulate_batch(p, schedule, 100, base_seed=1, replications=3,
                            checkpoints=checkpoints)
-        report = run_monte_carlo(p, schedule, mc)
+        report = run_monte_carlo(p, resolve_algorithm(p, schedule, "standard"), mc)
         assert not report.valid
         assert not report.passed
         assert report.divergence is not None
@@ -284,9 +287,8 @@ class TestRunMonteCarlo:
         assert report.curves["n"].size == 0
 
     def test_matricial_uses_implied_schedule(self, linear_problem, schedule):
-        mc = MCConfig(replications=4, n_final=500, base_seed=2, algorithm="matricial",
-                      checks=())
-        report = run_monte_carlo(linear_problem, schedule, mc)
+        mc = MCConfig(replications=4, n_final=500, base_seed=2, checks=())
+        report = run_monte_carlo(linear_problem, resolve_algorithm(linear_problem, schedule, "matricial"), mc)
         assert report.schedule["b"] == 1.0
         assert report.schedule["beta0"] == 1.0
         assert report.schedule["a"] == schedule.a
@@ -303,15 +305,14 @@ class TestRunMonteCarlo:
 
         monkeypatch.setattr(linalg, "solve_lyapunov", counting)
         gains = GainMatrices(fast=-np.eye(2), slow=np.eye(2))  # A*H + I/2 unstable
-        mc = MCConfig(replications=4, n_final=100, base_seed=2, algorithm="matricial",
-                      checks=(), gains=gains)
+        mc = MCConfig(replications=4, n_final=100, base_seed=2, checks=())
         with pytest.raises(ConfigError, match="fast gain does not stabilize"):
-            run_monte_carlo(linear_problem, schedule, mc)
+            run_monte_carlo(linear_problem, resolve_algorithm(linear_problem, schedule, "matricial", gains), mc)
         assert calls == []
 
     def test_predictions_present(self, linear_problem, schedule):
         mc = MCConfig(replications=4, n_final=100, base_seed=2, checks=())
-        report = run_monte_carlo(linear_problem, schedule, mc)
+        report = run_monte_carlo(linear_problem, resolve_algorithm(linear_problem, schedule, "standard"), mc)
         for key in ("fast_cov", "slow_cov", "optimal_fast_cov",
                     "optimal_slow_cov", "averaged_cov"):
             assert key in report.predicted
@@ -326,7 +327,7 @@ class TestRunMonteCarlo:
 
     def test_kurtosis_diagnostic_soft(self, linear_problem, schedule):
         mc = MCConfig(replications=64, n_final=200, base_seed=3, checks=())
-        report = run_monte_carlo(linear_problem, schedule, mc)
+        report = run_monte_carlo(linear_problem, resolve_algorithm(linear_problem, schedule, "standard"), mc)
         assert "kurtosis_max_dev_scaled" in report.diagnostics
         assert report.passed  # diagnostics never gate
 
@@ -334,7 +335,7 @@ class TestRunMonteCarlo:
         # coarse accuracy check at modest scale; the tight desk-scale gates
         # live in the acceptance suite
         mc = MCConfig(replications=300, n_final=20000, base_seed=11, checks=())
-        report = run_monte_carlo(linear_problem, schedule, mc)
+        report = run_monte_carlo(linear_problem, resolve_algorithm(linear_problem, schedule, "standard"), mc)
         final_cov = report.curves["scaled_cov"][-1]
         rel = rel_frobenius(final_cov[:2, :2], report.predicted["fast_cov"])
         assert rel < 0.35
@@ -344,7 +345,7 @@ class TestReportShape:
     def test_as_dict_serializes(self, linear_problem, schedule):
         mc = MCConfig(replications=4, n_final=300, base_seed=5,
                       checks=("clt",), track_decomposition=True)
-        report = run_monte_carlo(linear_problem, schedule, mc)
+        report = run_monte_carlo(linear_problem, resolve_algorithm(linear_problem, schedule, "standard"), mc)
         payload = report.as_dict()
         text = json.dumps(payload, sort_keys=True)
         back = json.loads(text)
@@ -354,5 +355,5 @@ class TestReportShape:
 
     def test_final_samples_available_for_dump(self, linear_problem, schedule):
         mc = MCConfig(replications=4, n_final=50, base_seed=5, checks=())
-        report = run_monte_carlo(linear_problem, schedule, mc)
+        report = run_monte_carlo(linear_problem, resolve_algorithm(linear_problem, schedule, "standard"), mc)
         assert report.final_scaled.shape == (4, 4)
