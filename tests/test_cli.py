@@ -1,6 +1,7 @@
 import math
 import os
 import re
+import sys
 import warnings
 from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
@@ -22,6 +23,7 @@ from ttsa.config import (
     parse_config,
     render_config,
 )
+from ttsa import engine
 from ttsa.engine import DECOMP_KEYS
 from ttsa.errors import ConfigError
 from ttsa.montecarlo import KNOWN_CHECKS
@@ -818,3 +820,28 @@ class TestBuilders:
         problem, _, _, mc = build_experiment(config)
         assert mc.theta0[0] == problem.theta_star[0] + 2.0
         assert mc.mu0[0] == problem.mu_star[0] - 1.0
+
+    # decompose tracks the decomposition, which the matricial variant rejects
+    @pytest.mark.parametrize("command, algorithm", [
+        (command, algorithm) for command in _COMMANDS for algorithm in ("standard", "matricial")
+        if (command, algorithm) != ("decompose", "matricial")
+    ])
+    def test_each_command_resolves_the_algorithm_once(
+        self, tmp_path, monkeypatch, command, algorithm
+    ):
+        resolve, calls = engine.resolve_algorithm, []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return resolve(*args, **kwargs)
+
+        # every name it is bound to in the package, so no caller escapes the count
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "ttsa" and vars(module).get("resolve_algorithm") is resolve:
+                monkeypatch.setattr(module, "resolve_algorithm", counting)
+        text = FAST_MC if algorithm == "standard" else (
+            f"{MINIMAL}run.algorithm = matricial\nrun.n_final = 200\nmc.replications = 4\n")
+        path = write_config(tmp_path, text)
+        out = str(tmp_path / "out")
+        assert cli.main([command, "--config", path, "--output", out]) in (0, 1)
+        assert len(calls) == 1
