@@ -228,6 +228,8 @@ _READ_WHEN = (
      ("problem.residual_coeff_fast", "problem.residual_coeff_slow", "problem.residual_clamp")),
     ("problem.bias", "power_decay",
      ("problem.bias_coeff_fast", "problem.bias_coeff_slow", "problem.bias_rho")),
+    # only the standard clt verdict bounds the cross block
+    ("run.algorithm", "standard", ("mc.tol_cross",)),
 )
 _DEFAULTS = ExperimentConfig()
 

@@ -418,6 +418,9 @@ class TestNoSilentKeys:
         f"{CUSTOM_1X1}problem.bias_rho = 3.0\n",
         f"{CUSTOM_1X1}problem.residual_coeff_fast = [[[0.1, 0.0], [0.0, 0.1]]]\n",
         f"{CUSTOM_1X1}problem.residual_clamp = 0.5\n",
+        "problem.name = quadratic-2x2\nstep.regime = averaging\nrun.algorithm = averaged\n"
+        "mc.tol_cross = 0.5\n",
+        f"{MINIMAL}run.algorithm = matricial\nmc.tol_cross = 0.5\n",
     ])
     def test_a_key_its_condition_leaves_unread_is_rejected(self, text):
         key = text.splitlines()[-1].partition(" = ")[0]
