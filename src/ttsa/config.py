@@ -347,23 +347,27 @@ def build_problem(config: ExperimentConfig) -> ProblemSpec:
     key whose shape does not fit the problem's dimensions is a ConfigError
     naming it (``_check_shapes``).
     """
-    if config.problem_name == "custom":
+    custom = config.problem_name == "custom"
+    if custom:  # the row counts of the diagonal blocks set the dimensions
+        d, d_prime = (len(q) if isinstance(q, list) and q else 1
+                      for q in (config.problem_q11, config.problem_q22))
+    else:
+        problem = library_problem(config.problem_name)
+        d, d_prime = problem.d, problem.d_prime
+    _check_shapes(config, d, d_prime)
+    if custom:
         problem = ProblemSpec(
             q11=config.problem_q11, q12=config.problem_q12,
             q21=config.problem_q21, q22=config.problem_q22,
             theta_star=config.problem_theta_star, mu_star=config.problem_mu_star,
             noise=NoiseModel(cov=config.problem_noise_cov),
+            residual=NonlinearResidual(
+                kind=config.problem_residual,
+                coeff_fast=config.problem_residual_coeff_fast,
+                coeff_slow=config.problem_residual_coeff_slow,
+                clamp_radius=config.problem_residual_clamp,
+            ),
         )
-    else:
-        problem = library_problem(config.problem_name)
-    _check_shapes(config, problem.d, problem.d_prime)
-    if config.problem_name == "custom":
-        problem = replace(problem, residual=NonlinearResidual(
-            kind=config.problem_residual,
-            coeff_fast=config.problem_residual_coeff_fast,
-            coeff_slow=config.problem_residual_coeff_slow,
-            clamp_radius=config.problem_residual_clamp,
-        ))
     noise = replace(problem.noise, distribution=config.problem_noise,
                     moment_order=config.problem_moment_order)
     bias = BiasModel(kind=config.problem_bias, coeff_fast=config.problem_bias_coeff_fast,
@@ -375,6 +379,10 @@ def _check_shapes(config: ExperimentConfig, d: int, d_prime: int) -> None:
     """Each array key that is set has the shape a d+d' problem gives it."""
     dim = d + d_prime
     for key, shape in (
+        ("problem.q11", (d, d)), ("problem.q22", (d_prime, d_prime)),
+        ("problem.q12", (d, d_prime)), ("problem.q21", (d_prime, d)),
+        ("problem.noise_cov", (dim, dim)),
+        ("problem.theta_star", (d,)), ("problem.mu_star", (d_prime,)),
         ("run.theta0_offset", (d,)), ("run.mu0_offset", (d_prime,)),
         ("problem.bias_coeff_fast", (d,)), ("problem.bias_coeff_slow", (d_prime,)),
         ("problem.residual_coeff_fast", (d, dim, dim)),

@@ -559,6 +559,15 @@ class TestBadStart:
          f"problem.residual_coeff_fast = [{_SLICE_3X3}]\n"
          f"problem.residual_coeff_slow = [{_SLICE_3X3}, {_SLICE_3X3}]\n",
          "problem.residual_coeff_fast"),
+        # misfit custom blocks, checked before the problem is built
+        (CUSTOM_1X1.replace("q12 = [[1.0]]", "q12 = [[1.0, 2.0]]"), "problem.q12"),
+        (CUSTOM_1X1.replace("theta_star = [0.0]", "theta_star = [0.5, 1.0]"),
+         "problem.theta_star"),
+        (CUSTOM_1X1.replace("q11 = [[-2.0]]", "q11 = [[-2.0, 1.0]]"), "problem.q11"),
+        (CUSTOM_1X1.replace("[[1.0, 0.0], [0.0, 1.0]]", f"{np.eye(3).tolist()}"),
+         "problem.noise_cov"),
+        (CUSTOM_1X1.replace("[[1.0, 0.0], [0.0, 1.0]]", "[[1.0, 0.0], [0.0]]"),
+         "problem.noise_cov"),
     ])
     def test_config_error_names_the_key(self, tmp_path, capsys, text, key):
         path = write_config(tmp_path, text)
