@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -230,11 +231,21 @@ class TestRunMonteCarlo:
         # both replications start at the same point: zero covariance
         np.testing.assert_array_equal(report.curves["scaled_cov"][0], np.zeros((4, 4)))
 
-    def test_zero_noise_covariance_collapses(self, schedule):
+    @pytest.mark.parametrize("algorithm, regime, checks", [
+        ("standard", "plain", ("clt",)),
+        ("averaged", "averaging", ("clt", "averaged_blocks")),
+        ("matricial", "plain", ("clt",)),
+    ])
+    def test_zero_noise_covariance_collapses(self, schedule, algorithm, regime, checks):
+        # every covariance verdict compares a zero block with a zero prediction
         p = scalar_spec(-2.0, 0.5, 0.5, -1.0, gamma=np.zeros((2, 2)))
-        mc = MCConfig(replications=4, n_final=5000, base_seed=0, checks=())
-        report = run_monte_carlo(p, resolve_algorithm(p, schedule, "standard"), mc)
+        mc = MCConfig(replications=4, n_final=5000, base_seed=0, checks=checks)
+        resolved = resolve_algorithm(p, replace(schedule, regime=regime), algorithm)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = run_monte_carlo(p, resolved, mc)
         assert np.linalg.norm(report.curves["scaled_cov"][-1]) <= 1e-20
+        assert report.passed, [v.as_dict() for v in report.verdicts]
 
     def test_reproducible_bitwise(self, linear_problem, schedule):
         mc = MCConfig(replications=8, n_final=2000, base_seed=7,
