@@ -181,7 +181,8 @@ def min_eigenvalue_sym(a) -> float:
     return float(np.linalg.eigvalsh(as_square(a))[0])
 
 
-def is_psd(a, tol: float = 1e-10) -> bool:
+def is_psd(a) -> bool:
+    tol = 1e-10
     m = as_square(a)
     if frobenius(m - m.T) > tol * max(1.0, frobenius(m)):
         return False

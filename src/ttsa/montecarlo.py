@@ -104,7 +104,6 @@ def clt_verdict(
     dims: tuple[int, int],
     tol_rel: float,
     tol_cross: float,
-    name: str = "clt",
 ) -> Verdict:
     """Blockwise covariance comparison for the joint scaled-error CLT.
 
@@ -138,7 +137,7 @@ def clt_verdict(
         ok = cross <= tol_cross
     details["cross_error"] = cross
     passed &= ok
-    return Verdict(name=name, passed=bool(passed), details=details)
+    return Verdict(name="clt", passed=bool(passed), details=details)
 
 
 def rate_slope(ns, rms, window: tuple[float, float] | None = None) -> float:

@@ -102,12 +102,12 @@ def samples_csv(samples: np.ndarray, labels: list[str], config_echo: dict) -> st
     return "\n".join(lines) + "\n"
 
 
-def _fmt_matrix(mat, indent: str = "    ") -> str:
+def _fmt_matrix(mat) -> str:
     arr = np.asarray(mat, dtype=float)
     if arr.ndim == 1:
         arr = arr[None, :]
     return "\n".join(
-        indent + "  ".join(f"{x: .10g}" for x in row) for row in arr
+        "    " + "  ".join(f"{x: .10g}" for x in row) for row in arr
     )
 
 
@@ -204,8 +204,9 @@ def render_report(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=1) + "\n"
 
 
-def write_plot_bundle(payload: dict, outdir: str, stem: str = "curves") -> list[str]:
+def write_plot_bundle(payload: dict, outdir: str) -> list[str]:
     """Per-curve CSVs plus a gnuplot script for a stored Monte Carlo report."""
+    stem = "curves"
     if payload.get("kind") != "montecarlo" or not payload.get("valid", False):
         raise ValueError("plot bundle needs a valid montecarlo report")
     ckpt = payload["checkpoints"]
