@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ttsa import cli
+from ttsa import cli, engine
 from ttsa.config import (
     _CHOICES,
     _READ_WHEN,
@@ -23,7 +23,6 @@ from ttsa.config import (
     parse_config,
     render_config,
 )
-from ttsa import engine
 from ttsa.engine import DECOMP_KEYS
 from ttsa.errors import ConfigError
 from ttsa.montecarlo import KNOWN_CHECKS
