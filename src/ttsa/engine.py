@@ -271,25 +271,25 @@ def initial_state(
     track_decomposition: bool = False,
 ) -> SAState:
     """The state at n = 1; tracked decomposition parts start at zero."""
-    x_star = _once(problem, _Kernel).x_star
+    x_star = _kernel(problem).x_star
     z = _initial_iterate(problem, theta0, mu0) - x_star
     parts = np.zeros(2 * problem.dim) if track_decomposition else None
     return SAState(n=1, d=problem.d, x_star=x_star, z=z, z_sum=z.copy(),
                    z_comp=np.zeros_like(z), z_part=np.zeros_like(z), parts=parts)
 
 
-def _once(problem: ProblemSpec, build):
-    """``build(problem)``, computed on the first call and kept on the problem.
+def _kernel(problem: ProblemSpec) -> _Kernel:
+    """The problem's ``_Kernel``, built on the first call and kept on the problem.
 
     ProblemSpec is frozen, so pieces derived from it stay valid for its
     lifetime; ``NoiseModel`` keeps its factor the same way. Per-step callers
     such as ``step`` then pay for no inversion or block assembly.
     """
-    pieces = vars(problem).get(build.__name__)
-    if pieces is None:
-        pieces = build(problem)
-        object.__setattr__(problem, build.__name__, pieces)
-    return pieces
+    kernel = vars(problem).get("_kernel")
+    if kernel is None:
+        kernel = _Kernel(problem)
+        object.__setattr__(problem, "_kernel", kernel)
+    return kernel
 
 
 def _step_sizes(d: int, dp: int, beta: np.ndarray, gamma: np.ndarray) -> np.ndarray:
@@ -302,27 +302,50 @@ def _step_sizes(d: int, dp: int, beta: np.ndarray, gamma: np.ndarray) -> np.ndar
 
 @dataclass(frozen=True)
 class _StepTables:
-    """The affine step of a chunk of indices, stacked on axis 0.
+    """The step of a chunk of indices, stacked on axis 0.
 
     ``s`` holds the steps s_j as (span, dim) rows, ``a`` and ``r`` the
     (span, dim, dim) tables A_j and R_j, and ``c`` the (span, dim) bias rows
-    c_j = r_j R_j, or None without a bias.
+    c_j = r_j R_j, or None without a bias. ``t1`` and ``t2`` are the
+    (span, 2 dim, 2 dim) decomposition tables T1_j and T2_j of
+    ``_Kernel.tables``, or None when the run is not tracked.
     """
 
     s: np.ndarray
     a: np.ndarray
     r: np.ndarray
     c: np.ndarray | None
+    t1: np.ndarray | None = None
+    t2: np.ndarray | None = None
 
 
 class _Kernel:
-    """The affine step z_{n+1} = z_n A_n + u_n + rho(z_n) R_n + c_n of one algorithm.
+    """The affine step z_{n+1} = z_n A_n + u_n + rho(z_n) R_n + c_n of one algorithm,
+    and the decomposition update that a tracked run takes with it.
 
     A and R are built entry by entry, and c and the gain product of u row by
     row, so no step's entries depend on the chunk they are built in.
+
+    A decomposition row is (martingale, coupling), each in the (fast, slow)
+    layout of z, so one update is  dec @ T1 + v @ T2  with v = (u, dx) the
+    step's pre-scaled innovation u = (beta V, gamma W) and its increment
+    dx = x_{n+1} - x_n of the iterate, taken from x = z + x* (an increment
+    of z rounds differently):
+
+        martingale' = martingale E^T + (u_f - (beta/gamma) u_s K^T, u_s)
+        coupling'   = coupling E^T + ((beta/gamma) dmu K^T,
+                                      gamma (l_f + c_f) Q21^T)
+
+    where E = blockdiag(exp(beta H), exp(gamma Q22)) and K = Q12 Q22^-1, the
+    fast component's sensitivity to slow innovations. The coupling's slow
+    part consumes the pre-update fast parts. Two products of depth 2 dim
+    rather than one of depth 4 dim: BLAS rounds a row the same at any batch
+    size only for shallow products. H and K need Q22 invertible, so they are
+    built on the first tracked call, and an untracked run never needs it.
     """
 
     def __init__(self, problem: ProblemSpec):
+        self.problem = problem
         self.d, self.dp = problem.d, problem.d_prime
         self.x_star = problem.x_star
         self.x_star.flags.writeable = False  # shared by every state it starts
@@ -336,6 +359,7 @@ class _Kernel:
         # max|theta| + max|mu| of every row is within the guard
         bound = 0.49 * DIVERGENCE_GUARD - np.abs(self.x_star).max()
         self.z_sq_max = bound * bound if bound > 0 else -1.0
+        self.decomposition = None  # (H, K^T, Q21^T), see ``tables``
 
     def with_gains(self, gains: GainMatrices | None) -> _Kernel:
         """This kernel for the matricial variant with ``gains``; itself for None."""
@@ -350,10 +374,12 @@ class _Kernel:
         kernel.qgT = self.qgT @ kernel.gainT
         return kernel
 
-    def tables(self, n: int, beta: np.ndarray, gamma: np.ndarray, biases=None) -> _StepTables:
+    def tables(self, n: int, beta: np.ndarray, gamma: np.ndarray, biases=None,
+               track: bool = False) -> _StepTables:
         """The tables of steps n, n+1, ... with sizes (beta[j], gamma[j]).
 
-        ``biases``, (span, dim) rows, replace the problem's own r_n.
+        ``biases``, (span, dim) rows, replace the problem's own r_n. With
+        ``track``, T1 and T2 of the decomposition update are built too.
         """
         s = _step_sizes(self.d, self.dp, beta, gamma)
         a = self.qgT * s[:, None, :]
@@ -362,7 +388,27 @@ class _Kernel:
         if biases is None and self.bias is not None:
             biases = np.stack([self.bias.values(m) for m in range(n, n + len(beta))])
         c = None if biases is None else np.matmul(biases[:, None, :], r)[:, 0]
-        return _StepTables(s, a, r, c)
+        if not track:
+            return _StepTables(s, a, r, c)
+        p = self.problem
+        if self.decomposition is None:
+            h = p.fast_matrix()
+            self.decomposition = h, (p.q12 @ linalg.invert(p.q22)).T.copy(), p.q21.T.copy()
+        h, kT, q21T = self.decomposition
+        d, dim, q22 = self.d, p.dim, p.q22
+        b, g = beta[:, None, None], gamma[:, None, None]
+        t = np.zeros((len(beta), 4 * dim, 2 * dim))
+        t1, t2 = t[:, : 2 * dim], t[:, 2 * dim :]
+        for j, (beta_n, gamma_n) in enumerate(zip(beta, gamma)):
+            t1[j, :d, :d] = linalg.mat_exp(beta_n * h).T
+            t1[j, d:dim, d:dim] = linalg.mat_exp(gamma_n * q22).T
+        t1[:, dim : dim + d, dim : dim + d] = t1[:, :d, :d]
+        t1[:, dim + d :, dim + d :] = t1[:, d:dim, d:dim]
+        t1[:, :d, dim + d :] = t1[:, dim : dim + d, dim + d :] = g * q21T
+        t2[:, :dim, :dim] = self.eye
+        t2[:, d:dim, :d] = -(b / g) * kT
+        t2[:, dim + d :, dim : dim + d] = (b / g) * kT
+        return _StepTables(s, a, r, c, t1, t2)
 
     def innovations(self, block: np.ndarray, draws, s: np.ndarray) -> np.ndarray:
         """The innovation terms u_j of a chunk, shape (span, rows, dim).
@@ -427,54 +473,6 @@ def _kahan_add(total, comp, term, scratch, out) -> None:
     comp -= scratch
 
 
-class _DecompKernel:
-    """Recursive updates of the decomposition parts, stacked like the state.
-
-    A state row is (martingale, coupling), each in the (fast, slow) layout of
-    z, so one update is  dec @ T1 + v @ T2  with v = (u, dx) the step's
-    pre-scaled innovation u = (beta V, gamma W) and its increment
-    dx = x_{n+1} - x_n of the iterate, taken from x = z + x* (an increment
-    of z rounds differently):
-
-        martingale' = martingale E^T + (u_f - (beta/gamma) u_s K^T, u_s)
-        coupling'   = coupling E^T + ((beta/gamma) dmu K^T,
-                                      gamma (l_f + c_f) Q21^T)
-
-    where E = blockdiag(exp(beta H), exp(gamma Q22)) and K = Q12 Q22^-1, the
-    fast component's sensitivity to slow innovations. The coupling's slow
-    part consumes the pre-update fast parts. The tables depend on the step
-    index only, so ``tables`` builds them for a whole chunk of steps at once.
-    Two products of depth 2 dim rather than one of depth 4 dim: BLAS rounds
-    a row the same at any batch size only for shallow products.
-    """
-
-    def __init__(self, problem: ProblemSpec):
-        self.d, self.dim = problem.d, problem.dim
-        self.h = problem.fast_matrix()
-        self.q22 = problem.q22
-        self.q21T = problem.q21.T.copy()
-        self.kT = (problem.q12 @ linalg.invert(problem.q22)).T.copy()
-        self.eye_fast, self.eye_slow = np.eye(problem.d), np.eye(problem.d_prime)
-
-    def tables(self, beta: np.ndarray, gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """T1 and T2 for the steps (beta[j], gamma[j]), stacked on axis 0."""
-        d, dim = self.d, self.dim
-        b, g = beta[:, None, None], gamma[:, None, None]
-        t = np.zeros((len(beta), 4 * dim, 2 * dim))
-        t1, t2 = t[:, : 2 * dim], t[:, 2 * dim :]
-        for j, (beta_n, gamma_n) in enumerate(zip(beta, gamma)):
-            t1[j, :d, :d] = linalg.mat_exp(beta_n * self.h).T
-            t1[j, d:dim, d:dim] = linalg.mat_exp(gamma_n * self.q22).T
-        t1[:, dim : dim + d, dim : dim + d] = t1[:, :d, :d]
-        t1[:, dim + d :, dim + d :] = t1[:, d:dim, d:dim]
-        t1[:, :d, dim + d :] = t1[:, dim : dim + d, dim + d :] = g * self.q21T
-        t2[:, :d, :d] = self.eye_fast
-        t2[:, d:dim, d:dim] = self.eye_slow
-        t2[:, d:dim, :d] = -(b / g) * self.kT
-        t2[:, dim + d :, dim : dim + d] = (b / g) * self.kT
-        return t1, t2
-
-
 class _Rows:
     """A state tiled to ``rows`` identical rows, and the one step loop.
 
@@ -497,9 +495,8 @@ class _Rows:
                        z_sum=self.z_sum[r], z_comp=self.z_comp[r], z_part=self.z_part[r],
                        parts=None if self.parts is None else self.parts[r])
 
-    def advance(self, u, tables: _StepTables, dtables, marks: dict, record) -> None:
-        """Take the steps of a chunk: ``u`` and ``tables`` from ``_Kernel``,
-        ``dtables`` the (T1, T2) of ``_DecompKernel`` or None untracked.
+    def advance(self, u, tables: _StepTables, marks: dict, record) -> None:
+        """Take the steps of a chunk, ``u`` and ``tables`` from ``_Kernel``.
 
         Each step is the affine step, the guard, the decomposition update and
         the running sum, folded every ``_FOLD`` indices; after a step to index
@@ -512,7 +509,7 @@ class _Rows:
         dec = self.parts
         z_next, zsum_next, scratch = np.empty((3, *z.shape))
         if dec is not None:
-            t1, t2 = dtables
+            t1, t2 = tables.t1, tables.t2
             # v = (u, dx), with dx taken from the iterates x = z + x*
             v, x_now, x_new = np.empty_like(dec), z + x_star, np.empty_like(z)
         # an overflow makes a row infinite, and the guard reports it that step
@@ -565,16 +562,15 @@ def step(
     guard.
     """
     n = state.n
-    kernel = _once(problem, _Kernel).with_gains(gains)
+    kernel = _kernel(problem).with_gains(gains)
     rows = _Rows(kernel, state, _MIN_ROWS)
     if bias_values is not None:
         bias_values = _stacked(problem, bias_values, "bias")[None]
     beta, gamma = np.array([schedule.beta(n)]), np.array([schedule.gamma(n)])
-    tables = kernel.tables(n, beta, gamma, bias_values)
+    tables = kernel.tables(n, beta, gamma, bias_values, track=rows.parts is not None)
     xi = _stacked(problem, noise, "noise")[None]
     u = kernel.innovations(np.empty((1, _MIN_ROWS, problem.dim)), [xi], tables.s)
-    dtables = None if rows.parts is None else _once(problem, _DecompKernel).tables(beta, gamma)
-    rows.advance(u, tables, dtables, {}, None)
+    rows.advance(u, tables, {}, None)
     return rows.state(0)
 
 
@@ -676,11 +672,10 @@ def simulate_batch(
 
     d, dim = problem.d, problem.dim
     b = replications
-    kernel = _once(problem, _Kernel).with_gains(gains)
+    kernel = _kernel(problem).with_gains(gains)
     x_star = kernel.x_star
     state = initial_state(problem, theta0, mu0, track_decomposition)
     rows = _Rows(kernel, state, max(b, _MIN_ROWS))
-    dkernel = _once(problem, _DecompKernel) if track_decomposition else None
 
     beta_arr = schedule.beta_array(n_final)
     gamma_arr = schedule.gamma_array(n_final)
@@ -732,12 +727,11 @@ def simulate_batch(
         n = rows.n
         span = min(chunk, n_final - n)
         beta, gamma = beta_arr[n - 1 : n - 1 + span], gamma_arr[n - 1 : n - 1 + span]
-        tables = kernel.tables(n, beta, gamma)
+        tables = kernel.tables(n, beta, gamma, track=track_decomposition)
         draws = (problem.noise.draw(rng, (span,)) for rng in rngs)
         u = kernel.innovations(noise_block[:span], draws, tables.s)
-        dtables = None if dkernel is None else dkernel.tables(beta, gamma)
         try:
-            rows.advance(u, tables, dtables, ckpt_pos, record)
+            rows.advance(u, tables, ckpt_pos, record)
         except DivergenceError as exc:
             exc.trace = trace(int(np.searchsorted(grid, exc.step)))
             raise
