@@ -360,7 +360,7 @@ def build_problem(config: ExperimentConfig) -> ProblemSpec:
             q11=config.problem_q11, q12=config.problem_q12,
             q21=config.problem_q21, q22=config.problem_q22,
             theta_star=config.problem_theta_star, mu_star=config.problem_mu_star,
-            noise=NoiseModel(cov=config.problem_noise_cov),
+            noise=_custom_noise(config),
             residual=NonlinearResidual(
                 kind=config.problem_residual,
                 coeff_fast=config.problem_residual_coeff_fast,
@@ -373,6 +373,14 @@ def build_problem(config: ExperimentConfig) -> ProblemSpec:
     bias = BiasModel(kind=config.problem_bias, coeff_fast=config.problem_bias_coeff_fast,
                      coeff_slow=config.problem_bias_coeff_slow, rho=config.problem_bias_rho)
     return replace(problem, noise=noise, bias=bias)
+
+
+def _custom_noise(config: ExperimentConfig) -> NoiseModel:
+    """The custom noise model; a covariance it rejects names ``problem.noise_cov``."""
+    try:
+        return NoiseModel(cov=config.problem_noise_cov)
+    except ValueError as exc:
+        raise ConfigError(f"problem.noise_cov: {exc}", key="problem.noise_cov") from exc
 
 
 def _check_shapes(config: ExperimentConfig, d: int, d_prime: int) -> None:

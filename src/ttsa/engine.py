@@ -19,10 +19,13 @@ u_n = (xi_{n+1} S_n) G^T is pre-scaled as the noise of a chunk is drawn, the
 residual rho enters through R_n, and the bias row c_n = r_n R_n is added per
 step. ``simulate_batch`` builds A, R and c once per chunk of steps as stacked
 (span, ., .) tables; ``step`` builds one-step tables through the same code.
+A tracked run's decomposition tables T1 and T2 (``_Kernel``) are part of the
+same step tables. Their problem pieces, H and Q12 Q22^-1, are built on the
+first tracked use and kept, so an untracked run never inverts Q22.
 The matricial variant is this recursion with the gain G and the schedule
 ``matricial_schedule(a)``. ``step``, ``run`` and ``simulate_batch`` all take
-that (schedule, gains) pair, and ``resolve_algorithm`` is what turns an
-algorithm name into it.
+that (schedule, gains) pair and reject gains that do not stabilize it, and
+``resolve_algorithm`` is what turns an algorithm name into it.
 
 One state and one step loop serve every caller. An ``SAState`` holds z, its
 running sum and, when the decomposition is tracked, the (martingale,
@@ -201,11 +204,11 @@ class SAState:
     ``mu_bar`` are computed from them and the root ``x_star``.
 
     ``parts`` is None unless the decomposition is tracked. Then it is one
-    ``_DecompKernel`` row, (martingale, coupling) in the (fast, slow) layout
-    of z, with ``martingale_fast`` ... ``coupling_slow`` views of it. The
-    martingale carries the CLT (the noise-driven leading part), the coupling
-    the averaged cross-component part. The remainders are never stored; they
-    are the differences error - martingale - coupling.
+    decomposition row of ``_Kernel``, (martingale, coupling) in the (fast,
+    slow) layout of z, with ``martingale_fast`` ... ``coupling_slow`` views
+    of it. The martingale carries the CLT (the noise-driven leading part),
+    the coupling the averaged cross-component part. The remainders are never
+    stored; they are the differences error - martingale - coupling.
     """
 
     n: int
@@ -362,9 +365,13 @@ class _Kernel:
         self.decomposition = None  # (H, K^T, Q21^T), see ``tables``
 
     def with_gains(self, gains: GainMatrices | None) -> _Kernel:
-        """This kernel for the matricial variant with ``gains``; itself for None."""
+        """This kernel for the matricial variant with ``gains``; itself for None.
+
+        Raises unless the gains stabilize the iteration (``validate_gains``).
+        """
         if gains is None:
             return self
+        validate_gains(self.problem, gains)
         d = self.d
         gain = np.zeros_like(self.eye)
         gain[:d, :d] = gains.fast
@@ -667,8 +674,6 @@ def simulate_batch(
         raise ValueError("n_final must be >= 1")
     if replications < 1:
         raise ValueError("replications must be >= 1")
-    if gains is not None:
-        validate_gains(problem, gains)
 
     d, dim = problem.d, problem.dim
     b = replications

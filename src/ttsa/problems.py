@@ -19,7 +19,7 @@ kind).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -465,24 +465,13 @@ def library_problem(name: str) -> ProblemSpec:
             name=name,
         )
     if name == "quadratic-2x2":
-        base = library_problem("linear-2x2")
         residual = NonlinearResidual(
             kind="quadratic_form",
             coeff_fast=_quadratic_tensors(2, 4, 0.08, seed=20240611),
             coeff_slow=_quadratic_tensors(2, 4, 0.06, seed=20240612),
             clamp_radius=5.0,
         )
-        return ProblemSpec(
-            q11=base.q11,
-            q12=base.q12,
-            q21=base.q21,
-            q22=base.q22,
-            theta_star=base.theta_star,
-            mu_star=base.mu_star,
-            noise=base.noise,
-            residual=residual,
-            name=name,
-        )
+        return replace(library_problem("linear-2x2"), residual=residual, name=name)
     raise ValueError(f"unknown library problem {name!r}")
 
 

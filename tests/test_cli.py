@@ -567,6 +567,11 @@ class TestBadStart:
          "problem.noise_cov"),
         (CUSTOM_1X1.replace("[[1.0, 0.0], [0.0, 1.0]]", "[[1.0, 0.0], [0.0]]"),
          "problem.noise_cov"),
+        # a covariance NoiseModel rejects: not symmetric, then not PSD
+        (CUSTOM_1X1.replace("[[1.0, 0.0], [0.0, 1.0]]", "[[1.0, 0.5], [0.0, 1.0]]"),
+         "problem.noise_cov"),
+        (CUSTOM_1X1.replace("[[1.0, 0.0], [0.0, 1.0]]", "[[1.0, 0.0], [0.0, -1.0]]"),
+         "problem.noise_cov"),
     ])
     def test_config_error_names_the_key(self, tmp_path, capsys, text, key):
         path = write_config(tmp_path, text)

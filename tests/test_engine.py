@@ -33,7 +33,7 @@ from ttsa.engine import (
     _Kernel,
     replication_rng,
 )
-from ttsa.errors import ConfigError, DivergenceError
+from ttsa.errors import ConfigError, DivergenceError, SingularMatrixError
 from ttsa.linalg import invert, mat_exp
 from ttsa.problems import library_problem
 
@@ -131,6 +131,13 @@ class TestMatricialStep:
         assert gains.slow[0, 0] == pytest.approx(2.0)
         new = step(p, matricial_schedule(0.6), state, zero_noise(p), gains=gains)
         assert new.theta[0] == pytest.approx(0.0, abs=1e-15)
+
+    def test_destabilizing_gains_are_rejected(self, linear_problem):
+        # the check simulate_batch makes holds for a single step too
+        p = linear_problem
+        gains = GainMatrices(fast=-np.eye(2), slow=np.eye(2))
+        with pytest.raises(ConfigError, match="fast gain does not stabilize"):
+            step(p, matricial_schedule(0.6), initial_state(p), zero_noise(p), gains=gains)
 
 
 class TestOptimalGains:
@@ -648,7 +655,7 @@ class TestPerStepApi:
     def test_kernel_pieces_are_built_once_per_problem(self, schedule, monkeypatch):
         # per-step callers must not pay for an inversion or H on every call
         p = library_problem("linear-2x2")
-        calls = {"invert": 0, "fast_matrix": 0}
+        calls = {"invert": 0, "fast_matrix": 0, "mat_exp": 0}
 
         def counting(name, fn):
             def wrapper(*args, **kwargs):
@@ -660,13 +667,28 @@ class TestPerStepApi:
         monkeypatch.setattr(
             ProblemSpec, "fast_matrix", counting("fast_matrix", ProblemSpec.fast_matrix)
         )
+        monkeypatch.setattr(linalg, "mat_exp", counting("mat_exp", linalg.mat_exp))
+        # an untracked step builds no decomposition piece
+        step(p, schedule, initial_state(p), zero_noise(p))
+        assert calls["fast_matrix"] == calls["mat_exp"] == 0
         state = initial_state(p, track_decomposition=True)
         counts = []
         for _ in range(2):
             state = step(p, schedule, state, zero_noise(p))
-            counts.append(dict(calls))
+            counts.append({key: calls[key] for key in ("invert", "fast_matrix")})
         assert counts[0]["invert"] > 0 and counts[0]["fast_matrix"] == 1
         assert counts[1] == counts[0]
+        assert calls["mat_exp"] == 4  # exp(beta H) and exp(gamma Q22) per tracked step
+
+    def test_only_tracking_needs_an_invertible_q22(self, schedule):
+        # Q22 = diag(-1, -1e-13) is beyond linalg.invert's condition limit;
+        # only the decomposition's H and K need its inverse
+        p = ProblemSpec(q11=[[-1.0]], q12=[[0.5, 0.5]], q21=[[0.5], [0.5]],
+                        q22=np.diag([-1.0, -1e-13]), theta_star=[0.0], mu_star=[0.0, 0.0],
+                        noise=NoiseModel(cov=np.eye(3)))
+        assert run(p, schedule, 50, seed=3).ns[-1] == 50
+        with pytest.raises(SingularMatrixError):
+            run(p, schedule, 50, seed=3, track_decomposition=True)
 
 
 class TestDivergenceGuard:

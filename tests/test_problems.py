@@ -208,6 +208,14 @@ def einsum_residual(residual, z):
 
 
 class TestQuadraticResidual:
+    def test_library_problem_is_linear_2x2_plus_a_residual(self):
+        quad, lin = library_problem("quadratic-2x2"), library_problem("linear-2x2")
+        for attr in ("q11", "q12", "q21", "q22", "theta_star", "mu_star"):
+            np.testing.assert_array_equal(getattr(quad, attr), getattr(lin, attr))
+        np.testing.assert_array_equal(quad.noise.cov, lin.noise.cov)
+        assert quad.noise.distribution == lin.noise.distribution
+        assert quad.residual.kind == "quadratic_form"
+
     @pytest.mark.parametrize("source", ["library", "random"])
     def test_matches_einsum_formula(self, source):
         if source == "library":
