@@ -85,7 +85,8 @@ def _run_trace(args, always_track: bool, default_name: str) -> int:
             checkpoints=mc.checkpoints,
         )
     except DivergenceError as exc:
-        sys.stderr.write(f"error: {exc}\n")
+        state = exc.last_state.tolist()  # the last finite iterate (theta, mu)
+        sys.stderr.write(f"error: {exc}; x at index {exc.step - 1} = {state}\n")
         return 1
     path = _out_path(config, args.output, default_name)
     reports.write_text_atomic(path, reports.trace_csv(trace, cfg.config_echo(config)))

@@ -30,20 +30,38 @@ that (schedule, gains) pair and reject gains that do not stabilize it, and
 One state and one step loop serve every caller. An ``SAState`` holds z, its
 running sum and, when the decomposition is tracked, the (martingale,
 coupling) ``parts``. ``_Rows`` tiles a state to rows, and its ``advance``
-runs a chunk's steps: affine step, divergence guard, decomposition update,
-running sum, checkpoint record.
+runs a chunk's steps in place. The chunk's noise block has one leading row,
+which takes the starting z; step j reads row j and overwrites row j + 1, its
+innovation u_j, with z_{n+j+1}. IEEE addition commutes, so u_j + z A_j is
+z A_j + u_j bit for bit, and the states need no memory beyond the noise. The
+per-step loop runs only the affine step and a tracked run's decomposition
+update. Everything else takes one pass per chunk over the states the loop
+wrote:
 
-The running sum is blocked: each step adds z to a plain partial sum, which
-is folded into a Kahan-compensated total whenever the index n is a multiple
+- the divergence guard tests them all with one dot product, and scans them
+  step by step only when that fails, so it names the same (index,
+  replication) as a guard after every step. The steps after a divergence are
+  discarded. A problem with a residual keeps the guard after every step, so
+  rho never sees a diverged row;
+- the running sum adds them in index order, one ``np.add.reduce`` per
+  stretch between fold indices and checkpoints;
+- the checkpoint records read them, after the guard.
+
+The running sum is blocked: z is added to a plain partial sum, which is
+folded into a Kahan-compensated total whenever the index n is a multiple
 of ``_FOLD`` (Higham, Accuracy and Stability of Numerical Algorithms, 2002,
 sections 4.2-4.3). Its error stays below about (_FOLD + 2) u sum_i |z_i|,
 u the unit roundoff, whatever n; a plain running sum's bound grows as n u.
 The fold indices are absolute, so they do not depend on the chunk, the batch
-or how ``step`` calls are chained. ``simulate_batch`` tiles
-``initial_state`` to its replications, ``step`` the given state. Never to
-fewer than two rows (the two-row rule): a one-row product runs as a
-matrix-vector BLAS kernel that rounds differently from the matrix-matrix
-kernel of a batch, so a single trajectory runs as two rows and keeps one.
+or how ``step`` calls are chained; nor do the sums, because a stretch's
+reduction starts from the partial sum (copied into the row before the
+stretch) and adds one row after another, as a step-by-step sum would.
+
+``simulate_batch`` tiles ``initial_state`` to its replications, ``step``
+the given state. Never to fewer than two rows (the two-row rule): a one-row
+product runs as a matrix-vector BLAS kernel that rounds differently from the
+matrix-matrix kernel of a batch, so a single trajectory runs as two rows and
+keeps one.
 
 The trace keeps the iterate's layout: a ``BatchTrace`` holds the checkpointed
 x = z + x* and its running average x_bar as (checkpoint, replication, d+d')
@@ -79,6 +97,8 @@ DIVERGENCE_GUARD = 1e9
 _CHUNK = 512
 _MIN_ROWS = 2  # the two-row rule of the module docstring
 _FOLD = 64  # indices per block of the running sum, see the module docstring
+_GROUP = 64  # replications scaled per scratch block in ``_Kernel.innovations``
+_NO_MARKS = np.empty(0, dtype=int)
 
 STANDARD = "standard"
 AVERAGED = "averaged"
@@ -363,22 +383,31 @@ class _Kernel:
         bound = 0.49 * DIVERGENCE_GUARD - np.abs(self.x_star).max()
         self.z_sq_max = bound * bound if bound > 0 else -1.0
         self.decomposition = None  # (H, K^T, Q21^T), see ``tables``
+        self.checked = None  # (fast, slow, kernel) of the gains last checked
 
     def with_gains(self, gains: GainMatrices | None) -> _Kernel:
         """This kernel for the matricial variant with ``gains``; itself for None.
 
         Raises unless the gains stabilize the iteration (``validate_gains``).
+        The kernel of the gains last checked is kept, with copies of them, so
+        chained ``step`` calls with equal gains check them once.
         """
         if gains is None:
             return self
+        if self.checked is not None:
+            fast, slow, kernel = self.checked
+            if np.array_equal(gains.fast, fast) and np.array_equal(gains.slow, slow):
+                return kernel
         validate_gains(self.problem, gains)
         d = self.d
         gain = np.zeros_like(self.eye)
         gain[:d, :d] = gains.fast
         gain[d:, d:] = gains.slow
         kernel = copy.copy(self)
+        kernel.checked = None
         kernel.gainT = gain.T.copy()
         kernel.qgT = self.qgT @ kernel.gainT
+        self.checked = gains.fast.copy(), gains.slow.copy(), kernel
         return kernel
 
     def tables(self, n: int, beta: np.ndarray, gamma: np.ndarray, biases=None,
@@ -418,29 +447,28 @@ class _Kernel:
         return _StepTables(s, a, r, c, t1, t2)
 
     def innovations(self, block: np.ndarray, draws, s: np.ndarray) -> np.ndarray:
-        """The innovation terms u_j of a chunk, shape (span, rows, dim).
+        """Fill rows 1..span of the (span + 1, rows, dim) ``block`` with the
+        innovation terms u_j of a chunk, and return the block.
 
-        ``draws`` yields one replication's (span, dim) noise at a time; each
-        is scaled by the steps ``s`` as it is copied into ``block``, and rows
-        past the last replication repeat the first (the two-row rule).
+        ``draws`` yields one replication's (span, dim) noise at a time. Each
+        is scaled by the steps ``s`` into a scratch block of ``_GROUP``
+        replications, and each full group takes one transposed copy into the
+        step-major block. Rows past the last replication repeat the first
+        (the two-row rule). Row 0 is left for ``_Rows.advance``.
         """
-        r = -1
-        for r, xi in enumerate(draws):
-            np.multiply(xi, s, out=block[:, r])
-        block[:, r + 1 :] = block[:, :1]
-        if self.gainT is None:
-            return block
-        return (block.reshape(-1, block.shape[-1]) @ self.gainT).reshape(block.shape)
-
-    def affine_step(self, z, u, tables: _StepTables, j: int, out: np.ndarray) -> np.ndarray:
-        """The rows of z_{n+1} for step j of ``tables``, written into ``out``."""
-        z.dot(tables.a[j], out=out)  # ndarray.dot: the same GEMM as @, less dispatch
-        out += u
-        if self.residual is not None:
-            out += self.residual.evaluate(z).dot(tables.r[j])
-        if tables.c is not None:
-            out += tables.c[j]
-        return out
+        u = block[1:]
+        group = np.empty((min(_GROUP, u.shape[1]), *s.shape))
+        r = 0
+        for r, xi in enumerate(draws, 1):
+            np.multiply(xi, s, out=group[(r - 1) % _GROUP])
+            if r % _GROUP == 0:
+                u[:, r - _GROUP : r] = group.transpose(1, 0, 2)
+        if r % _GROUP:
+            u[:, r - r % _GROUP : r] = group[: r % _GROUP].transpose(1, 0, 2)
+        u[:, r:] = u[:, :1]
+        if self.gainT is not None:
+            u[...] = (u.reshape(-1, u.shape[-1]) @ self.gainT).reshape(u.shape)
+        return block
 
     def first_diverged(self, z: np.ndarray) -> int:
         """``_first_diverged`` of the iterates z + x*, behind a one-dot test.
@@ -468,16 +496,17 @@ def _first_diverged(x: np.ndarray, d: int) -> int:
     return int(np.argmax(bad)) if bad.any() else -1
 
 
-def _kahan_add(total, comp, term, scratch, out) -> None:
-    """Add ``term`` to the compensated sum (``total``, ``comp``).
+def _kahan_add(total, comp, term, scratch) -> None:
+    """Add ``term`` to the compensated sum (``total``, ``comp``) in place.
 
-    The new total is written to ``out`` and the new compensation to
-    ``comp``; ``scratch`` is overwritten.
+    ``scratch`` holds two arrays of the shape of ``total`` and is overwritten.
     """
-    np.subtract(term, comp, out=scratch)
-    np.add(total, scratch, out=out)
-    np.subtract(out, total, out=comp)
-    comp -= scratch
+    y, t = scratch
+    np.subtract(term, comp, out=y)
+    np.add(total, y, out=t)
+    np.subtract(t, total, out=comp)
+    comp -= y
+    total[...] = t
 
 
 class _Rows:
@@ -502,50 +531,92 @@ class _Rows:
                        z_sum=self.z_sum[r], z_comp=self.z_comp[r], z_part=self.z_part[r],
                        parts=None if self.parts is None else self.parts[r])
 
-    def advance(self, u, tables: _StepTables, marks: dict, record) -> None:
-        """Take the steps of a chunk, ``u`` and ``tables`` from ``_Kernel``.
+    def advance(self, w: np.ndarray, tables: _StepTables, marks: np.ndarray, record) -> None:
+        """Take the steps of a chunk in place, ``w`` and ``tables`` from ``_Kernel``.
 
-        Each step is the affine step, the guard, the decomposition update and
-        the running sum, folded every ``_FOLD`` indices; after a step to index
-        n in ``marks``, ``record(marks[n], n, z, z_sum + z_part, parts)`` sees
-        the rows. Raises DivergenceError, with no trace, at the first row the
-        guard flags.
+        ``w`` is the (span + 1, rows, dim) block of ``_Kernel.innovations``.
+        Row 0 gets the chunk's starting z, and step j reads row j and
+        overwrites row j + 1, its innovation, with z_{n+j+1}; so the loop runs
+        only the affine step and, when tracked, the decomposition update.
+        Without a residual the guard then tests the whole chunk with one dot
+        product, and scans it step by step only when that fails; with one it
+        runs every step, so rho never sees a diverged row. Steps after a
+        divergence are discarded.
+
+        The running sum and the records then take one pass over the rows the
+        guard passed: each stretch between fold indices (multiples of
+        ``_FOLD``) and marks is added in index order, starting from z_part,
+        which is copied into the row before the stretch. After index
+        n = ``marks[i]``, ``record(i, n, z, z_sum + z_part, parts)`` sees the
+        rows. Raises DivergenceError, with no trace, at the first row the
+        guard flags, after recording the marks before it.
         """
-        kernel, x_star, dim = self.kernel, self.kernel.x_star, self.z.shape[1]
-        n, z, zsum, zcomp, zpart = self.n, self.z, self.z_sum, self.z_comp, self.z_part
-        dec = self.parts
-        z_next, zsum_next, scratch = np.empty((3, *z.shape))
+        kernel, x_star, n0, span = self.kernel, self.kernel.x_star, self.n, len(w) - 1
+        residual, r, c = kernel.residual, tables.r, tables.c
+        w[0] = self.z
+        scratch = np.empty((2, *self.z.shape))
+        prod = scratch[0]
+        lo, hi = marks.searchsorted((n0 + 1, n0 + span + 1))  # the chunk's marks
+        dec, snaps = self.parts, {}
         if dec is not None:
-            t1, t2 = tables.t1, tables.t2
+            t1, t2, dim, marked = tables.t1, tables.t2, w.shape[2], set(marks[lo:hi].tolist())
             # v = (u, dx), with dx taken from the iterates x = z + x*
-            v, x_now, x_new = np.empty_like(dec), z + x_star, np.empty_like(z)
-        # an overflow makes a row infinite, and the guard reports it that step
-        with np.errstate(over="ignore"):
-            for j in range(len(u)):
-                kernel.affine_step(z, u[j], tables, j, out=z_next)
-                n += 1
-                bad = kernel.first_diverged(z_next)
-                if bad >= 0:
-                    raise DivergenceError(
-                        f"replication {bad} diverged at index {n}", step=n, replication=bad
-                    )
+            v, x_now, x_new = np.empty_like(dec), w[0] + x_star, scratch[1]
+        stop, bad = span, -1
+        ws, a = list(w), list(tables.a)  # the views, made once per chunk
+        # an overflow makes a row infinite, and the guard reports it; the rows
+        # after it are discarded, whatever they hold
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j in range(span):
+                z, out = ws[j], ws[j + 1]
                 if dec is not None:
-                    v[:, :dim] = u[j]
-                    np.add(z_next, x_star, out=x_new)
+                    v[:, :dim] = out
+                z.dot(a[j], out=prod)  # ndarray.dot: the same GEMM as @, less dispatch
+                out += prod  # u_j + z A_j, which rounds as z A_j + u_j
+                if residual is not None:
+                    out += residual.evaluate(z).dot(r[j])
+                if c is not None:
+                    out += c[j]
+                if residual is not None and (bad := kernel.first_diverged(out)) >= 0:
+                    stop = j
+                    break
+                if dec is not None:
+                    np.add(out, x_star, out=x_new)
                     np.subtract(x_new, x_now, out=v[:, dim:])
                     x_now, x_new = x_new, x_now
                     dec = dec.dot(t1[j])
                     dec += v.dot(t2[j])
-                z, z_next = z_next, z
-                zpart += z
-                if n % _FOLD == 0:
-                    _kahan_add(zsum, zcomp, zpart, scratch, out=zsum_next)
-                    zsum, zsum_next = zsum_next, zsum
-                    zpart.fill(0.0)
-                i = marks.get(n)
-                if i is not None:
-                    record(i, n, z, zsum + zpart, dec)
-        self.n, self.z, self.z_sum, self.parts = n, z, zsum, dec
+                    if n0 + j + 1 in marked:
+                        snaps[n0 + j + 1] = dec
+            if residual is None and not np.vdot(w[1:], w[1:]) <= kernel.z_sq_max:
+                for j in range(span):
+                    if (bad := kernel.first_diverged(w[j + 1])) >= 0:
+                        stop = j
+                        break
+        if bad >= 0:
+            last_state = w[stop, bad] + x_star
+        end = n0 + stop
+        hi = marks.searchsorted(end + 1)  # the marks the guard passed
+        folds = range(n0 - n0 % _FOLD + _FOLD, end + 1, _FOLD)
+        zpart, first, i = self.z_part, 0, lo
+        for p in sorted({*folds, *marks[lo:hi].tolist(), end} - {n0}):
+            k = p - n0
+            w[first] = zpart  # that row is in the sum already, or the chunk's start
+            np.add.reduce(w[first : k + 1], axis=0, out=zpart)
+            if p % _FOLD == 0:
+                _kahan_add(self.z_sum, self.z_comp, zpart, scratch)
+                zpart.fill(0.0)
+            if i < hi and marks[i] == p:
+                record(i, p, w[k], self.z_sum + zpart, snaps.get(p))
+                i += 1
+            first = k
+        self.z[...] = w[stop]
+        self.n, self.parts = end, dec
+        if bad >= 0:
+            raise DivergenceError(
+                f"replication {bad} diverged at index {end + 1}", step=end + 1,
+                replication=bad, last_state=last_state,
+            )
 
 
 def step(
@@ -576,8 +647,8 @@ def step(
     beta, gamma = np.array([schedule.beta(n)]), np.array([schedule.gamma(n)])
     tables = kernel.tables(n, beta, gamma, bias_values, track=rows.parts is not None)
     xi = _stacked(problem, noise, "noise")[None]
-    u = kernel.innovations(np.empty((1, _MIN_ROWS, problem.dim)), [xi], tables.s)
-    rows.advance(u, tables, {}, None)
+    w = kernel.innovations(np.empty((2, _MIN_ROWS, problem.dim)), [xi], tables.s)
+    rows.advance(w, tables, _NO_MARKS, None)
     return rows.state(0)
 
 
@@ -689,7 +760,6 @@ def simulate_batch(
     grid = np.asarray(checkpoints, dtype=int) if checkpoints is not None else checkpoint_indices(n_final)
     if grid.size == 0 or np.any(np.diff(grid) <= 0) or grid[0] < 1 or grid[-1] != n_final:
         raise ValueError("checkpoints must be strictly increasing and end at n_final")
-    ckpt_pos = {int(n): i for i, n in enumerate(grid)}
     k = grid.size
 
     out_x = np.empty((k, b, dim))
@@ -726,17 +796,18 @@ def simulate_batch(
     rngs = [replication_rng(base_seed, r) for r in range(b)]
     record(0, 1, rows.z, rows.z_sum + rows.z_part, rows.parts)
 
-    # step-major, so each step reads one contiguous (rows, dim) slice
-    noise_block = np.empty((chunk, len(rows.z), dim))
+    # step-major, so each step reads one contiguous (rows, dim) slice; row 0
+    # holds a chunk's starting z, and each step overwrites its innovation
+    noise_block = np.empty((chunk + 1, len(rows.z), dim))
     while rows.n < n_final:
         n = rows.n
         span = min(chunk, n_final - n)
         beta, gamma = beta_arr[n - 1 : n - 1 + span], gamma_arr[n - 1 : n - 1 + span]
         tables = kernel.tables(n, beta, gamma, track=track_decomposition)
         draws = (problem.noise.draw(rng, (span,)) for rng in rngs)
-        u = kernel.innovations(noise_block[:span], draws, tables.s)
+        w = kernel.innovations(noise_block[: span + 1], draws, tables.s)
         try:
-            rows.advance(u, tables, ckpt_pos, record)
+            rows.advance(w, tables, grid, record)
         except DivergenceError as exc:
             exc.trace = trace(int(np.searchsorted(grid, exc.step)))
             raise

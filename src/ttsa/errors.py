@@ -17,14 +17,17 @@ class DivergenceError(RuntimeError):
     """An iterate became non-finite or exceeded the divergence guard.
 
     Carries the iteration index of the first offending value, the replication
-    that produced it, and (when available) the trace prefix collected so far.
+    that produced it, that replication's last finite iterate ``last_state``
+    (at index ``step - 1``), and (when available) the trace prefix collected
+    so far.
     """
 
-    def __init__(self, message, step=None, replication=None, trace=None):
+    def __init__(self, message, step=None, replication=None, trace=None, last_state=None):
         super().__init__(message)
         self.step = step
         self.replication = replication
         self.trace = trace
+        self.last_state = last_state
 
 
 class ConfigError(ValueError):

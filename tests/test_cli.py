@@ -695,6 +695,29 @@ class TestRunCommand:
         assert cli.main(["run", "--config", path, "--output", str(tmp_path / "t.csv")]) == 1
         assert "diverged" in capsys.readouterr().err
 
+    def test_divergent_run_prints_the_last_finite_state(self, tmp_path, capsys):
+        # the error line names the index before the divergence and the
+        # iterate there, which is inside the guard
+        text = (
+            "problem.name = custom\n"
+            "problem.theta_star = [0.5]\nproblem.mu_star = [-0.25]\n"
+            "problem.q11 = [[3.0]]\nproblem.q12 = [[0.0]]\n"
+            "problem.q21 = [[0.0]]\nproblem.q22 = [[-1.0]]\n"
+            "problem.noise_cov = [[1.0, 0.0], [0.0, 1.0]]\n"
+            "step.beta0 = 1.0\nstep.gamma0 = 1.0\n"
+            "run.n_final = 3000\n"
+        )
+        path = write_config(tmp_path, text)
+        assert cli.main(["run", "--config", path, "--output", str(tmp_path / "t.csv")]) == 1
+        err = capsys.readouterr().err
+        found = re.fullmatch(
+            r"error: replication 0 diverged at index (\d+); x at index (\d+) = \[(.*)\]\n", err
+        )
+        assert found, err
+        assert int(found[2]) == int(found[1]) - 1
+        theta, mu = (float(v) for v in found[3].split(","))
+        assert abs(theta) + abs(mu) <= engine.DIVERGENCE_GUARD < 2 * abs(theta)
+
 
 class TestMonteCarloCommand:
     def test_report_written_and_passes(self, tmp_path, capsys):

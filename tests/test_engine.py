@@ -13,6 +13,7 @@ from ttsa import (
     BiasModel,
     GainMatrices,
     NoiseModel,
+    NonlinearResidual,
     ProblemSpec,
     StepSchedule,
     checkpoint_indices,
@@ -25,7 +26,7 @@ from ttsa import (
     step,
 )
 import ttsa
-from ttsa import linalg
+from ttsa import engine, linalg
 from ttsa.engine import (
     DECOMP_KEYS,
     DIVERGENCE_GUARD,
@@ -138,6 +139,30 @@ class TestMatricialStep:
         gains = GainMatrices(fast=-np.eye(2), slow=np.eye(2))
         with pytest.raises(ConfigError, match="fast gain does not stabilize"):
             step(p, matricial_schedule(0.6), initial_state(p), zero_noise(p), gains=gains)
+
+    def test_gains_are_checked_once_per_value(self, monkeypatch):
+        # chained steps with equal gains check them once; different or
+        # mutated gains are checked again
+        p = library_problem("linear-2x2")
+        calls = []
+        check = engine.validate_gains
+        monkeypatch.setattr(engine, "validate_gains",
+                            lambda *args: calls.append(1) or check(*args))
+        s, gains = matricial_schedule(0.6), optimal_gains(p)
+        state = initial_state(p)
+        for _ in range(5):
+            state = step(p, s, state, zero_noise(p), gains=gains)
+        assert len(calls) == 1
+        same = GainMatrices(fast=gains.fast.copy(), slow=gains.slow.copy())
+        state = step(p, s, state, zero_noise(p), gains=same)
+        assert len(calls) == 1
+        other = GainMatrices(fast=np.eye(2), slow=np.eye(2))
+        state = step(p, s, state, zero_noise(p), gains=other)
+        assert len(calls) == 2
+        gains.fast[...] = -np.eye(2)
+        with pytest.raises(ConfigError, match="fast gain does not stabilize"):
+            step(p, s, state, zero_noise(p), gains=gains)
+        assert len(calls) == 3
 
 
 class TestOptimalGains:
@@ -516,6 +541,22 @@ class TestNoiseStreams:
         parts = np.concatenate([rng.standard_normal(5), rng.standard_normal(7)])
         np.testing.assert_array_equal(whole, parts)
 
+    @pytest.mark.parametrize("replications", [1, 64, 130])
+    def test_innovations_are_each_draw_scaled_by_the_steps(self, replications):
+        # 130 replications fill two scratch groups of 64 and a tail of 2; one
+        # replication fills a second row by the two-row rule
+        p = random_problem(12, 12, seed=3)
+        rng = np.random.default_rng(5)
+        draws = rng.standard_normal((replications, 7, p.dim))
+        s = rng.uniform(0.1, 1.0, (7, p.dim))
+        rows = max(replications, 2)
+        block = _Kernel(p).innovations(np.full((8, rows, p.dim), np.nan), list(draws), s)
+        assert np.isnan(block[0]).all()  # row 0 is left for the starting state
+        expected = (draws * s).transpose(1, 0, 2)
+        np.testing.assert_array_equal(block[1:, :replications], expected)
+        np.testing.assert_array_equal(block[1:, replications:], expected[:, :1].repeat(
+            rows - replications, axis=1))
+
 
 def random_problem(d, dp, seed):
     rng = np.random.default_rng(seed)
@@ -582,6 +623,19 @@ class TestDeterminismContracts:
             simulate_batch(linear_problem, schedule, 200, base_seed=4, replications=3,
                            chunk=chunk, checkpoints=np.arange(1, 201))
             for chunk in (1, 63, 64, 65)
+        ]
+        for other in traces[1:]:
+            np.testing.assert_array_equal(traces[0].x_bar, other.x_bar)
+
+    def test_running_sum_between_sparse_checkpoints_is_chunk_independent(
+        self, linear_problem, schedule
+    ):
+        # between checkpoints the sum adds whole stretches of states at once;
+        # at chunk 1 every stretch is one step, the step-by-step order
+        traces = [
+            simulate_batch(linear_problem, schedule, 1000, base_seed=4, replications=3,
+                           chunk=chunk)
+            for chunk in (1, 7, 100, 512)
         ]
         for other in traces[1:]:
             np.testing.assert_array_equal(traces[0].x_bar, other.x_bar)
@@ -764,3 +818,100 @@ class TestGuardFastPath:
                 simulate_batch(p, schedule, 10, base_seed=0, replications=3,
                                theta0=[start, start])
             assert (err.value.step, err.value.replication) == (2, 0)
+
+
+class TestDivergenceAcrossChunks:
+    # z starts at 0 (the start is the root) and grows by 1 + 20 beta_n per
+    # step, so it is linear in the noise scale; sigma puts the first crossing
+    # of the guard at a chosen index, and the noise decides which replication
+    # crosses first. The root is not 0, so the reported state is x, not z.
+    N_FINAL, REPLICATIONS, SEED = 600, 5, 11
+    SCHEDULE = StepSchedule(beta0=1.0, b=0.8, gamma0=1.0, a=0.6)
+
+    @staticmethod
+    def problem(sigma, root=(0.5, -0.25), residual=None):
+        kwargs = {} if residual is None else {"residual": residual}
+        return ProblemSpec(q11=[[20.0]], q12=[[0.0]], q21=[[0.0]], q22=[[-1.0]],
+                           theta_star=[root[0]], mu_star=[root[1]],
+                           noise=NoiseModel(cov=sigma**2 * np.eye(2)), **kwargs)
+
+    @classmethod
+    def sigma_crossing_at(cls, index):
+        """The noise scale whose first crossing of the guard is at ``index``:
+        the guard over the geometric mean of the unit-noise path's largest
+        |theta| + |mu| at index - 1 and index, a margin of about 6% each way."""
+        unit = simulate_batch(cls.problem(1e-100, root=(0.0, 0.0)), cls.SCHEDULE, index,
+                              base_seed=cls.SEED, replications=cls.REPLICATIONS,
+                              theta0=[0.0], mu0=[0.0], checkpoints=[index - 1, index])
+        size = np.abs(unit.theta).max(axis=(1, 2)) + np.abs(unit.mu).max(axis=(1, 2))
+        return 1e-100 * DIVERGENCE_GUARD / math.sqrt(size[0] * size[1])
+
+    @classmethod
+    def per_step(cls, p):
+        """Chained ``step`` calls per replication: the first (index, replication),
+        the state before it, and every replication's x at indices 1, 2, ..."""
+        first, paths = None, []
+        for r in range(cls.REPLICATIONS):
+            state, path = initial_state(p, theta0=p.theta_star, mu0=p.mu_star), []
+            draws = p.noise.draw(replication_rng(cls.SEED, r), (cls.N_FINAL - 1,))
+            try:
+                for xi in draws:
+                    path.append(state.x)
+                    state = step(p, cls.SCHEDULE, state, (xi[:1], xi[1:]))
+            except DivergenceError as exc:
+                if first is None or exc.step < first[0]:
+                    first = exc.step, r, state.x
+            paths.append(path)
+        return first, paths
+
+    @classmethod
+    def batch(cls, p, chunk, track=False):
+        with pytest.raises(DivergenceError) as err:
+            simulate_batch(p, cls.SCHEDULE, cls.N_FINAL, base_seed=cls.SEED,
+                           replications=cls.REPLICATIONS, chunk=chunk,
+                           theta0=p.theta_star, mu0=p.mu_star,
+                           checkpoints=np.arange(1, cls.N_FINAL + 1),
+                           track_decomposition=track)
+        return err.value
+
+    # 64: a fold index, and the last step of a chunk of 7; 300: inside a
+    # chunk of 7 and of 512; 513: the last step of the first chunk of 512.
+    # Every index is the last step of a chunk of 1
+    @pytest.mark.parametrize("index", [64, 300, 513])
+    def test_divergence_is_located_alike_at_any_chunk(self, index):
+        p = self.problem(self.sigma_crossing_at(index))
+        (step_n, replication, last_state), paths = self.per_step(p)
+        assert step_n == index
+        errors = [self.batch(p, chunk, track=index == 300) for chunk in (1, 7, 512)]
+        for err in errors:
+            assert (err.step, err.replication) == (step_n, replication)
+            np.testing.assert_array_equal(err.last_state, last_state)
+            trace = err.trace
+            np.testing.assert_array_equal(trace.ns, np.arange(1, index))
+            for r in range(self.REPLICATIONS):
+                np.testing.assert_array_equal(trace.x[:, r], paths[r][: index - 1])
+            np.testing.assert_array_equal(trace.x_bar, errors[0].trace.x_bar)
+            if index == 300:
+                for key in DECOMP_KEYS:
+                    np.testing.assert_array_equal(trace.decomposition[key],
+                                                  errors[0].trace.decomposition[key])
+
+    def test_the_residual_never_sees_a_diverged_row(self):
+        # a custom residual of zeros leaves the path as it is, so the
+        # divergence is where the linear problem's is; the per-step guard
+        # stops before rho would see the diverged rows
+        sigma = self.sigma_crossing_at(300)
+        seen = []
+
+        def zeros(z):
+            seen.append(_first_diverged(z + np.array([0.5, -0.25]), 1))
+            return np.zeros_like(z)
+
+        linear = self.batch(self.problem(sigma), 512)
+        p = self.problem(sigma, residual=NonlinearResidual(kind="custom", custom_fn=zeros))
+        for chunk in (1, 7, 512):
+            seen.clear()
+            err = self.batch(p, chunk)
+            assert (err.step, err.replication) == (linear.step, linear.replication)
+            np.testing.assert_array_equal(err.last_state, linear.last_state)
+            assert len(seen) == err.step - 1 and set(seen) == {-1}
