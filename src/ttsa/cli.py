@@ -36,8 +36,8 @@ def _out_path(config: cfg.ExperimentConfig, override: str | None, default_name: 
 
 
 def _cmd_validate(args) -> int:
-    config, (problem, schedule, _, _) = _load(args.config)
-    report = validate_problem(problem, schedule)
+    config, (problem, resolved, _) = _load(args.config)
+    report = validate_problem(problem, resolved.schedule, resolved.gains)
     payload = {
         "kind": "validation",
         "problem": problem.name,
@@ -52,7 +52,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_theory(args) -> int:
-    config, (problem, _, resolved, _) = _load(args.config)
+    config, (problem, resolved, _) = _load(args.config)
     report = theory.theory_report(problem, resolved.schedule, resolved.gains)
     payload = {
         "kind": "theory",
@@ -71,7 +71,7 @@ def _cmd_theory(args) -> int:
 def _run_trace(args, always_track: bool, default_name: str) -> int:
     """``run`` and ``decompose``: one trajectory to CSV, with the decomposition
     when ``always_track`` or ``run.track_decomposition`` asks for it."""
-    config, (problem, _, resolved, mc) = _load(args.config)
+    config, (problem, resolved, mc) = _load(args.config)
     try:
         trace = engine.run(
             problem,
@@ -103,7 +103,7 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_montecarlo(args) -> int:
-    config, (problem, _, resolved, mc) = _load(args.config)
+    config, (problem, resolved, mc) = _load(args.config)
     report = montecarlo.run_monte_carlo(problem, resolved, mc)
     payload = report.as_dict()
     payload["config"] = cfg.config_echo(config)

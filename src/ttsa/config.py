@@ -4,8 +4,15 @@ The format is UTF-8, one ``section.key = value`` assignment per line, with
 ``#`` comments and blank lines ignored. Parsing is strict: unknown keys,
 duplicate keys and type mismatches are errors naming the offending line;
 out-of-range values, and keys set where nothing reads them (``_READ_WHEN``),
-are errors naming the key. The fully resolved configuration (defaults
-applied) is echoed into every output file for provenance.
+are errors naming the key.
+
+A key the text does not set takes a default that follows the condition keys
+(``_defaults``): a library problem fixes ``problem.residual`` and
+``problem.residual_clamp`` to its own residual, and ``run.algorithm =
+matricial`` fixes ``step.b``, ``step.beta0``, ``step.gamma0`` and
+``step.regime`` to the schedule it runs. Such a key may be set only to that
+value. The fully resolved configuration is echoed into every output file for
+provenance, so the echo is the experiment that ran.
 
 Matrix- and vector-valued keys take JSON arrays, e.g.
 ``problem.q11 = [[-1.3, 0.4], [-0.3, -1.1]]``.
@@ -20,8 +27,8 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .engine import (
-    ALGORITHMS, DIVERGENCE_GUARD, MATRICIAL, _first_diverged, _initial_iterate,
-    checkpoint_indices, resolve_algorithm,
+    ALGORITHMS, AVERAGED, DIVERGENCE_GUARD, MATRICIAL, STANDARD, _first_diverged,
+    _initial_iterate, checkpoint_indices, matricial_schedule, resolve_algorithm,
 )
 from .errors import ConfigError
 from .montecarlo import KNOWN_CHECKS, MCConfig
@@ -176,9 +183,12 @@ KEY_TABLE = _key_table()
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse configuration text into a fully resolved ExperimentConfig."""
-    config = ExperimentConfig()
-    seen: set[str] = set()
+    """Parse configuration text into a fully resolved ExperimentConfig.
+
+    A key the text does not set takes its value from ``_defaults``, which
+    follow the problem and the algorithm the text chose.
+    """
+    given: dict[str, object] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -194,16 +204,40 @@ def parse_config(text: str) -> ExperimentConfig:
         entry = KEY_TABLE.get(key)
         if entry is None:
             raise ConfigError(f"line {lineno}: unknown key {key!r}", line=lineno, key=key)
-        if key in seen:
-            raise ConfigError(f"line {lineno}: duplicate key {key!r}", line=lineno, key=key)
-        seen.add(key)
         attr, parser = entry
+        if attr in given:
+            raise ConfigError(f"line {lineno}: duplicate key {key!r}", line=lineno, key=key)
         try:
-            setattr(config, attr, parser(value))
+            given[attr] = parser(value)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: {key}: {exc}", line=lineno, key=key) from exc
-    _validate(config)
+    defaults = _defaults(replace(ExperimentConfig(), **given))
+    config = replace(defaults, **given)
+    _validate(config, defaults)
     return config
+
+
+def _defaults(config: ExperimentConfig) -> ExperimentConfig:
+    """The value of every key that ``config``'s condition keys leave to default.
+
+    These are the ``ExperimentConfig()`` values, except that a library
+    problem brings its own residual kind and clamp radius, and the matricial
+    algorithm its own schedule, ``matricial_schedule(step.a)``. So a key its
+    condition leaves unread holds, and echoes, the value that runs.
+    """
+    overlay: dict[str, object] = {}
+    if config.problem_name in LIBRARY_NAMES:
+        residual = library_problem(config.problem_name).residual
+        overlay.update(problem_residual=residual.kind,
+                       problem_residual_clamp=residual.clamp_radius)
+    if config.run_algorithm == MATRICIAL:
+        try:
+            schedule = matricial_schedule(config.step_a)
+        except ValueError as exc:
+            raise ConfigError(f"run.algorithm = {MATRICIAL}: {exc}", key="step.a") from exc
+        overlay.update(step_beta0=schedule.beta0, step_b=schedule.b,
+                       step_gamma0=schedule.gamma0, step_regime=schedule.regime)
+    return replace(ExperimentConfig(), **overlay)
 
 
 # the allowed values of each enumerated key
@@ -215,34 +249,50 @@ _CHOICES = {
     "step.regime": REGIMES,
     "run.algorithm": ALGORITHMS,
 }
-# (key, value, the keys read only when key = value): a key is read when every
-# row listing it holds. A read key whose default is None must be set, and an
-# unread key must keep its default: the echo would show a value no builder used.
+# (key, values, the keys read only when key is one of values): a key is read
+# when every row listing it holds. A read key whose default is None must be
+# set, and an unread key must keep its default (``_defaults``): the echo would
+# show a value no builder used.
 _READ_WHEN = (
-    ("problem.name", "custom", (
+    ("problem.name", ("custom",), (
         "problem.q11", "problem.q12", "problem.q21", "problem.q22", "problem.noise_cov",
         "problem.theta_star", "problem.mu_star", "problem.residual",
         "problem.residual_coeff_fast", "problem.residual_coeff_slow", "problem.residual_clamp",
     )),
-    ("problem.residual", "quadratic_form",
+    ("problem.residual", ("quadratic_form",),
      ("problem.residual_coeff_fast", "problem.residual_coeff_slow", "problem.residual_clamp")),
-    ("problem.bias", "power_decay",
+    ("problem.bias", ("power_decay",),
      ("problem.bias_coeff_fast", "problem.bias_coeff_slow", "problem.bias_rho")),
     # only the standard clt verdict bounds the cross block
-    ("run.algorithm", "standard", ("mc.tol_cross",)),
+    ("run.algorithm", (STANDARD,), ("mc.tol_cross",)),
+    # the matricial algorithm runs its own schedule
+    ("run.algorithm", (STANDARD, AVERAGED),
+     ("step.b", "step.beta0", "step.gamma0", "step.regime")),
 )
-_DEFAULTS = ExperimentConfig()
 
 
 def _value(config: ExperimentConfig, key: str):
     return getattr(config, KEY_TABLE[key][0])
 
 
-def _validate(config: ExperimentConfig) -> None:
+def _validate(config: ExperimentConfig, defaults: ExperimentConfig) -> None:
+    """Range and consistency checks; ``defaults`` are ``_defaults(config)``."""
     for key, allowed in _CHOICES.items():
         value = _value(config, key)
         if value not in allowed:
             raise ConfigError(f"unknown {key} {value!r} (one of: {', '.join(allowed)})", key=key)
+    unread = set()
+    for cond, values, keys in _READ_WHEN:
+        if _value(config, cond) in values:
+            continue
+        unread.update(keys)
+        for key in keys:
+            if _value(config, key) != _value(defaults, key):
+                raise ConfigError(
+                    f"{key} conflicts with {cond} = {_value(config, cond)}: it is read only "
+                    f"when {cond} = {' or '.join(values)}, so its inline value would be ignored",
+                    key=key,
+                )
     a, b = config.step_a, config.step_b
     if not (0.0 < a <= 1.0) or not (0.0 < b <= 1.0):
         raise ConfigError(
@@ -278,25 +328,13 @@ def _validate(config: ExperimentConfig) -> None:
         value = _value(config, key)
         if not value > bound:
             raise ConfigError(f"{key} must be greater than {bound}, got {value}", key=key)
-    unread = set()
-    for cond, value, keys in _READ_WHEN:
-        if _value(config, cond) == value:
-            continue
-        unread.update(keys)
-        for key in keys:
-            if _value(config, key) != _value(_DEFAULTS, key):
-                raise ConfigError(
-                    f"{key} conflicts with {cond} = {_value(config, cond)}: it is read only "
-                    f"when {cond} = {value}, so its inline value would be ignored",
-                    key=key,
-                )
     # later rows first, so missing coefficients name their kind, not problem.name
-    for cond, value, keys in reversed(_READ_WHEN):
-        needed = [key for key in keys if key not in unread and _value(_DEFAULTS, key) is None]
+    for cond, _, keys in reversed(_READ_WHEN):
+        needed = [key for key in keys if key not in unread and _value(defaults, key) is None]
         if any(_value(config, key) is None for key in needed):
             *rest, last = needed
             listed = f"{', '.join(rest)} and {last}" if rest else last
-            raise ConfigError(f"{cond} = {value} requires {listed}", key=cond)
+            raise ConfigError(f"{cond} = {_value(config, cond)} requires {listed}", key=cond)
     unknown = set(config.mc_checks) - set(KNOWN_CHECKS)
     if unknown:
         raise ConfigError(f"unknown mc.checks entries: {sorted(unknown)}", key="mc.checks")
@@ -316,10 +354,11 @@ def config_echo(config: ExperimentConfig) -> dict:
 def build_experiment(config: ExperimentConfig):
     """The one place a validated config becomes an experiment.
 
-    Returns ``(problem, schedule, resolved, mc)``: the problem, the schedule
-    as configured, the ``ResolvedAlgorithm`` that runs, and the ``MCConfig``
-    carrying the start and the checkpoint grid. Every ConfigError it raises
-    names a key.
+    Returns ``(problem, resolved, mc)``: the problem, the ``ResolvedAlgorithm``
+    that runs, and the ``MCConfig`` carrying the start and the checkpoint
+    grid. The config's ``step.*`` keys are the schedule that runs, since the
+    matricial algorithm fixes them (``_defaults``). Every ConfigError it
+    raises names a key.
     """
     problem = build_problem(config)
     schedule = StepSchedule(beta0=config.step_beta0, b=config.step_b,
@@ -338,7 +377,7 @@ def build_experiment(config: ExperimentConfig):
         track_decomposition=config.run_track_decomposition, checks=config.mc_checks,
         theta0=theta0, mu0=mu0, checkpoints=tuple(int(n) for n in grid),
     )
-    return problem, schedule, resolved, mc
+    return problem, resolved, mc
 
 
 def build_problem(config: ExperimentConfig) -> ProblemSpec:

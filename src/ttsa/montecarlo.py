@@ -15,6 +15,7 @@ them as such.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -110,7 +111,8 @@ def clt_verdict(
     Passes iff each diagonal block matches within ``tol_rel`` relative
     Frobenius error (``rel_frobenius``, so a zero predicted block passes only
     a zero empirical one) and the normalized cross block is below
-    ``tol_cross``.
+    ``tol_cross``, the bound 0 when the predicted diagonal blocks are
+    degenerate.
     """
     d, dp = dims
     e = np.asarray(empirical, dtype=float)
@@ -118,26 +120,44 @@ def clt_verdict(
     if e.shape != (d + dp, d + dp) or p.shape != (d + dp, d + dp):
         raise ValueError("covariance shapes do not match the block structure")
     details: dict = {"tol_rel": tol_rel, "tol_cross": tol_cross}
-    passed = True
+    excess = []
     for label, sl in (("fast", slice(0, d)), ("slow", slice(d, d + dp))):
         rel = rel_frobenius(e[sl, sl], p[sl, sl])
         details[f"{label}_rel_error"] = rel
         if rel == math.inf:
             details[f"{label}_diagnostic"] = "predicted block is zero but empirical block is not"
-        passed &= rel <= tol_rel
+        excess.append(rel - tol_rel)
     denom = math.sqrt(
         np.linalg.norm(p[:d, :d], "fro") * np.linalg.norm(p[d:, d:], "fro")
     )
     if denom == 0.0:
         cross = float(np.linalg.norm(e[:d, d:], "fro"))
         details["cross_diagnostic"] = "predicted diagonal blocks are degenerate"
-        ok = cross == 0.0
+        excess.append(cross)
     else:
         cross = float(np.linalg.norm(e[:d, d:], "fro") / denom)
-        ok = cross <= tol_cross
+        excess.append(cross - tol_cross)
     details["cross_error"] = cross
-    passed &= ok
-    return Verdict(name="clt", passed=bool(passed), details=details)
+    return _gated("clt", details, excess)
+
+
+def _gated(
+    name: str, details: dict, excess: Sequence[float], strict: Sequence[float] = ()
+) -> Verdict:
+    """A verdict that passes iff every ``excess`` is at most 0 and every
+    ``strict`` one below 0.
+
+    Each excess is a gated quantity's (value - bound), or (bound - value) for
+    a lower bound; ``strict`` holds those of strict bounds. ``details`` gains
+    their largest as ``margin``: a positive margin means the verdict failed,
+    and a negative one that it passed. A NaN quantity fails its gate and
+    leaves no margin.
+    """
+    margin = float(np.max([*excess, *strict]))
+    if not math.isnan(margin):
+        details["margin"] = margin
+    passed = all(e <= 0.0 for e in excess) and all(e < 0.0 for e in strict)
+    return Verdict(name, passed, details)
 
 
 def rate_slope(ns, rms, window: tuple[float, float] | None = None) -> float:
@@ -314,7 +334,9 @@ def run_monte_carlo(
     except DivergenceError as exc:
         report = _aggregate(problem, resolved, mc, exc.trace, predicted)
         report.valid = False
-        report.divergence = {"replication": exc.replication, "step": exc.step}
+        # the diverged replication's last finite iterate, at index step - 1
+        report.divergence = {"replication": exc.replication, "step": exc.step,
+                             "last_state": exc.last_state.tolist()}
         diagnostic = f"replication {exc.replication} diverged at index {exc.step}"
         report.verdicts = [  # one failing verdict per check, in the valid order
             Verdict(name, False, {"diagnostic": diagnostic})
@@ -457,7 +479,7 @@ def _build_verdicts(report, mc, resolved, dims) -> list[Verdict]:
         if resolved.algorithm == AVERAGED:
             rel = rel_frobenius(final_avg_cov, pred["averaged_cov"])
             details = {"joint_rel_error": rel, "tol_rel": tol}
-            verdicts.append(Verdict("clt", rel <= tol, details))
+            verdicts.append(_gated("clt", details, [rel - tol]))
         elif resolved.gains is None:
             joint = np.zeros((d + dp, d + dp))
             joint[:d, :d] = pred["fast_cov"]
@@ -468,13 +490,13 @@ def _build_verdicts(report, mc, resolved, dims) -> list[Verdict]:
             rel_slow = rel_frobenius(final_cov[d:, d:], pred["slow_cov"])
             details = {"fast_rel_error": rel_fast,
                        "slow_rel_error_informational": rel_slow, "tol_rel": tol}
-            verdicts.append(Verdict("clt", rel_fast <= tol, details))
+            verdicts.append(_gated("clt", details, [rel_fast - tol]))
 
     if "averaged_blocks" in mc.checks:
         rel_f = rel_frobenius(final_avg_cov[:d, :d], pred["optimal_fast_cov"])
         rel_s = rel_frobenius(final_avg_cov[d:, d:], pred["optimal_slow_cov"])
         details = {"fast_rel_error": rel_f, "slow_rel_error": rel_s, "tol_rel": tol}
-        verdicts.append(Verdict("averaged_blocks", rel_f <= tol and rel_s <= tol, details))
+        verdicts.append(_gated("averaged_blocks", details, [rel_f - tol, rel_s - tol]))
 
     if "slopes" in mc.checks:
         slopes = report.rate_slopes
@@ -484,12 +506,12 @@ def _build_verdicts(report, mc, resolved, dims) -> list[Verdict]:
         else:
             target_f = -resolved.schedule.b / 2.0
             target_s = -resolved.schedule.a / 2.0
-            passed = (abs(slopes["fast"] - target_f) <= SLOPE_TOLERANCE
-                      and abs(slopes["slow"] - target_s) <= SLOPE_TOLERANCE)
             details = {"fast_slope": slopes["fast"], "fast_target": target_f,
                        "slow_slope": slopes["slow"], "slow_target": target_s,
                        "tolerance": SLOPE_TOLERANCE}
-            verdicts.append(Verdict("slopes", passed, details))
+            excess = [abs(slopes["fast"] - target_f) - SLOPE_TOLERANCE,
+                      abs(slopes["slow"] - target_s) - SLOPE_TOLERANCE]
+            verdicts.append(_gated("slopes", details, excess))
 
     if "lil" in mc.checks:
         if not report.lil_stability:
@@ -497,10 +519,10 @@ def _build_verdicts(report, mc, resolved, dims) -> list[Verdict]:
         else:
             frac_f = report.lil_stability["fast_fraction"]
             frac_s = report.lil_stability["slow_fraction"]
-            passed = min(frac_f, frac_s) >= LIL_STABILITY_MIN_FRACTION
             details = {"fast_fraction": frac_f, "slow_fraction": frac_s,
                        "min_fraction": LIL_STABILITY_MIN_FRACTION}
-            verdicts.append(Verdict("lil", passed, details))
+            excess = [LIL_STABILITY_MIN_FRACTION - frac_f, LIL_STABILITY_MIN_FRACTION - frac_s]
+            verdicts.append(_gated("lil", details, excess))
 
     if "negligibility" in mc.checks:
         verdicts.append(_negligibility_verdict(report))
@@ -513,7 +535,7 @@ def _negligibility_verdict(report) -> Verdict:
     ref = int(np.argmin(np.abs(ns - ns[-1] / 100.0)))
     details: dict = {"reference_n": int(ns[ref]), "final_n": int(ns[-1]),
                      "halving_factor": HALVING_FACTOR}
-    passed = True
+    halving = []
     for key in (
         "coupling_fast_over_sqrt_beta",
         "remainder_fast_over_sqrt_beta",
@@ -522,10 +544,11 @@ def _negligibility_verdict(report) -> Verdict:
         curve = report.negligibility[key]
         ratio = float(curve[-1] / curve[ref]) if curve[ref] > 0 else math.inf
         details[f"{key}_decay"] = ratio
-        passed &= ratio < HALVING_FACTOR
+        halving.append(ratio - HALVING_FACTOR)
+    excess = []
     frac = report.diagnostics.get("remainder_fast_decreasing_fraction")
     if frac is not None:
         details["remainder_fast_decreasing_fraction"] = frac
         details["min_decreasing_fraction"] = DECREASING_MIN_FRACTION
-        passed &= frac >= DECREASING_MIN_FRACTION
-    return Verdict("negligibility", bool(passed), details)
+        excess.append(DECREASING_MIN_FRACTION - frac)
+    return _gated("negligibility", details, excess, strict=halving)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -28,6 +28,9 @@ from . import linalg
 from .errors import DimensionError
 from .schedules import AVERAGING, StepSchedule, validate_schedule
 from .validation import ValidationReport
+
+if TYPE_CHECKING:
+    from .engine import GainMatrices
 
 GAUSSIAN = "gaussian"
 BOUNDED_UNIFORM = "bounded_uniform"
@@ -318,8 +321,15 @@ class ProblemSpec:
         return f, g
 
 
-def validate_problem(problem: ProblemSpec, schedule: StepSchedule) -> ValidationReport:
+def validate_problem(
+    problem: ProblemSpec, schedule: StepSchedule, gains: GainMatrices | None = None
+) -> ValidationReport:
     """Run every machine-checkable assumption and report pass/fail per item.
+
+    ``(schedule, gains)`` is the pair that runs, as ``step``,
+    ``simulate_batch`` and ``theory_report`` take it. With gains A, the fast
+    iterate is driven by A H, so the b = 1 condition reads Lambda(A H): with
+    beta0 = 1 it is the ``A H + I/2`` Hurwitz test of ``validate_gains``.
 
     Failures never raise; they are entries in the returned report. Overall
     pass means no checkable item failed; items that can only be asserted
@@ -346,7 +356,8 @@ def validate_problem(problem: ProblemSpec, schedule: StepSchedule) -> Validation
             f"{problem.residual.clamp_radius}",
         )
 
-    gap_h = linalg.stability_gap(problem.fast_matrix())
+    h = problem.fast_matrix()
+    gap_h = linalg.stability_gap(h)
     gap_q22 = linalg.stability_gap(problem.q22)
     report.add(
         "A2(ii) Lambda(H) > 0", gap_h > 0, f"Lambda(H) = {gap_h:.6g}"
@@ -355,7 +366,10 @@ def validate_problem(problem: ProblemSpec, schedule: StepSchedule) -> Validation
         "A2(ii) Lambda(Q22) > 0", gap_q22 > 0, f"Lambda(Q22) = {gap_q22:.6g}"
     )
 
-    report.extend(validate_schedule(schedule, gap_h))
+    if gains is None:
+        report.extend(validate_schedule(schedule, gap_h))
+    else:
+        report.extend(validate_schedule(schedule, linalg.stability_gap(gains.fast @ h), "A H"))
 
     report.note(
         "A4(i) martingale differences",

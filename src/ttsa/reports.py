@@ -20,7 +20,7 @@ import numpy as np
 
 from .engine import DECOMP_KEYS, BatchTrace
 
-ARTIFACT_VERSION = "0.1.0"
+ARTIFACT_VERSION = "0.2.0"
 
 
 def fmt17(x: float) -> str:
@@ -159,9 +159,10 @@ def render_montecarlo(payload: dict) -> str:
     where = "final checkpoint" if valid else "last checkpoint reached"
     if not valid:
         div = payload.get("divergence") or {}
+        step = div.get("step")
         out.append(
-            "INVALID: replication "
-            f"{div.get('replication')} diverged at index {div.get('step')}"
+            f"INVALID: replication {div.get('replication')} diverged at index {step}; "
+            f"x at index {step - 1} = {div.get('last_state')}"
         )
     if ckpt["n"]:
         out.append(f"{where} n = {ckpt['n'][-1]}")

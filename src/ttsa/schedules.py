@@ -98,13 +98,17 @@ class StepSchedule:
         return float(u[-1]), float(s[-1])
 
 
-def validate_schedule(schedule: StepSchedule, lambda_h: float) -> ValidationReport:
+def validate_schedule(
+    schedule: StepSchedule, lambda_h: float, fast: str = "H"
+) -> ValidationReport:
     """Check the schedule against the stability gap of the fast matrix.
 
-    ``lambda_h`` is the stability gap of H (positive when H is Hurwitz).
-    Structural constraints are enforced at construction and re-reported here;
-    the b = 1 case additionally requires beta0 > 1 / (2 * lambda_h), and the
-    averaging regime requires b strictly below 1.
+    ``lambda_h`` is the stability gap (positive when Hurwitz) of the matrix
+    that drives the fast iterate, named ``fast`` in the report: H, or A H
+    under gains A. Structural constraints are enforced at construction and
+    re-reported here; the b = 1 case additionally requires
+    beta0 > 1 / (2 * lambda_h), and the averaging regime requires b strictly
+    below 1.
     """
     report = ValidationReport()
     report.add(
@@ -118,7 +122,7 @@ def validate_schedule(schedule: StepSchedule, lambda_h: float) -> ValidationRepo
         report.add(
             "A3(ii) beta0 condition",
             schedule.beta0 > threshold,
-            f"b = 1 requires beta0 > 1/(2*Lambda(H)) = {threshold:.6g}; "
+            f"b = 1 requires beta0 > 1/(2*Lambda({fast})) = {threshold:.6g}; "
             f"beta0 = {schedule.beta0}",
         )
     else:

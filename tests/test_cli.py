@@ -11,11 +11,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ttsa import cli, engine
+from ttsa import StepSchedule, cli, engine, library_problem, optimal_gains, stability_gap
 from ttsa.config import (
     _CHOICES,
     _READ_WHEN,
     KEY_TABLE,
+    _defaults,
     ExperimentConfig,
     build_experiment,
     build_problem,
@@ -27,7 +28,7 @@ from ttsa.engine import DECOMP_KEYS
 from ttsa.errors import ConfigError
 from ttsa.montecarlo import KNOWN_CHECKS
 from ttsa.problems import LIBRARY_NAMES
-from ttsa.reports import read_report
+from ttsa.reports import ARTIFACT_VERSION, read_report
 
 MINIMAL = "problem.name = linear-2x2\n"
 
@@ -92,11 +93,11 @@ def experiment_configs(draw):
     if "negligibility" in values["mc_checks"]:  # it reads the tracked decomposition
         values["run_track_decomposition"] = True
     assume(not (values["run_algorithm"] == "matricial" and values["run_track_decomposition"]))
-    defaults, conditional, unread = ExperimentConfig(), set(), set()
-    for cond, value, keys in _READ_WHEN:  # in order: a row may reset a later row's condition
+    defaults, conditional, unread = _defaults(ExperimentConfig(**values)), set(), set()
+    for cond, allowed, keys in _READ_WHEN:  # in order: a row may reset a later row's condition
         attrs = {KEY_TABLE[key][0] for key in keys}
         conditional |= attrs
-        if values[KEY_TABLE[cond][0]] != value:  # unread keys keep their defaults
+        if values[KEY_TABLE[cond][0]] not in allowed:  # unread keys keep their defaults
             unread |= attrs
             values.update((attr, getattr(defaults, attr)) for attr in attrs)
     array = st.lists(st.lists(_FINITE, min_size=1, max_size=2), min_size=1, max_size=2)
@@ -251,7 +252,7 @@ run.track_decomposition = true
 
     def test_build_mc_uses_checkpoint_grid(self):
         config = parse_config("run.n_final = 1000\nrun.checkpoints_per_decade = 4\n")
-        _, _, _, mc = build_experiment(config)
+        _, _, mc = build_experiment(config)
         assert mc.checkpoints[-1] == 1000
         assert len(mc.checkpoints) <= 14
 
@@ -420,6 +421,12 @@ class TestNoSilentKeys:
         "problem.name = quadratic-2x2\nstep.regime = averaging\nrun.algorithm = averaged\n"
         "mc.tol_cross = 0.5\n",
         f"{MINIMAL}run.algorithm = matricial\nmc.tol_cross = 0.5\n",
+        # a library problem runs its own residual, and matricial its own schedule
+        "problem.name = quadratic-2x2\nproblem.residual_clamp = 10.0\n",
+        f"{MINIMAL}run.algorithm = matricial\nstep.b = 0.9\n",
+        f"{MINIMAL}run.algorithm = matricial\nstep.beta0 = 7.0\n",
+        f"{MINIMAL}run.algorithm = matricial\nstep.gamma0 = 5.0\n",
+        f"{MINIMAL}run.algorithm = matricial\nstep.regime = averaging\n",
     ])
     def test_a_key_its_condition_leaves_unread_is_rejected(self, text):
         key = text.splitlines()[-1].partition(" = ")[0]
@@ -447,6 +454,59 @@ class TestNoSilentKeys:
 
 
 _README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _echoed_schedule(echo):
+    """The StepSchedule that the echoed step.* keys describe."""
+    return StepSchedule(beta0=float(echo["step.beta0"]), b=float(echo["step.b"]),
+                        gamma0=float(echo["step.gamma0"]), a=float(echo["step.a"]),
+                        regime=echo["step.regime"])
+
+
+class TestEchoIsWhatRuns:
+    """The configuration echoed into every output is the experiment that ran:
+    its step.* keys are the schedule that runs, and a library problem's
+    residual keys are its residual."""
+
+    @settings(deadline=None)
+    @given(config=experiment_configs())
+    def test_any_config(self, config):
+        echo = config_echo(config)
+        schedule = _echoed_schedule(echo)
+        if config.run_algorithm == "averaged":  # else resolve_algorithm rejects it
+            assume(schedule.regime == "averaging")
+        # the schedule that runs does not depend on the problem, only the gains do
+        resolved = engine.resolve_algorithm(
+            library_problem("linear-2x2"), schedule, config.run_algorithm)
+        assert resolved.schedule == schedule
+        if config.problem_name in LIBRARY_NAMES:
+            residual = library_problem(config.problem_name).residual
+            assert echo["problem.residual"] == residual.kind
+            assert float(echo["problem.residual_clamp"]) == residual.clamp_radius
+
+    @pytest.mark.parametrize("start", [
+        *_STARTS,
+        f"{MINIMAL}run.algorithm = matricial\nstep.a = 0.85\n",
+        "problem.name = quadratic-2x2\nrun.algorithm = matricial\n",
+    ])
+    def test_built_experiment(self, start):
+        config = parse_config(start)
+        problem, resolved, _ = build_experiment(config)
+        echo = config_echo(config)
+        assert _echoed_schedule(echo) == resolved.schedule
+        if config.problem_name in LIBRARY_NAMES:
+            assert echo["problem.residual"] == problem.residual.kind
+            assert float(echo["problem.residual_clamp"]) == problem.residual.clamp_radius
+
+    @pytest.mark.parametrize("text", [
+        "problem.name = quadratic-2x2\nproblem.residual = quadratic_form\n"
+        "problem.residual_clamp = 5.0\n",
+        f"{MINIMAL}run.algorithm = matricial\nstep.b = 1.0\nstep.beta0 = 1.0\n"
+        "step.gamma0 = 1.0\nstep.regime = plain\n",
+    ])
+    def test_a_config_equal_to_its_echo_parses(self, text):
+        config = parse_config(text)
+        assert parse_config(render_config(config)) == config
 
 
 class TestReadme:
@@ -496,6 +556,33 @@ class TestValidateCommand:
         assert cli.main(["validate", "--config", path]) == 2
         err = capsys.readouterr().err
         assert "A3" in err
+
+
+class TestValidateMatricial:
+    """``validate`` checks the schedule and gains the matricial algorithm runs:
+    b = 1, beta0 = gamma0 = 1, with gains A = -H^-1."""
+
+    MATRICIAL = f"{MINIMAL}run.algorithm = matricial\n"
+
+    def test_bias_decay_is_checked_against_b_one(self, tmp_path, capsys):
+        path = write_config(tmp_path, self.MATRICIAL + power_decay(2).replace("0.8", "0.45"))
+        assert cli.main(["validate", "--config", path]) == 1
+        out = capsys.readouterr().out
+        assert "[FAIL] A4(iv) bias decay: requires rho > b/2 = 0.5; rho = 0.45" in out
+
+    def test_b_one_condition_reads_the_gained_gap(self, tmp_path, capsys):
+        problem = library_problem("linear-2x2")
+        threshold = 1.0 / (2.0 * stability_gap(optimal_gains(problem).fast @ problem.fast_matrix()))
+        path = write_config(tmp_path, self.MATRICIAL)
+        assert cli.main(["validate", "--config", path]) == 0
+        line = next(l for l in capsys.readouterr().out.splitlines() if "A3(ii)" in l)
+        assert line == (f"[PASS] A3(ii) beta0 condition: b = 1 requires "
+                        f"beta0 > 1/(2*Lambda(A H)) = {threshold:.6g}; beta0 = 1.0")
+
+    def test_a_above_the_standard_default_b(self, tmp_path, capsys):
+        path = write_config(tmp_path, self.MATRICIAL + "step.a = 0.85\n")
+        assert cli.main(["validate", "--config", path]) == 0
+        assert "1/2 < a=0.85 < b=1.0 <= 1" in capsys.readouterr().out
 
 
 _COMMANDS = ("validate", "theory", "run", "decompose", "montecarlo")
@@ -550,6 +637,11 @@ class TestBadStart:
         (f"{MINIMAL}step.gamma0 = 0\n", "step.gamma0"),
         (f"{MINIMAL}mc.tol_rel = -1.0\n", "mc.tol_rel"),
         (f"{MINIMAL}mc.tol_cross = 0\n", "mc.tol_cross"),
+        # a key the library problem or the matricial algorithm fixes
+        ("problem.name = quadratic-2x2\nproblem.residual_clamp = 10.0\n", "problem.residual_clamp"),
+        (f"{MINIMAL}run.algorithm = matricial\nstep.beta0 = 7.0\n", "step.beta0"),
+        (f"{MINIMAL}run.algorithm = matricial\nstep.regime = averaging\n", "step.regime"),
+        (f"{MINIMAL}run.algorithm = matricial\nstep.b = 0.9\n", "step.b"),
         ("problem.name = scalar-coupled\nrun.theta0_offset = [1.0, 2.0]\n", "run.theta0_offset"),
         ("problem.name = scalar-coupled\nproblem.bias = power_decay\n"
          "problem.bias_coeff_fast = [0.5, 0.5]\nproblem.bias_coeff_slow = [0.5]\n",
@@ -826,6 +918,20 @@ class TestReportCommand:
         assert cli.main(["report", str(tmp_path / "nope.json")]) == 2
 
 
+class TestArtifactVersion:
+    def test_every_artifact_kind_carries_the_version(self, tmp_path, capsys):
+        text = FAST_MC + f"mc.dump_samples = true\noutput.directory = {tmp_path}\n"
+        path = write_config(tmp_path, text)
+        for command in ("validate", "theory", "montecarlo"):
+            out = tmp_path / f"{command}.json"
+            assert cli.main([command, "--config", path, "--output", str(out)]) == 0
+            assert read_report(str(out))["version"] == ARTIFACT_VERSION
+        assert cli.main(["run", "--config", path]) == 0
+        for name in ("trace.csv", "montecarlo_samples.csv"):
+            lines = (tmp_path / name).read_text().splitlines()
+            assert f"# ttsa_version={ARTIFACT_VERSION}" in lines
+
+
 class TestOutputDirEnv:
     def test_env_var_used_as_default(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("TTSA_OUTPUT_DIR", str(tmp_path))
@@ -842,9 +948,9 @@ class TestOutputDirEnv:
 class TestBuilders:
     def test_schedule_from_config(self):
         config = parse_config("step.a = 0.55\nstep.b = 0.9\nstep.beta0 = 1.5\n")
-        _, schedule, _, _ = build_experiment(config)
-        assert schedule.a == 0.55
-        assert schedule.beta0 == 1.5
+        _, resolved, _ = build_experiment(config)
+        assert resolved.schedule.a == 0.55
+        assert resolved.schedule.beta0 == 1.5
 
     def test_library_problem_with_moment_order_override(self):
         config = parse_config("problem.name = scalar-coupled\nproblem.moment_order = 3.0\n")
@@ -856,7 +962,7 @@ class TestBuilders:
         config = parse_config(
             "problem.name = scalar-coupled\nrun.theta0_offset = [2.0]\nrun.mu0_offset = [-1.0]\n"
         )
-        problem, _, _, mc = build_experiment(config)
+        problem, _, mc = build_experiment(config)
         assert mc.theta0[0] == problem.theta_star[0] + 2.0
         assert mc.mu0[0] == problem.mu_star[0] - 1.0
 

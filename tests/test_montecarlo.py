@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -27,6 +28,35 @@ from ttsa.montecarlo import _nanmedian, rel_frobenius
 from ttsa.reports import render_montecarlo
 
 from conftest import scalar_spec
+
+
+def _assert_signed_margins(verdicts):
+    """A gated verdict's margin is positive when it failed and negative when
+    it passed; 0 passes, except against the strict negligibility halving
+    bound. A verdict without a margin failed for lack of data."""
+    for v in verdicts:
+        margin = v.details.get("margin")
+        if margin is None:
+            assert not v.passed and "diagnostic" in v.details, v
+        elif margin != 0.0:
+            assert v.passed == (margin < 0.0), v
+        elif v.name != "negligibility":
+            assert v.passed, v
+
+
+@pytest.fixture(autouse=True)
+def _every_verdict_signed(monkeypatch):
+    """Check the margin sign rule on every verdict the tests here produce."""
+    def checked(fn, verdicts_of):
+        def wrapper(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            _assert_signed_margins(verdicts_of(out))
+            return out
+        return wrapper
+
+    monkeypatch.setitem(globals(), "run_monte_carlo",
+                        checked(run_monte_carlo, lambda report: report.verdicts))
+    monkeypatch.setitem(globals(), "clt_verdict", checked(clt_verdict, lambda v: [v]))
 
 
 class TestSampleCovariance:
@@ -286,6 +316,9 @@ class TestRunMonteCarlo:
         assert back["checkpoints"]["n"] == prefix.tolist()
         assert set(back["checkpoints"]) == set(report.curves)
         assert "INVALID: replication" in render_montecarlo(back)
+        # the record holds the diverged replication's last finite iterate
+        record = np.array(back["divergence"]["last_state"])
+        assert record.dtype == float and np.array_equal(record, err.value.last_state)
         return report, err.value
 
     def test_divergence_recorded_and_invalidates(self, schedule):
@@ -296,6 +329,15 @@ class TestRunMonteCarlo:
         report, exc = self._divergent_report(schedule, checkpoints=(50, 100))
         assert exc.step < 50
         assert report.curves["n"].size == 0
+
+    def test_divergence_record_holds_the_last_finite_state(self, schedule):
+        report, exc = self._divergent_report(schedule)
+        div = report.divergence
+        assert (div["replication"], div["step"]) == (exc.replication, exc.step)
+        assert np.all(np.isfinite(div["last_state"]))
+        line = render_montecarlo(json.loads(json.dumps(report.as_dict()))).splitlines()[2]
+        assert line == (f"INVALID: replication {exc.replication} diverged at index {exc.step}; "
+                        f"x at index {exc.step - 1} = {exc.last_state.tolist()}")
 
     def test_matricial_uses_implied_schedule(self, linear_problem, schedule):
         mc = MCConfig(replications=4, n_final=500, base_seed=2, checks=())
@@ -350,6 +392,33 @@ class TestRunMonteCarlo:
         final_cov = report.curves["scaled_cov"][-1]
         rel = rel_frobenius(final_cov[:2, :2], report.predicted["fast_cov"])
         assert rel < 0.35
+
+
+class TestVerdictMargins:
+    @pytest.mark.parametrize("algorithm, regime, checks", [
+        ("standard", "plain", ("clt", "slopes", "lil", "negligibility")),
+        ("averaged", "averaging", ("clt", "averaged_blocks")),
+        ("matricial", "plain", ("clt",)),
+    ])
+    @pytest.mark.parametrize("tol", [1e-6, 10.0])
+    def test_every_gated_verdict_has_its_margin(
+        self, linear_problem, schedule, algorithm, regime, checks, tol
+    ):
+        mc = MCConfig(replications=16, n_final=2000, base_seed=4, tol_rel=tol, tol_cross=tol,
+                      track_decomposition="negligibility" in checks, checks=checks)
+        resolved = resolve_algorithm(linear_problem, replace(schedule, regime=regime), algorithm)
+        report = run_monte_carlo(linear_problem, resolved, mc)
+        assert [v.name for v in report.verdicts] == list(checks)
+        clt = report.verdict("clt").details
+        errors = [value for key, value in clt.items() if key.endswith(("_rel_error", "cross_error"))]
+        bounds = [clt["tol_cross"] if key == "cross_error" else tol
+                  for key in clt if key.endswith(("_rel_error", "cross_error"))]
+        # the largest excess over the gated quantities: every error here but
+        # the matricial slow block, which is informational
+        assert clt["margin"] == max(e - b for e, b in zip(errors, bounds))
+        assert (clt["margin"] > 0) == (tol < 1.0)
+        for verdict in report.verdicts:
+            assert math.isfinite(verdict.details["margin"])
 
 
 class TestReportShape:

@@ -3,13 +3,16 @@ import pytest
 
 from ttsa import (
     BiasModel,
+    GainMatrices,
     NoiseModel,
     NonlinearResidual,
     ProblemSpec,
     StepSchedule,
+    matricial_schedule,
     validate_problem,
 )
-from ttsa.errors import DimensionError, SingularMatrixError
+from ttsa.engine import validate_gains
+from ttsa.errors import ConfigError, DimensionError, SingularMatrixError
 from ttsa.problems import library_problem
 
 from conftest import scalar_spec
@@ -313,6 +316,21 @@ class TestValidateProblem:
         report = validate_problem(p, s)
         assert not report.passed
         assert any("A4(iii)" in c.name for c in report.failures())
+
+    @pytest.mark.parametrize("scale", [0.4, 0.6, 1.0, 3.0])
+    def test_gained_b_one_condition_is_the_gain_test(self, linear_problem, scale):
+        # with beta0 = 1, beta0 > 1/(2 Lambda(A H)) holds iff A H + I/2 is Hurwitz
+        gains = GainMatrices(fast=-scale * np.linalg.inv(linear_problem.fast_matrix()),
+                             slow=np.eye(2))
+        report = validate_problem(linear_problem, matricial_schedule(0.6), gains)
+        check = next(c for c in report.checks if c.name.startswith("A3(ii)"))
+        assert "Lambda(A H)" in check.detail
+        try:
+            validate_gains(linear_problem, gains)
+        except ConfigError:
+            assert check.status == "fail"
+        else:
+            assert check.status == "pass"
 
     def test_zero_coupling_identities(self):
         gamma = np.diag([1.4, 0.9])
