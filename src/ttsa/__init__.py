@@ -13,7 +13,14 @@ from .engine import (
     simulate_batch,
     step,
 )
-from .linalg import is_hurwitz, mat_exp, solve_lyapunov, spectral_summary, stability_gap
+from .linalg import (
+    exp_basis,
+    is_hurwitz,
+    mat_exp,
+    solve_lyapunov,
+    spectral_summary,
+    stability_gap,
+)
 from .montecarlo import (
     MCConfig,
     MonteCarloReport,
@@ -58,6 +65,7 @@ __all__ = [
     "averaged_covariance",
     "checkpoint_indices",
     "clt_verdict",
+    "exp_basis",
     "fast_error_cov",
     "initial_state",
     "is_hurwitz",

@@ -20,8 +20,9 @@ residual rho enters through R_n, and the bias row c_n = r_n R_n is added per
 step. ``simulate_batch`` builds A, R and c once per chunk of steps as stacked
 (span, ., .) tables; ``step`` builds one-step tables through the same code.
 A tracked run's decomposition tables T1 and T2 (``_Kernel``) are part of the
-same step tables. Their problem pieces, H and Q12 Q22^-1, are built on the
-first tracked use and kept, so an untracked run never inverts Q22.
+same step tables. Their problem pieces, Q12 Q22^-1 and the ``linalg.exp_basis``
+of H and of Q22, are built on the first tracked use and kept, so an untracked
+run never inverts Q22.
 The matricial variant is this recursion with the gain G and the schedule
 ``matricial_schedule(a)``. ``step``, ``run`` and ``simulate_batch`` all take
 that (schedule, gains) pair and reject gains that do not stabilize it, and
@@ -226,9 +227,10 @@ class SAState:
     ``parts`` is None unless the decomposition is tracked. Then it is one
     decomposition row of ``_Kernel``, (martingale, coupling) in the (fast,
     slow) layout of z, with ``martingale_fast`` ... ``coupling_slow`` views
-    of it. The martingale carries the CLT (the noise-driven leading part),
-    the coupling the averaged cross-component part. The remainders are never
-    stored; they are the differences error - martingale - coupling.
+    of it; on an untracked state they raise ConfigError. The martingale
+    carries the CLT (the noise-driven leading part), the coupling the
+    averaged cross-component part. The remainders are never stored; they are
+    the differences error - martingale - coupling.
     """
 
     n: int
@@ -260,21 +262,30 @@ class SAState:
     def mu_bar(self) -> np.ndarray:
         return ((self.z_sum + self.z_part) / self.n + self.x_star)[self.d :]
 
+    def _rows(self) -> np.ndarray:
+        """``parts`` as (martingale, coupling) rows; ConfigError when untracked."""
+        if self.parts is None:
+            raise ConfigError(
+                "this state is untracked; start it with "
+                "initial_state(..., track_decomposition=True) to read its decomposition"
+            )
+        return self.parts.reshape(2, -1)
+
     @property
     def martingale_fast(self) -> np.ndarray:
-        return self.parts.reshape(2, -1)[0, : self.d]
+        return self._rows()[0, : self.d]
 
     @property
     def martingale_slow(self) -> np.ndarray:
-        return self.parts.reshape(2, -1)[0, self.d :]
+        return self._rows()[0, self.d :]
 
     @property
     def coupling_fast(self) -> np.ndarray:
-        return self.parts.reshape(2, -1)[1, : self.d]
+        return self._rows()[1, : self.d]
 
     @property
     def coupling_slow(self) -> np.ndarray:
-        return self.parts.reshape(2, -1)[1, self.d :]
+        return self._rows()[1, self.d :]
 
 
 def _initial_iterate(problem: ProblemSpec, theta0, mu0) -> np.ndarray:
@@ -365,6 +376,11 @@ class _Kernel:
     rather than one of depth 4 dim: BLAS rounds a row the same at any batch
     size only for shallow products. H and K need Q22 invertible, so they are
     built on the first tracked call, and an untracked run never needs it.
+    That call also builds the ``linalg.exp_basis`` of H and of Q22 and keeps
+    them, so each step's exp(beta H) and exp(gamma Q22) is
+    ``linalg.mat_exp(basis, beta)`` and ``linalg.mat_exp(basis, gamma)``: a
+    coefficient dot with the kept powers, whose degree and squarings depend
+    on the step size alone, so no entry depends on the chunk it is built in.
     """
 
     def __init__(self, problem: ProblemSpec):
@@ -382,7 +398,7 @@ class _Kernel:
         # max|theta| + max|mu| of every row is within the guard
         bound = 0.49 * DIVERGENCE_GUARD - np.abs(self.x_star).max()
         self.z_sq_max = bound * bound if bound > 0 else -1.0
-        self.decomposition = None  # (H, K^T, Q21^T), see ``tables``
+        self.decomposition = None  # (basis of H, basis of Q22, K^T, Q21^T), see ``tables``
         self.checked = None  # (fast, slow, kernel) of the gains last checked
 
     def with_gains(self, gains: GainMatrices | None) -> _Kernel:
@@ -428,16 +444,20 @@ class _Kernel:
             return _StepTables(s, a, r, c)
         p = self.problem
         if self.decomposition is None:
-            h = p.fast_matrix()
-            self.decomposition = h, (p.q12 @ linalg.invert(p.q22)).T.copy(), p.q21.T.copy()
-        h, kT, q21T = self.decomposition
-        d, dim, q22 = self.d, p.dim, p.q22
+            self.decomposition = (
+                linalg.exp_basis(p.fast_matrix()),
+                linalg.exp_basis(p.q22),
+                (p.q12 @ linalg.invert(p.q22)).T.copy(),
+                p.q21.T.copy(),
+            )
+        basis_h, basis_q22, kT, q21T = self.decomposition
+        d, dim = self.d, p.dim
         b, g = beta[:, None, None], gamma[:, None, None]
         t = np.zeros((len(beta), 4 * dim, 2 * dim))
         t1, t2 = t[:, : 2 * dim], t[:, 2 * dim :]
         for j, (beta_n, gamma_n) in enumerate(zip(beta, gamma)):
-            t1[j, :d, :d] = linalg.mat_exp(beta_n * h).T
-            t1[j, d:dim, d:dim] = linalg.mat_exp(gamma_n * q22).T
+            t1[j, :d, :d] = linalg.mat_exp(basis_h, beta_n).T
+            t1[j, d:dim, d:dim] = linalg.mat_exp(basis_q22, gamma_n).T
         t1[:, dim : dim + d, dim : dim + d] = t1[:, :d, :d]
         t1[:, dim + d :, dim + d :] = t1[:, d:dim, d:dim]
         t1[:, :d, dim + d :] = t1[:, dim : dim + d, dim + d :] = g * q21T

@@ -6,10 +6,14 @@ queries, stability tests, a scaling-and-squaring matrix exponential, and a
 Lyapunov solver for stationary covariances. All functions are pure and all
 inputs are validated to be finite.
 
-The exponential scales its argument to 1-norm x <= 0.25 and sums a Taylor
+The exponential exp(t a) scales t a to 1-norm x <= 0.25 and sums a Taylor
 polynomial of the lowest degree q whose tail bound
 x^(q+1)/(q+1)! / (1 - x/(q+2)) is at most 2^-53, the unit roundoff; q is at
-most 12, and small arguments need far fewer terms.
+most 12, and small arguments need far fewer terms. The powers it sums come
+from an ``ExpBasis`` of a, which holds (a/2^e)^k for k = 0..12. A caller that
+exponentiates one matrix at many values of t builds the basis once, so each
+exponential costs one coefficient dot and its squarings (Higham, SIAM J.
+Matrix Anal. Appl. 26(4), 2005).
 """
 from __future__ import annotations
 
@@ -44,6 +48,7 @@ _EXP_LIMITS = (
     0.24723920471146654,
     0.33521266165713876,
 )
+_EXP_ORDERS = np.arange(len(_EXP_LIMITS), dtype=float)
 _EXP_INV_FACTORIALS = np.array([1.0 / math.factorial(k) for k in range(len(_EXP_LIMITS))])
 
 
@@ -104,29 +109,59 @@ def is_hurwitz(a, margin: float = 0.0) -> bool:
     return stability_gap(a) > margin
 
 
-def mat_exp(a) -> np.ndarray:
-    """Matrix exponential by scaling and squaring with a Taylor core.
+@dataclass(frozen=True)
+class ExpBasis:
+    """The powers of a square matrix that ``mat_exp`` sums, kept for reuse.
 
-    The argument is scaled by 2^-s down to 1-norm x <= 0.25. The Taylor
-    polynomial of degree q, the lowest whose tail bound
-    x^(q+1)/(q+1)! / (1 - x/(q+2)) is at most 2^-53, is summed from a stack
-    of powers, highest first, and the result is squared s times. q is 12 at
-    x = 0.25 and falls as x shrinks; the zero matrix maps to the identity
-    exactly.
+    ``norm`` is the 1-norm of a and ``scale`` = 2^e the power of two at or
+    above it. ``powers`` holds (a/2^e)^k for k = 0..12, flattened to rows of
+    length ``dim``^2; each has 1-norm at most 1, so none overflows.
     """
+
+    dim: int
+    norm: float
+    scale: float
+    powers: np.ndarray
+
+
+def exp_basis(a) -> ExpBasis:
+    """The ``ExpBasis`` of a finite square matrix."""
     m = as_square(a)
     n = m.shape[0]
-    norm = np.abs(m).sum(axis=0).max()  # the 1-norm
-    squarings = 0 if norm <= _EXP_THETA else int(np.ceil(np.log2(norm / _EXP_THETA)))
+    norm = float(np.abs(m).sum(axis=0).max())  # the 1-norm
+    mantissa, e = math.frexp(norm)  # norm = mantissa 2^e, 0.5 <= mantissa < 1
+    scale = math.ldexp(1.0, e - 1 if mantissa == 0.5 else e)
+    unit = m / scale
+    powers = np.empty((len(_EXP_LIMITS), n, n))
+    powers[0] = np.eye(n)
+    for k in range(1, len(_EXP_LIMITS)):
+        np.matmul(powers[k - 1], unit, out=powers[k])
+    powers.flags.writeable = False
+    return ExpBasis(dim=n, norm=norm, scale=scale, powers=powers.reshape(len(_EXP_LIMITS), n * n))
+
+
+def mat_exp(a, t: float = 1.0) -> np.ndarray:
+    """exp(t a) by scaling and squaring with a Taylor core.
+
+    ``a`` is a square array or its ``exp_basis``. t a is scaled by 2^-s down
+    to 1-norm x = |t| ||a||_1 / 2^s <= 0.25, and the Taylor polynomial of
+    degree q, the lowest whose tail bound x^(q+1)/(q+1)! / (1 - x/(q+2)) is
+    at most 2^-53, is one dot of the coefficients c^k / k!, c = t 2^e / 2^s,
+    with the basis powers (a/2^e)^k, k = 0..q. The result is squared s times.
+    q is 12 at x = 0.25 and falls as x shrinks; t = 0 and the zero matrix map
+    to the identity exactly. A non-finite t raises ValueError.
+    """
+    basis = a if isinstance(a, ExpBasis) else exp_basis(a)
+    t = float(t)
+    norm = abs(t) * basis.norm
+    if not math.isfinite(norm):
+        raise ValueError(f"exp(t a) needs a finite t ||a||_1, got t = {t!r}")
+    squarings = 0 if norm <= _EXP_THETA else math.ceil(math.log2(norm / _EXP_THETA))
     scale = 2.0**squarings
-    s = m / scale
     degree = bisect.bisect_left(_EXP_LIMITS, norm / scale)
-    # powers[degree - k] = s^k, so the coefficients run 1/degree! .. 1/0!
-    powers = np.empty((degree + 1, n, n))
-    power = powers[degree] = np.eye(n)
-    for k in range(degree - 1, -1, -1):
-        power = np.matmul(power, s, out=powers[k])
-    out = (_EXP_INV_FACTORIALS[degree::-1] @ powers.reshape(degree + 1, n * n)).reshape(n, n)
+    coeffs = (t * basis.scale / scale) ** _EXP_ORDERS[: degree + 1]
+    coeffs *= _EXP_INV_FACTORIALS[: degree + 1]
+    out = (coeffs @ basis.powers[: degree + 1]).reshape(basis.dim, basis.dim)
     for _ in range(squarings):
         out = out @ out
     return out

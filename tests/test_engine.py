@@ -221,6 +221,15 @@ class TestDecomposition:
             state = step(linear_problem, schedule, state, zero_noise(linear_problem))
         assert state.parts is None
 
+    @pytest.mark.parametrize(
+        "part", ["martingale_fast", "martingale_slow", "coupling_fast", "coupling_slow"]
+    )
+    def test_untracked_state_names_how_to_track(self, linear_problem, schedule, part):
+        p = linear_problem
+        for state in (initial_state(p), step(p, schedule, initial_state(p), zero_noise(p))):
+            with pytest.raises(ConfigError, match=r"untracked.*track_decomposition=True"):
+                getattr(state, part)
+
     def test_tracked_matricial_step_is_rejected(self, linear_problem, schedule):
         p = linear_problem
         state = initial_state(p, track_decomposition=True)
@@ -709,7 +718,7 @@ class TestPerStepApi:
     def test_kernel_pieces_are_built_once_per_problem(self, schedule, monkeypatch):
         # per-step callers must not pay for an inversion or H on every call
         p = library_problem("linear-2x2")
-        calls = {"invert": 0, "fast_matrix": 0, "mat_exp": 0}
+        calls = {"invert": 0, "fast_matrix": 0, "mat_exp": 0, "exp_basis": 0}
 
         def counting(name, fn):
             def wrapper(*args, **kwargs):
@@ -722,15 +731,17 @@ class TestPerStepApi:
             ProblemSpec, "fast_matrix", counting("fast_matrix", ProblemSpec.fast_matrix)
         )
         monkeypatch.setattr(linalg, "mat_exp", counting("mat_exp", linalg.mat_exp))
+        monkeypatch.setattr(linalg, "exp_basis", counting("exp_basis", linalg.exp_basis))
         # an untracked step builds no decomposition piece
         step(p, schedule, initial_state(p), zero_noise(p))
-        assert calls["fast_matrix"] == calls["mat_exp"] == 0
+        assert calls["fast_matrix"] == calls["mat_exp"] == calls["exp_basis"] == 0
         state = initial_state(p, track_decomposition=True)
         counts = []
         for _ in range(2):
             state = step(p, schedule, state, zero_noise(p))
-            counts.append({key: calls[key] for key in ("invert", "fast_matrix")})
+            counts.append({key: calls[key] for key in ("invert", "fast_matrix", "exp_basis")})
         assert counts[0]["invert"] > 0 and counts[0]["fast_matrix"] == 1
+        assert counts[0]["exp_basis"] == 2  # H and Q22, kept for every later step
         assert counts[1] == counts[0]
         assert calls["mat_exp"] == 4  # exp(beta H) and exp(gamma Q22) per tracked step
 

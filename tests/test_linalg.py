@@ -160,6 +160,90 @@ class TestMatExpDegree:
             assert err <= 1e-14 * np.linalg.norm(expected, "fro")
 
 
+def _rel_1norm(got, expected):
+    return np.abs(got - expected).sum(axis=0).max() / np.abs(expected).sum(axis=0).max()
+
+
+def _t_at_limit(limit: float, norm: float) -> float:
+    """The largest t > 0 whose product with ``norm`` is at most ``limit``."""
+    t = limit / norm
+    while t * norm > limit:
+        t = math.nextafter(t, 0.0)
+    while math.nextafter(t, math.inf) * norm <= limit:
+        t = math.nextafter(t, math.inf)
+    return t
+
+
+_BASIS_MATRICES = {
+    "1x1": np.array([[-1.0]]),
+    "2x2": np.array([[-1.0, 0.5], [0.25, -1.0]]),  # 1-norm 1.5
+    "24x24": np.random.default_rng(41).normal(size=(24, 24)) / 8.0,
+}
+
+
+class TestExpBasis:
+    @pytest.mark.parametrize("name", _BASIS_MATRICES)
+    def test_basis_fields(self, name):
+        a = _BASIS_MATRICES[name]
+        basis = linalg.exp_basis(a)
+        assert basis.norm == np.abs(a).sum(axis=0).max()
+        assert math.frexp(basis.scale)[0] == 0.5  # a power of two
+        assert basis.norm <= basis.scale < 2.0 * basis.norm
+        n = a.shape[0]
+        assert basis.powers.shape == (13, n * n)
+        np.testing.assert_array_equal(basis.powers[0], np.eye(n).ravel())
+        np.testing.assert_array_equal(basis.powers[1], (a / basis.scale).ravel())
+
+    @pytest.mark.parametrize("name", _BASIS_MATRICES)
+    @pytest.mark.parametrize("q", range(13))
+    def test_at_and_just_above_each_limit(self, name, q):
+        a = _BASIS_MATRICES[name]
+        basis = linalg.exp_basis(a)
+        t = _t_at_limit(linalg._EXP_LIMITS[q], basis.norm)
+        for x, degree in ((t, q), (math.nextafter(t, math.inf), q + 1)):
+            assert bisect.bisect_left(linalg._EXP_LIMITS, x * basis.norm) == degree
+            for signed in (x, -x):
+                got = linalg.mat_exp(basis, signed)
+                assert _rel_1norm(got, taylor_expm(signed * a)) <= 1e-14
+
+    @pytest.mark.parametrize("name", _BASIS_MATRICES)
+    @pytest.mark.parametrize("squarings", range(4))
+    def test_squaring_counts(self, name, squarings):
+        # |t| ||a||_1 = 0.25 2^s takes s squarings, and just above it s + 1
+        a = _BASIS_MATRICES[name]
+        basis = linalg.exp_basis(a)
+        t = _t_at_limit(linalg._EXP_THETA * 2.0**squarings, basis.norm)
+        for x in (t, math.nextafter(t, math.inf), 0.7 * t):
+            for signed in (x, -x):
+                got = linalg.mat_exp(basis, signed)
+                assert _rel_1norm(got, taylor_expm(signed * a)) <= 1e-14
+
+    @pytest.mark.parametrize("name", _BASIS_MATRICES)
+    def test_an_array_takes_the_basis_path(self, name):
+        a = _BASIS_MATRICES[name]
+        basis = linalg.exp_basis(a)
+        for t in (1.0, -0.3, 2.5):
+            np.testing.assert_array_equal(linalg.mat_exp(a, t), linalg.mat_exp(basis, t))
+
+    @pytest.mark.parametrize("name", _BASIS_MATRICES)
+    def test_zero_t_and_zero_matrix_give_the_identity(self, name):
+        n = _BASIS_MATRICES[name].shape[0]
+        basis = linalg.exp_basis(_BASIS_MATRICES[name])
+        zero = linalg.exp_basis(np.zeros((n, n)))
+        for t in (0.0, -0.0):
+            np.testing.assert_array_equal(linalg.mat_exp(basis, t), np.eye(n))
+        for t in (0.0, 1.0, -3.0, 1e300):
+            np.testing.assert_array_equal(linalg.mat_exp(zero, t), np.eye(n))
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_t_rejected(self, t):
+        basis = linalg.exp_basis(_BASIS_MATRICES["2x2"])
+        with pytest.raises(ValueError):
+            linalg.mat_exp(basis, t)
+        with pytest.raises(ValueError):
+            linalg.mat_exp(np.zeros((2, 2)), t)
+
+
 class TestSolveLyapunov:
     def test_half_identity_returns_q(self):
         q = np.array([[2.0, 0.5], [0.5, 1.0]])
