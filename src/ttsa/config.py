@@ -328,6 +328,9 @@ def _validate(config: ExperimentConfig, defaults: ExperimentConfig) -> None:
         value = _value(config, key)
         if not value > bound:
             raise ConfigError(f"{key} must be greater than {bound}, got {value}", key=key)
+    for key in ("run.seed", "mc.base_seed"):  # seeds of numpy's SeedSequence
+        if _value(config, key) < 0:
+            raise ConfigError(f"{key} must be non-negative, got {_value(config, key)}", key=key)
     # later rows first, so missing coefficients name their kind, not problem.name
     for cond, _, keys in reversed(_READ_WHEN):
         needed = [key for key in keys if key not in unread and _value(defaults, key) is None]

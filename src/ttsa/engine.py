@@ -35,15 +35,16 @@ runs a chunk's steps in place. The chunk's noise block has one leading row,
 which takes the starting z; step j reads row j and overwrites row j + 1, its
 innovation u_j, with z_{n+j+1}. IEEE addition commutes, so u_j + z A_j is
 z A_j + u_j bit for bit, and the states need no memory beyond the noise. The
-per-step loop runs only the affine step and a tracked run's decomposition
-update. Everything else takes one pass per chunk over the states the loop
-wrote:
+per-step loop runs only the step (its affine part, residual and bias row)
+and a tracked run's decomposition update, for every problem. Everything
+else takes one pass per chunk over the states the loop wrote:
 
 - the divergence guard tests them all with one dot product, and scans them
   step by step only when that fails, so it names the same (index,
-  replication) as a guard after every step. The steps after a divergence are
-  discarded. A problem with a residual keeps the guard after every step, so
-  rho never sees a diverged row;
+  replication) as a guard after every step. Rows are independent, so the
+  rows that have not diverged step as they would without the diverged ones,
+  and the steps after a divergence are discarded, including what rho
+  returned for the diverged rows;
 - the running sum adds them in index order, one ``np.add.reduce`` per
   stretch between fold indices and checkpoints;
 - the checkpoint records read them, after the guard.
@@ -194,16 +195,18 @@ def resolve_algorithm(
 ) -> ResolvedAlgorithm:
     """The one place an algorithm name becomes a schedule and gains.
 
-    The averaged algorithm needs a schedule in the averaging regime (A'3).
+    The averaged algorithm needs a schedule in the averaging regime, which
+    needs b < 1 (A'3).
     The matricial one replaces the schedule with its implied one and
     defaults to the optimal gains; the gains must stabilize it
     (``validate_gains``). The others ignore ``gains``.
     """
     if algorithm not in ALGORITHMS:
         raise ConfigError(f"unknown algorithm {algorithm!r}")
-    if algorithm == AVERAGED and schedule.regime != AVERAGING:
+    if algorithm == AVERAGED and not (schedule.regime == AVERAGING and schedule.b < 1.0):
         raise ConfigError(
-            "averaged algorithm requires a schedule in the averaging regime (A'3)"
+            "averaged algorithm requires a schedule in the averaging regime with b < 1 "
+            f"(A'3); got regime {schedule.regime}, b = {schedule.b}"
         )
     if algorithm != MATRICIAL:
         return ResolvedAlgorithm(algorithm, schedule)
@@ -363,8 +366,8 @@ class _Kernel:
     A decomposition row is (martingale, coupling), each in the (fast, slow)
     layout of z, so one update is  dec @ T1 + v @ T2  with v = (u, dx) the
     step's pre-scaled innovation u = (beta V, gamma W) and its increment
-    dx = x_{n+1} - x_n of the iterate, taken from x = z + x* (an increment
-    of z rounds differently):
+    dx = z_{n+1} - z_n, the increment x_{n+1} - x_n of the iterate taken
+    from the states:
 
         martingale' = martingale E^T + (u_f - (beta/gamma) u_s K^T, u_s)
         coupling'   = coupling E^T + ((beta/gamma) dmu K^T,
@@ -557,11 +560,12 @@ class _Rows:
         ``w`` is the (span + 1, rows, dim) block of ``_Kernel.innovations``.
         Row 0 gets the chunk's starting z, and step j reads row j and
         overwrites row j + 1, its innovation, with z_{n+j+1}; so the loop runs
-        only the affine step and, when tracked, the decomposition update.
-        Without a residual the guard then tests the whole chunk with one dot
-        product, and scans it step by step only when that fails; with one it
-        runs every step, so rho never sees a diverged row. Steps after a
-        divergence are discarded.
+        only the step and, when tracked, the decomposition update, whose
+        increment dx is row j + 1 minus row j. The guard then tests the whole
+        chunk with one dot product, and scans it step by step only when that
+        fails. Steps after a divergence are discarded, so rho may see a
+        diverged row, under ``np.errstate``, but nothing it returns for one
+        is kept.
 
         The running sum and the records then take one pass over the rows the
         guard passed: each stretch between fold indices (multiples of
@@ -571,7 +575,7 @@ class _Rows:
         rows. Raises DivergenceError, with no trace, at the first row the
         guard flags, after recording the marks before it.
         """
-        kernel, x_star, n0, span = self.kernel, self.kernel.x_star, self.n, len(w) - 1
+        kernel, n0, span = self.kernel, self.n, len(w) - 1
         residual, r, c = kernel.residual, tables.r, tables.c
         w[0] = self.z
         scratch = np.empty((2, *self.z.shape))
@@ -580,8 +584,7 @@ class _Rows:
         dec, snaps = self.parts, {}
         if dec is not None:
             t1, t2, dim, marked = tables.t1, tables.t2, w.shape[2], set(marks[lo:hi].tolist())
-            # v = (u, dx), with dx taken from the iterates x = z + x*
-            v, x_now, x_new = np.empty_like(dec), w[0] + x_star, scratch[1]
+            v = np.empty_like(dec)  # (u, dx)
         stop, bad = span, -1
         ws, a = list(w), list(tables.a)  # the views, made once per chunk
         # an overflow makes a row infinite, and the guard reports it; the rows
@@ -597,24 +600,19 @@ class _Rows:
                     out += residual.evaluate(z).dot(r[j])
                 if c is not None:
                     out += c[j]
-                if residual is not None and (bad := kernel.first_diverged(out)) >= 0:
-                    stop = j
-                    break
                 if dec is not None:
-                    np.add(out, x_star, out=x_new)
-                    np.subtract(x_new, x_now, out=v[:, dim:])
-                    x_now, x_new = x_new, x_now
+                    np.subtract(out, z, out=v[:, dim:])
                     dec = dec.dot(t1[j])
                     dec += v.dot(t2[j])
                     if n0 + j + 1 in marked:
                         snaps[n0 + j + 1] = dec
-            if residual is None and not np.vdot(w[1:], w[1:]) <= kernel.z_sq_max:
+            if not np.vdot(w[1:], w[1:]) <= kernel.z_sq_max:
                 for j in range(span):
                     if (bad := kernel.first_diverged(w[j + 1])) >= 0:
                         stop = j
                         break
         if bad >= 0:
-            last_state = w[stop, bad] + x_star
+            last_state = w[stop, bad] + kernel.x_star
         end = n0 + stop
         hi = marks.searchsorted(end + 1)  # the marks the guard passed
         folds = range(n0 - n0 % _FOLD + _FOLD, end + 1, _FOLD)

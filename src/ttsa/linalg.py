@@ -217,8 +217,10 @@ def min_eigenvalue_sym(a) -> float:
 
 
 def is_psd(a) -> bool:
-    tol = 1e-10
+    """Whether ``a`` is symmetric positive semidefinite, both to within
+    1e-10 max(1, ||a||_F): the one rule for a noise covariance."""
     m = as_square(a)
-    if frobenius(m - m.T) > tol * max(1.0, frobenius(m)):
+    tol = 1e-10 * max(1.0, frobenius(m))
+    if frobenius(m - m.T) > tol:
         return False
     return min_eigenvalue_sym(0.5 * (m + m.T)) >= -tol

@@ -56,7 +56,10 @@ class NonlinearResidual:
     kind "none" is the linear problem. kind "quadratic_form" gives, per output
     component i, z^T C_i z, clamped to zero outside ``clamp_radius`` so the
     local model cannot destabilize far starts. kind "custom" delegates to
-    ``custom_fn(z) -> rho`` with the same shapes.
+    ``custom_fn(z) -> rho`` with the same shapes. Row i of rho must depend on
+    row i of z alone: the engine guards divergence once per chunk, so it may
+    evaluate rows past a divergence (huge, infinite or NaN) under
+    ``np.errstate`` and discards what they give.
     """
 
     kind: str = "none"
@@ -132,7 +135,7 @@ class NoiseModel:
         if linalg.frobenius(cov - cov.T) > 1e-12 * max(1.0, linalg.frobenius(cov)):
             raise ValueError("noise covariance must be symmetric")
         cov = 0.5 * (cov + cov.T)
-        if linalg.min_eigenvalue_sym(cov) < -1e-10 * max(1.0, linalg.frobenius(cov)):
+        if not linalg.is_psd(cov):
             raise ValueError("noise covariance must be positive semidefinite")
         if self.distribution not in (GAUSSIAN, BOUNDED_UNIFORM):
             raise ValueError(f"unknown noise distribution {self.distribution!r}")

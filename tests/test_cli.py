@@ -77,6 +77,8 @@ _BY_NAME = {
     "run_n_final": st.integers(min_value=1),
     "run_checkpoints_per_decade": st.integers(min_value=1),
     "mc_replications": st.integers(min_value=2),
+    "run_seed": st.integers(min_value=0),
+    "mc_base_seed": st.integers(min_value=0),
 }
 
 
@@ -317,6 +319,7 @@ _BUILT_KEYS = [key for key in KEY_TABLE if key not in _CLI_KEYS]
 _CROSS_KEYS = (
     ("step.a", "step.b"),  # 1/2 < a < b (A3)
     ("run.algorithm", "step.regime"),  # the averaged algorithm needs averaging (A'3)
+    ("run.algorithm", "step.b"),  # and averaging needs b < 1 (A'3)
     ("run.algorithm", "run.track_decomposition"),  # matricial is not tracked
     ("mc.checks", "run.track_decomposition"),  # negligibility reads the tracked parts
 )
@@ -474,7 +477,7 @@ class TestEchoIsWhatRuns:
         echo = config_echo(config)
         schedule = _echoed_schedule(echo)
         if config.run_algorithm == "averaged":  # else resolve_algorithm rejects it
-            assume(schedule.regime == "averaging")
+            assume(schedule.regime == "averaging" and schedule.b < 1.0)
         # the schedule that runs does not depend on the problem, only the gains do
         resolved = engine.resolve_algorithm(
             library_problem("linear-2x2"), schedule, config.run_algorithm)
@@ -550,6 +553,16 @@ class TestValidateCommand:
         path = write_config(tmp_path, text)
         assert cli.main(["validate", "--config", path]) == 1
         assert "A4(iii)" in capsys.readouterr().out
+
+    def test_noise_cov_within_the_psd_tolerance_runs_and_validates(self, tmp_path, capsys):
+        # -5e-10 is inside the tolerance 1e-10 ||Gamma||_F = 2e-9 of the one
+        # PSD rule, which the noise model and validate share
+        cov = "[[-5e-10, 0.0], [0.0, 20.0]]"
+        text = CUSTOM_1X1.replace("[[1.0, 0.0], [0.0, 1.0]]", cov) + "run.n_final = 20\n"
+        path = write_config(tmp_path, text)
+        assert cli.main(["validate", "--config", path]) == 0
+        assert "[FAIL]" not in capsys.readouterr().out
+        assert cli.main(["run", "--config", path, "--output", str(tmp_path / "t.csv")]) == 0
 
     def test_ordering_error_exits_two(self, tmp_path, capsys):
         path = write_config(tmp_path, "step.a = 0.7\nstep.b = 0.6\n")
@@ -637,6 +650,11 @@ class TestBadStart:
         (f"{MINIMAL}step.gamma0 = 0\n", "step.gamma0"),
         (f"{MINIMAL}mc.tol_rel = -1.0\n", "mc.tol_rel"),
         (f"{MINIMAL}mc.tol_cross = 0\n", "mc.tol_cross"),
+        (f"{MINIMAL}mc.base_seed = -1\n", "mc.base_seed"),
+        (f"{MINIMAL}run.seed = -5\n", "run.seed"),
+        # the averaging label alone is not the averaging regime: A'3 needs b < 1
+        (f"{MINIMAL}step.regime = averaging\nstep.b = 1.0\nrun.algorithm = averaged\n",
+         "run.algorithm"),
         # a key the library problem or the matricial algorithm fixes
         ("problem.name = quadratic-2x2\nproblem.residual_clamp = 10.0\n", "problem.residual_clamp"),
         (f"{MINIMAL}run.algorithm = matricial\nstep.beta0 = 7.0\n", "step.beta0"),

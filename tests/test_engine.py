@@ -478,6 +478,14 @@ class TestRun:
         with pytest.raises(ConfigError, match="averaging regime"):
             resolve_algorithm(linear_problem, schedule, "averaged")
 
+    def test_averaged_requires_b_below_one(self, linear_problem):
+        # the averaging label alone does not make the regime: A'3 needs b < 1
+        b_one = StepSchedule(beta0=2.0, b=1.0, gamma0=1.0, a=0.6, regime="averaging")
+        with pytest.raises(ConfigError, match="averaging regime"):
+            resolve_algorithm(linear_problem, b_one, "averaged")
+        below = replace(b_one, b=0.9)
+        assert resolve_algorithm(linear_problem, below, "averaged").schedule == below
+
 
 class TestRunningSum:
     @pytest.mark.parametrize("seed", [7, 8, 9])
@@ -907,22 +915,34 @@ class TestDivergenceAcrossChunks:
                     np.testing.assert_array_equal(trace.decomposition[key],
                                                   errors[0].trace.decomposition[key])
 
-    def test_the_residual_never_sees_a_diverged_row(self):
+    def test_a_residual_problem_is_located_alike_at_any_chunk(self):
         # a custom residual of zeros leaves the path as it is, so the
-        # divergence is where the linear problem's is; the per-step guard
-        # stops before rho would see the diverged rows
+        # divergence is where the linear problem's is. The guard runs once
+        # per chunk, so rho also sees the rows after a divergence; they are
+        # discarded with what it returns for them
         sigma = self.sigma_crossing_at(300)
-        seen = []
-
-        def zeros(z):
-            seen.append(_first_diverged(z + np.array([0.5, -0.25]), 1))
-            return np.zeros_like(z)
-
         linear = self.batch(self.problem(sigma), 512)
-        p = self.problem(sigma, residual=NonlinearResidual(kind="custom", custom_fn=zeros))
+        p = self.problem(sigma, residual=NonlinearResidual(kind="custom", custom_fn=np.zeros_like))
         for chunk in (1, 7, 512):
-            seen.clear()
             err = self.batch(p, chunk)
             assert (err.step, err.replication) == (linear.step, linear.replication)
             np.testing.assert_array_equal(err.last_state, linear.last_state)
-            assert len(seen) == err.step - 1 and set(seen) == {-1}
+
+    def test_a_quadratic_residual_is_located_as_chained_steps_locate_it(self):
+        # the clamp radius lies below the guard, so within a chunk some rows
+        # are outside it before the divergence: the clamp zeroes their rho
+        # and multiplies the others by one, and the diverged rows pass
+        # through it too
+        c = 1e-6
+        residual = NonlinearResidual(kind="quadratic_form", coeff_fast=[[[c, 0.0], [0.0, c]]],
+                                     coeff_slow=[[[0.0, c], [c, 0.0]]], clamp_radius=1e7)
+        p = self.problem(self.sigma_crossing_at(300), residual=residual)
+        (step_n, replication, last_state), paths = self.per_step(p)
+        assert step_n < 300  # the residual moves the divergence
+        for chunk in (1, 7, 512):
+            err = self.batch(p, chunk)
+            assert (err.step, err.replication) == (step_n, replication)
+            np.testing.assert_array_equal(err.last_state, last_state)
+            np.testing.assert_array_equal(err.trace.ns, np.arange(1, step_n))
+            for r in range(self.REPLICATIONS):
+                np.testing.assert_array_equal(err.trace.x[:, r], paths[r][: step_n - 1])

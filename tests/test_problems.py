@@ -11,6 +11,7 @@ from ttsa import (
     matricial_schedule,
     validate_problem,
 )
+from ttsa import linalg
 from ttsa.engine import validate_gains
 from ttsa.errors import ConfigError, DimensionError, SingularMatrixError
 from ttsa.problems import library_problem
@@ -136,6 +137,17 @@ class TestNoiseCovariances:
     def test_indefinite_cov_rejected(self):
         with pytest.raises(ValueError):
             NoiseModel(cov=[[1.0, 2.0], [2.0, 1.0]])
+
+    @pytest.mark.parametrize("low, accepted", [(-1.9e-9, True), (-2.1e-9, False)])
+    def test_psd_boundary_is_the_one_of_is_psd(self, low, accepted):
+        # the tolerance is 1e-10 ||Gamma||_F, about 2e-9 here, for both rules
+        cov = [[low, 0.0], [0.0, 20.0]]
+        assert linalg.is_psd(cov) is accepted
+        if accepted:
+            NoiseModel(cov=cov)
+        else:
+            with pytest.raises(ValueError, match="positive semidefinite"):
+                NoiseModel(cov=cov)
 
 
 class TestDrift:
