@@ -125,10 +125,16 @@ def _cmd_montecarlo(args) -> int:
 
 def _cmd_report(args) -> int:
     payload = reports.read_report(args.file)
-    sys.stdout.write(reports.render_report(payload))
-    if args.plots:
-        paths = reports.write_plot_bundle(payload, args.plots)
-        sys.stdout.write("".join(f"wrote {p}\n" for p in paths))
+    # an object that is not the report its kind names is bad input, not a bug
+    try:
+        sys.stdout.write(reports.render_report(payload))
+        if args.plots:
+            paths = reports.write_plot_bundle(payload, args.plots)
+            sys.stdout.write("".join(f"wrote {p}\n" for p in paths))
+    except KeyError as exc:
+        raise ValueError(f"{args.file}: {payload['kind']} report has no key {exc}") from None
+    except TypeError as exc:
+        raise ValueError(f"{args.file}: malformed {payload['kind']} report: {exc}") from None
     return 0
 
 

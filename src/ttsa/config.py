@@ -341,6 +341,10 @@ def _validate(config: ExperimentConfig, defaults: ExperimentConfig) -> None:
     unknown = set(config.mc_checks) - set(KNOWN_CHECKS)
     if unknown:
         raise ConfigError(f"unknown mc.checks entries: {sorted(unknown)}", key="mc.checks")
+    repeated = sorted({c for c in config.mc_checks if config.mc_checks.count(c) > 1})
+    if repeated:
+        # each check writes one verdict, so verdicts match checks one to one
+        raise ConfigError(f"repeated mc.checks entries: {repeated}", key="mc.checks")
 
 
 def render_config(config: ExperimentConfig) -> str:

@@ -15,10 +15,12 @@ with A_n = I + Q^T G^T S_n and R_n = G^T S_n. Q = [[Q11, Q12], [Q21, Q22]] is
 the full Jacobian, G = blockdiag(A_fast, A_slow) for the matricial variant
 (the identity otherwise) and S_n = diag(beta_n 1_d, gamma_n 1_d') the
 per-component step; G and S_n commute. The innovation term
-u_n = (xi_{n+1} S_n) G^T is pre-scaled as the noise of a chunk is drawn, the
-residual rho enters through R_n, and the bias row c_n = r_n R_n is added per
-step. ``simulate_batch`` builds A, R and c once per chunk of steps as stacked
-(span, ., .) tables; ``step`` builds one-step tables through the same code.
+u_n = (xi_{n+1} S_n) G^T is pre-scaled as the noise of a chunk is drawn, a
+scratch group of ``_GROUP`` replications at a time (``_Kernel.innovations``),
+the residual rho enters through R_n, and the bias row c_n = r_n R_n is added
+per step. ``simulate_batch`` builds A, R and c once per chunk of steps as
+stacked (span, ., .) tables; ``step`` builds one-step tables through the same
+code.
 A tracked run's decomposition tables T1 and T2 (``_Kernel``) are part of the
 same step tables. Their problem pieces, Q12 Q22^-1 and the ``linalg.exp_basis``
 of H and of Q22, are built on the first tracked use and kept, so an untracked
@@ -31,8 +33,9 @@ that (schedule, gains) pair and reject gains that do not stabilize it, and
 One state and one step loop serve every caller. An ``SAState`` holds z, its
 running sum and, when the decomposition is tracked, the (martingale,
 coupling) ``parts``. ``_Rows`` tiles a state to rows, and its ``advance``
-runs a chunk's steps in place. The chunk's noise block has one leading row,
-which takes the starting z; step j reads row j and overwrites row j + 1, its
+runs a chunk's steps in place. The chunk's noise block, (chunk + 1) x rows x
+(d+d') doubles and the only array of that size, has one leading row, which
+takes the starting z; step j reads row j and overwrites row j + 1, its
 innovation u_j, with z_{n+j+1}. IEEE addition commutes, so u_j + z A_j is
 z A_j + u_j bit for bit, and the states need no memory beyond the noise. The
 per-step loop runs only the step (its affine part, residual and bias row)
@@ -73,12 +76,13 @@ replication 0. Checkpoints 1..n_final give the every-step paths.
 
 Replication r of a seed draws from its own counter-based stream, so its path
 does not depend on the batch size; nor on the chunk size, because the noise
-model scales a one-row draw as two rows and no table entry depends on the
-chunk it is built in. A single run is exactly replication 0 of a batch with
-the same seed, and chained ``step`` calls reproduce ``run``, decomposition
-included; all bit for bit. The batch-size rule needs BLAS to round a row the
-same at every row count. In the tests that holds up to d + d' = 24; at 25
-(OpenBLAS 0.3.31) ``run`` and replication 0 differ by about 1e-14.
+model scales a one-row draw as two rows, the gain product of a scratch group
+never has one row, and no table entry depends on the chunk it is built in. A
+single run is exactly replication 0 of a batch with the same seed, and chained
+``step`` calls reproduce ``run``, decomposition included; all bit for bit.
+The batch-size rule needs BLAS to round a row the same at every row count. In
+the tests that holds up to d + d' = 24; at 25 (OpenBLAS 0.3.31) ``run`` and
+replication 0 differ by about 1e-14.
 Advancing z rounds differently from advancing x, so the paths agree with the
 x recursion to about 1e-13 relative.
 """
@@ -96,10 +100,10 @@ from .problems import ProblemSpec
 from .schedules import AVERAGING, StepSchedule
 
 DIVERGENCE_GUARD = 1e9
-_CHUNK = 512
+_CHUNK = 256
 _MIN_ROWS = 2  # the two-row rule of the module docstring
 _FOLD = 64  # indices per block of the running sum, see the module docstring
-_GROUP = 64  # replications scaled per scratch block in ``_Kernel.innovations``
+_GROUP = 64  # replications per scratch group in ``_Kernel.innovations``
 _NO_MARKS = np.empty(0, dtype=int)
 
 STANDARD = "standard"
@@ -469,28 +473,37 @@ class _Kernel:
         t2[:, dim + d :, dim : dim + d] = (b / g) * kT
         return _StepTables(s, a, r, c, t1, t2)
 
-    def innovations(self, block: np.ndarray, draws, s: np.ndarray) -> np.ndarray:
+    def innovations(self, block: np.ndarray, fill, count: int, s: np.ndarray) -> np.ndarray:
         """Fill rows 1..span of the (span + 1, rows, dim) ``block`` with the
         innovation terms u_j of a chunk, and return the block.
 
-        ``draws`` yields one replication's (span, dim) noise at a time. Each
-        is scaled by the steps ``s`` into a scratch block of ``_GROUP``
-        replications, and each full group takes one transposed copy into the
-        step-major block. Rows past the last replication repeat the first
-        (the two-row rule). Row 0 is left for ``_Rows.advance``.
+        ``fill(r, out)`` writes replication r's (span, dim) noise into ``out``,
+        for r in range(count), and ``out`` is a slot of a scratch group of
+        ``_GROUP`` replications. Each group is scaled by the steps ``s`` in one
+        call, takes the gain G^T of the matricial variant in one product of
+        depth dim, and is copied, transposed, into the step-major block. That
+        product never has one row, which would round as a matrix-vector
+        kernel: a group of one replication at one step is multiplied as two
+        (the two-row rule). Rows past the last replication repeat the first.
+        Row 0 is left for ``_Rows.advance``.
         """
         u = block[1:]
-        group = np.empty((min(_GROUP, u.shape[1]), *s.shape))
-        r = 0
-        for r, xi in enumerate(draws, 1):
-            np.multiply(xi, s, out=group[(r - 1) % _GROUP])
-            if r % _GROUP == 0:
-                u[:, r - _GROUP : r] = group.transpose(1, 0, 2)
-        if r % _GROUP:
-            u[:, r - r % _GROUP : r] = group[: r % _GROUP].transpose(1, 0, 2)
-        u[:, r:] = u[:, :1]
-        if self.gainT is not None:
-            u[...] = (u.reshape(-1, u.shape[-1]) @ self.gainT).reshape(u.shape)
+        span, rows, dim = u.shape
+        group = np.empty((min(_GROUP, rows), span, dim))
+        gained = None if self.gainT is None else np.empty_like(group)
+        for lo in range(0, count, _GROUP):
+            size = min(_GROUP, count - lo)
+            for r in range(size):
+                fill(lo + r, group[r])
+            g = group[:size]
+            g *= s
+            if gained is not None:
+                m = max(size, _MIN_ROWS)
+                group[size:m] = group[:1]
+                np.matmul(group[:m].reshape(-1, dim), self.gainT, out=gained[:m].reshape(-1, dim))
+                g = gained[:size]
+            u[:, lo : lo + size] = g.transpose(1, 0, 2)
+        u[:, count:] = u[:, :1]
         return block
 
     def first_diverged(self, z: np.ndarray) -> int:
@@ -665,7 +678,8 @@ def step(
     beta, gamma = np.array([schedule.beta(n)]), np.array([schedule.gamma(n)])
     tables = kernel.tables(n, beta, gamma, bias_values, track=rows.parts is not None)
     xi = _stacked(problem, noise, "noise")[None]
-    w = kernel.innovations(np.empty((2, _MIN_ROWS, problem.dim)), [xi], tables.s)
+    w = kernel.innovations(np.empty((2, _MIN_ROWS, problem.dim)),
+                           lambda r, out: np.copyto(out, xi), 1, tables.s)
     rows.advance(w, tables, _NO_MARKS, None)
     return rows.state(0)
 
@@ -822,8 +836,9 @@ def simulate_batch(
         span = min(chunk, n_final - n)
         beta, gamma = beta_arr[n - 1 : n - 1 + span], gamma_arr[n - 1 : n - 1 + span]
         tables = kernel.tables(n, beta, gamma, track=track_decomposition)
-        draws = (problem.noise.draw(rng, (span,)) for rng in rngs)
-        w = kernel.innovations(noise_block[: span + 1], draws, tables.s)
+        w = kernel.innovations(noise_block[: span + 1],
+                               lambda r, out: problem.noise.draw(rngs[r], (span,), out=out),
+                               b, tables.s)
         try:
             rows.advance(w, tables, grid, record)
         except DivergenceError as exc:

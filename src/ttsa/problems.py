@@ -140,7 +140,10 @@ class NoiseModel:
         if self.distribution not in (GAUSSIAN, BOUNDED_UNIFORM):
             raise ValueError(f"unknown noise distribution {self.distribution!r}")
         object.__setattr__(self, "cov", cov)
-        object.__setattr__(self, "_factor", self.factor())
+        # F^T, the right operand of every draw's product, kept as the transposed
+        # view: at some sizes (17-20 and 25 with OpenBLAS 0.3.31) a C-ordered
+        # copy rounds differently from it
+        object.__setattr__(self, "_factorT", self.factor().T)
 
     def factor(self) -> np.ndarray:
         """Matrix F with F F^T equal to the covariance.
@@ -154,13 +157,16 @@ class NoiseModel:
             vals, vecs = np.linalg.eigh(self.cov)
             return vecs @ np.diag(np.sqrt(np.clip(vals, 0.0, None)))
 
-    def draw(self, rng: np.random.Generator, size: tuple[int, ...]) -> np.ndarray:
+    def draw(self, rng: np.random.Generator, size: tuple[int, ...],
+             out: np.ndarray | None = None) -> np.ndarray:
         """Unit-variance base draws of the given shape scaled to the covariance.
 
-        A draw of one row is scaled as two identical rows: a one-row product
-        would run as a matrix-vector kernel, which rounds differently from the
-        matrix-matrix kernel of longer draws, and a replication's noise must
-        not depend on how its stream is split into draws.
+        The scaled draws, of shape ``size + (dim,)``, are written into ``out``
+        when it is given, and ``out`` is returned; the bits do not depend on
+        it. A draw of one row is scaled as two identical rows: a one-row
+        product would run as a matrix-vector kernel, which rounds differently
+        from the matrix-matrix kernel of longer draws, and a replication's
+        noise must not depend on how its stream is split into draws.
         """
         dim = self.cov.shape[0]
         if self.distribution == GAUSSIAN:
@@ -168,8 +174,12 @@ class NoiseModel:
         else:
             z = rng.uniform(-_SQRT3, _SQRT3, size + (dim,))
         if z.size == dim:
-            return (np.tile(z.reshape(1, dim), (2, 1)) @ self._factor.T)[0].reshape(z.shape)
-        return z @ self._factor.T
+            row = (np.tile(z.reshape(1, dim), (2, 1)) @ self._factorT)[0].reshape(z.shape)
+            if out is None:
+                return row
+            out[...] = row
+            return out
+        return np.matmul(z, self._factorT, out=out)
 
 
 @dataclass(frozen=True)

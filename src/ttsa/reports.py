@@ -57,9 +57,18 @@ def write_report(path: str, payload: dict) -> None:
 
 
 def read_report(path: str) -> dict:
+    """A stored report's payload; ValueError, naming the file, unless it holds a
+    JSON object."""
     with open(path, "r", encoding="utf-8") as handle:
         lines = [line for line in handle if not line.startswith("#")]
-    return json.loads("".join(lines))
+    try:
+        payload = json.loads("".join(lines))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not a report: {exc}") from None
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: not a report: its JSON is a {type(payload).__name__}, "
+                         "not an object with a 'kind' key")
+    return payload
 
 
 def provenance_lines(config_echo: dict) -> list[str]:

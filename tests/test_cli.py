@@ -62,7 +62,7 @@ _BY_TYPE = {
         st.lists(_FINITE, max_size=4),
         st.lists(st.lists(_FINITE, min_size=1, max_size=3), max_size=3),
     ),
-    "tuple": st.lists(st.sampled_from(KNOWN_CHECKS), max_size=6).map(tuple),
+    "tuple": st.lists(st.sampled_from(KNOWN_CHECKS), max_size=6, unique=True).map(tuple),
 }
 # Keys parse_config validates, drawn from their valid values.
 _POSITIVE = st.floats(min_value=0.0, exclude_min=True)
@@ -652,6 +652,8 @@ class TestBadStart:
         (f"{MINIMAL}mc.tol_cross = 0\n", "mc.tol_cross"),
         (f"{MINIMAL}mc.base_seed = -1\n", "mc.base_seed"),
         (f"{MINIMAL}run.seed = -5\n", "run.seed"),
+        # one verdict per check: a repeated check would be written once
+        (f"{MINIMAL}mc.checks = slopes,slopes\n", "mc.checks"),
         # the averaging label alone is not the averaging regime: A'3 needs b < 1
         (f"{MINIMAL}step.regime = averaging\nstep.b = 1.0\nrun.algorithm = averaged\n",
          "run.algorithm"),
@@ -934,6 +936,23 @@ class TestReportCommand:
 
     def test_missing_file_exits_two(self, tmp_path, capsys):
         assert cli.main(["report", str(tmp_path / "nope.json")]) == 2
+
+    @pytest.mark.parametrize("text, missing", [
+        ("[1, 2]", "'kind'"),
+        ('{"kind": "montecarlo"}', "'mc'"),
+        ('{"kind": "montecarlo", "mc": {"replications": 2}}', "'n_final'"),
+        ('{"kind": "theory"}', "'theory'"),
+        ('{"kind": "validation"}', "'validation'"),
+        ('{"kind": "montecarlo", "mc": 5}', "malformed montecarlo report"),
+        ("not json", "not a report"),
+    ])
+    def test_json_that_is_not_a_report_exits_two(self, tmp_path, capsys, text, missing):
+        path = tmp_path / "not_a_report.json"
+        path.write_text(text + "\n")
+        assert cli.main(["report", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and missing in err
+        assert "Traceback" not in err
 
 
 class TestArtifactVersion:

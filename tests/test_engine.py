@@ -567,7 +567,8 @@ class TestNoiseStreams:
         draws = rng.standard_normal((replications, 7, p.dim))
         s = rng.uniform(0.1, 1.0, (7, p.dim))
         rows = max(replications, 2)
-        block = _Kernel(p).innovations(np.full((8, rows, p.dim), np.nan), list(draws), s)
+        block = _Kernel(p).innovations(np.full((8, rows, p.dim), np.nan),
+                                       lambda r, out: np.copyto(out, draws[r]), replications, s)
         assert np.isnan(block[0]).all()  # row 0 is left for the starting state
         expected = (draws * s).transpose(1, 0, 2)
         np.testing.assert_array_equal(block[1:, :replications], expected)
@@ -592,14 +593,15 @@ def assert_same_paths(a, b):
 
 class TestDeterminismContracts:
     def test_chunk_size_does_not_change_the_trace(self, linear_problem, schedule):
-        # 3585 steps leave a last chunk of one step at chunk sizes 7 and 512;
-        # the decomposition tables are built per chunk, so they are covered too
+        # 3585 steps leave a last chunk of one step at chunk sizes 7, 256 and
+        # 512; the decomposition tables are built per chunk, so they are
+        # covered too
         n_final = 3586
         traces = [
             simulate_batch(linear_problem, schedule, n_final, base_seed=4, replications=3,
                            chunk=chunk, checkpoints=np.arange(1, n_final + 1),
                            track_decomposition=True)
-            for chunk in (1, 7, 512)
+            for chunk in (1, 7, 256, 512)
         ]
         for other in traces[1:]:
             assert_same_paths(traces[0], other)
@@ -609,16 +611,18 @@ class TestDeterminismContracts:
                 )
 
     def test_chunk_size_does_not_change_a_matricial_biased_trace(self, linear_problem):
-        # the gain product on the innovation block and the per-chunk bias
-        # rows must not depend on where a chunk starts or how long it is
+        # the gain product of each scratch group and the per-chunk bias rows
+        # must not depend on where a chunk starts or how long it is; at 65
+        # replications the last group is one replication, whose product at
+        # chunk 1 takes the two-row rule
         p = replace(linear_problem, bias=BiasModel(
             kind="power_decay", coeff_fast=[0.5, -0.3], coeff_slow=[0.2, 0.4], rho=0.9))
         s = matricial_schedule(0.6)
         n_final = 1030
         traces = [
-            simulate_batch(p, s, n_final, base_seed=4, replications=3, chunk=chunk,
+            simulate_batch(p, s, n_final, base_seed=4, replications=65, chunk=chunk,
                            gains=optimal_gains(p), checkpoints=np.arange(1, n_final + 1))
-            for chunk in (1, 7, 512)
+            for chunk in (1, 7, 256, 512)
         ]
         for other in traces[1:]:
             assert_same_paths(traces[0], other)
@@ -652,7 +656,7 @@ class TestDeterminismContracts:
         traces = [
             simulate_batch(linear_problem, schedule, 1000, base_seed=4, replications=3,
                            chunk=chunk)
-            for chunk in (1, 7, 100, 512)
+            for chunk in (1, 7, 100, 256, 512)
         ]
         for other in traces[1:]:
             np.testing.assert_array_equal(traces[0].x_bar, other.x_bar)
@@ -662,6 +666,44 @@ class TestDeterminismContracts:
         large = simulate_batch(quadratic_problem, schedule, 700, base_seed=5, replications=5)
         for r in range(3):
             assert_same_paths(small.replication(r), large.replication(r))
+
+    @pytest.mark.parametrize("matricial", [False, True])
+    def test_replications_at_the_group_edges_do_not_depend_on_the_batch(
+        self, linear_problem, schedule, matricial
+    ):
+        # the innovations are built in scratch groups of 64 replications:
+        # 63 ends the first, 64 starts the second, alone in a batch of 65, and
+        # 129 ends the last group of a batch of 130. 288 steps at chunk 7
+        # leave a last chunk of one step. No smaller batch holds replication
+        # 129, so chained ``step`` calls on its stream are its reference
+        p, n_final, seed = linear_problem, 289, 6
+        s, gains = (matricial_schedule(0.6), optimal_gains(p)) if matricial else (schedule, None)
+
+        def batch(replications):
+            return simulate_batch(p, s, n_final, base_seed=seed, replications=replications,
+                                  chunk=7, gains=gains, checkpoints=np.arange(1, n_final + 1))
+
+        large = batch(130)
+        for r, replications in ((63, 64), (63, 65), (64, 65)):
+            assert_same_paths(large.replication(r), batch(replications).replication(r))
+        state = initial_state(p)
+        x = [state.x]
+        for xi in p.noise.draw(replication_rng(seed, 129), (n_final - 1,)):
+            state = step(p, s, state, (xi[: p.d], xi[p.d :]), gains=gains)
+            x.append(state.x)
+        np.testing.assert_array_equal(large.replication(129).x, np.array(x))
+
+    @pytest.mark.parametrize("distribution", ["gaussian", "bounded_uniform"])
+    @pytest.mark.parametrize("size", [(), (1,), (2,), (256,), (3, 5)])
+    def test_a_draw_into_a_buffer_is_the_draw(self, linear_problem, distribution, size):
+        # the engine draws each replication into a slot of its scratch group;
+        # the bits must be those of a fresh draw, one-row draws included
+        noise = replace(linear_problem.noise, distribution=distribution)
+        scratch = np.full((3, *size, linear_problem.dim), np.nan)
+        buf = scratch[1]
+        assert noise.draw(replication_rng(8, 0), size, out=buf) is buf
+        np.testing.assert_array_equal(buf, noise.draw(replication_rng(8, 0), size))
+        assert np.isnan(scratch[[0, 2]]).all()
 
 
 class TestPerStepApi:
