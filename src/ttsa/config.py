@@ -328,6 +328,11 @@ def _validate(config: ExperimentConfig, defaults: ExperimentConfig) -> None:
         value = _value(config, key)
         if not value > bound:
             raise ConfigError(f"{key} must be greater than {bound}, got {value}", key=key)
+    # an infinite step scale overflows the steps, and an infinite tolerance
+    # passes every gate; an infinite moment order or clamp radius means none
+    for key in ("step.beta0", "step.gamma0", "mc.tol_rel", "mc.tol_cross"):
+        if not math.isfinite(_value(config, key)):
+            raise ConfigError(f"{key} must be finite, got {_value(config, key)}", key=key)
     for key in ("run.seed", "mc.base_seed"):  # seeds of numpy's SeedSequence
         if _value(config, key) < 0:
             raise ConfigError(f"{key} must be non-negative, got {_value(config, key)}", key=key)

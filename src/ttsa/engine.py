@@ -20,7 +20,8 @@ scratch group of ``_GROUP`` replications at a time (``_Kernel.innovations``),
 the residual rho enters through R_n, and the bias row c_n = r_n R_n is added
 per step. ``simulate_batch`` builds A, R and c once per chunk of steps as
 stacked (span, ., .) tables; ``step`` builds one-step tables through the same
-code.
+code. Each (problem, gains) pair has one ``_Kernel``, built and its gains
+checked on first use, then kept on the problem (``_kernel``).
 A tracked run's decomposition tables T1 and T2 (``_Kernel``) are part of the
 same step tables. Their problem pieces, Q12 Q22^-1 and the ``linalg.exp_basis``
 of H and of Q22, are built on the first tracked use and kept, so an untracked
@@ -42,9 +43,10 @@ per-step loop runs only the step (its affine part, residual and bias row)
 and a tracked run's decomposition update, for every problem. Everything
 else takes one pass per chunk over the states the loop wrote:
 
-- the divergence guard tests them all with one dot product, and scans them
-  step by step only when that fails, so it names the same (index,
-  replication) as a guard after every step. Rows are independent, so the
+- the divergence guard is one ``_Kernel.first_diverged`` call over them as
+  one step-major list of rows, so the first row it flags is the lowest
+  replication of the first step holding a diverged row: the (index,
+  replication) a guard after every step names. Rows are independent, so the
   rows that have not diverged step as they would without the diverged ones,
   and the steps after a divergence are discarded, including what rho
   returned for the diverged rows;
@@ -62,11 +64,11 @@ or how ``step`` calls are chained; nor do the sums, because a stretch's
 reduction starts from the partial sum (copied into the row before the
 stretch) and adds one row after another, as a step-by-step sum would.
 
-``simulate_batch`` tiles ``initial_state`` to its replications, ``step``
-the given state. Never to fewer than two rows (the two-row rule): a one-row
-product runs as a matrix-vector BLAS kernel that rounds differently from the
-matrix-matrix kernel of a batch, so a single trajectory runs as two rows and
-keeps one.
+``_Rows`` tiles a state to a count of rows: ``simulate_batch`` asks for its
+replications, ``step`` for one. It never makes fewer than two (the two-row
+rule): a one-row product runs as a matrix-vector BLAS kernel that rounds
+differently from the matrix-matrix kernel of a batch, so a single trajectory
+runs as two rows and keeps one.
 
 The trace keeps the iterate's layout: a ``BatchTrace`` holds the checkpointed
 x = z + x* and its running average x_bar as (checkpoint, replication, d+d')
@@ -80,15 +82,18 @@ model scales a one-row draw as two rows, the gain product of a scratch group
 never has one row, and no table entry depends on the chunk it is built in. A
 single run is exactly replication 0 of a batch with the same seed, and chained
 ``step`` calls reproduce ``run``, decomposition included; all bit for bit.
-The batch-size rule needs BLAS to round a row the same at every row count. In
-the tests that holds up to d + d' = 24; at 25 (OpenBLAS 0.3.31) ``run`` and
-replication 0 differ by about 1e-14.
+Both rules need BLAS to round a row the same at every row count, which it
+does not always do. The tests check them at d + d' = 2 to 6 and 24 only.
+With OpenBLAS 0.3.31 the batch-size rule fails at 9 + 9 and 13 + 12:
+``run`` and replication 0 of a batch of 5, 64 or 70 differ by up to 3e-15
+relative from a few steps in (a batch of 2 agrees). The chunk-size rule
+fails at 20 + 20, where chunks of 7 and 256 differ by 2e-15. ROADMAP item 6
+holds the fix.
 Advancing z rounds differently from advancing x, so the paths agree with the
 x recursion to about 1e-13 relative.
 """
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, replace
 
@@ -319,18 +324,21 @@ def initial_state(
                    z_comp=np.zeros_like(z), z_part=np.zeros_like(z), parts=parts)
 
 
-def _kernel(problem: ProblemSpec) -> _Kernel:
-    """The problem's ``_Kernel``, built on the first call and kept on the problem.
+def _kernel(problem: ProblemSpec, gains: GainMatrices | None = None) -> _Kernel:
+    """The ``_Kernel`` of (problem, gains), built on first use and kept on the problem.
 
     ProblemSpec is frozen, so pieces derived from it stay valid for its
-    lifetime; ``NoiseModel`` keeps its factor the same way. Per-step callers
-    such as ``step`` then pay for no inversion or block assembly.
+    lifetime; ``NoiseModel`` keeps its factor the same way. One kernel is kept
+    per gains value, keyed by the bytes of the gains, so per-step callers such
+    as ``step`` pay for no inversion, block assembly or gain check after the
+    first call with a value. Gains mutated in place have new bytes, so they are
+    checked again.
     """
-    kernel = vars(problem).get("_kernel")
-    if kernel is None:
-        kernel = _Kernel(problem)
-        object.__setattr__(problem, "_kernel", kernel)
-    return kernel
+    kernels = vars(problem).setdefault("_kernels", {})  # past the frozen __setattr__
+    key = None if gains is None else (gains.fast.tobytes(), gains.slow.tobytes())
+    if key not in kernels:
+        kernels[key] = _Kernel(problem, gains)
+    return kernels[key]
 
 
 def _step_sizes(d: int, dp: int, beta: np.ndarray, gamma: np.ndarray) -> np.ndarray:
@@ -390,7 +398,7 @@ class _Kernel:
     on the step size alone, so no entry depends on the chunk it is built in.
     """
 
-    def __init__(self, problem: ProblemSpec):
+    def __init__(self, problem: ProblemSpec, gains: GainMatrices | None = None):
         self.problem = problem
         self.d, self.dp = problem.d, problem.d_prime
         self.x_star = problem.x_star
@@ -401,37 +409,16 @@ class _Kernel:
         self.eye = np.eye(problem.dim)
         self.gainT = None  # G^T, None for the identity
         self.qgT = q.T.copy()  # Q^T G^T
+        if gains is not None:  # the matricial variant, if the gains stabilize it
+            validate_gains(problem, gains)
+            zero = np.zeros((self.d, self.dp))
+            self.gainT = np.block([[gains.fast, zero], [zero.T, gains.slow]]).T.copy()
+            self.qgT = self.qgT @ self.gainT
         # Sum z^2 <= bound^2 puts every |x_i| below 0.49 guard + rounding, so
         # max|theta| + max|mu| of every row is within the guard
         bound = 0.49 * DIVERGENCE_GUARD - np.abs(self.x_star).max()
         self.z_sq_max = bound * bound if bound > 0 else -1.0
         self.decomposition = None  # (basis of H, basis of Q22, K^T, Q21^T), see ``tables``
-        self.checked = None  # (fast, slow, kernel) of the gains last checked
-
-    def with_gains(self, gains: GainMatrices | None) -> _Kernel:
-        """This kernel for the matricial variant with ``gains``; itself for None.
-
-        Raises unless the gains stabilize the iteration (``validate_gains``).
-        The kernel of the gains last checked is kept, with copies of them, so
-        chained ``step`` calls with equal gains check them once.
-        """
-        if gains is None:
-            return self
-        if self.checked is not None:
-            fast, slow, kernel = self.checked
-            if np.array_equal(gains.fast, fast) and np.array_equal(gains.slow, slow):
-                return kernel
-        validate_gains(self.problem, gains)
-        d = self.d
-        gain = np.zeros_like(self.eye)
-        gain[:d, :d] = gains.fast
-        gain[d:, d:] = gains.slow
-        kernel = copy.copy(self)
-        kernel.checked = None
-        kernel.gainT = gain.T.copy()
-        kernel.qgT = self.qgT @ kernel.gainT
-        self.checked = gains.fast.copy(), gains.slow.copy(), kernel
-        return kernel
 
     def tables(self, n: int, beta: np.ndarray, gamma: np.ndarray, biases=None,
                track: bool = False) -> _StepTables:
@@ -546,13 +533,15 @@ def _kahan_add(total, comp, term, scratch) -> None:
 
 
 class _Rows:
-    """A state tiled to ``rows`` identical rows, and the one step loop.
+    """A state tiled to ``count`` identical rows, and the one step loop.
 
-    Row r is replication r of a batch; a single trajectory is two rows, of
-    which the first is kept (the two-row rule of the module docstring).
+    Row r is replication r of a batch. A count below two still makes two
+    rows, and a single trajectory keeps the first (the two-row rule of the
+    module docstring).
     """
 
-    def __init__(self, kernel: _Kernel, state: SAState, rows: int):
+    def __init__(self, kernel: _Kernel, state: SAState, count: int):
+        rows = max(count, _MIN_ROWS)
         if kernel.gainT is not None and state.parts is not None:
             raise ConfigError("decomposition tracking applies to the plain iteration only")
         self.kernel, self.n, self.d = kernel, state.n, state.d
@@ -574,11 +563,12 @@ class _Rows:
         Row 0 gets the chunk's starting z, and step j reads row j and
         overwrites row j + 1, its innovation, with z_{n+j+1}; so the loop runs
         only the step and, when tracked, the decomposition update, whose
-        increment dx is row j + 1 minus row j. The guard then tests the whole
-        chunk with one dot product, and scans it step by step only when that
-        fails. Steps after a divergence are discarded, so rho may see a
-        diverged row, under ``np.errstate``, but nothing it returns for one
-        is kept.
+        increment dx is row j + 1 minus row j. The guard then makes one
+        ``first_diverged`` call over rows 1..span as one step-major list, so
+        the first row it flags, split by ``divmod``, is the first step that
+        holds a diverged row and the lowest replication within it. Steps
+        after a divergence are discarded, so rho may see a diverged row,
+        under ``np.errstate``, but nothing it returns for one is kept.
 
         The running sum and the records then take one pass over the rows the
         guard passed: each stretch between fold indices (multiples of
@@ -619,11 +609,8 @@ class _Rows:
                     dec += v.dot(t2[j])
                     if n0 + j + 1 in marked:
                         snaps[n0 + j + 1] = dec
-            if not np.vdot(w[1:], w[1:]) <= kernel.z_sq_max:
-                for j in range(span):
-                    if (bad := kernel.first_diverged(w[j + 1])) >= 0:
-                        stop = j
-                        break
+            if (flat := kernel.first_diverged(w[1:].reshape(-1, w.shape[2]))) >= 0:
+                stop, bad = divmod(flat, w.shape[1])
         if bad >= 0:
             last_state = w[stop, bad] + kernel.x_star
         end = n0 + stop
@@ -671,14 +658,14 @@ def step(
     guard.
     """
     n = state.n
-    kernel = _kernel(problem).with_gains(gains)
-    rows = _Rows(kernel, state, _MIN_ROWS)
+    kernel = _kernel(problem, gains)
+    rows = _Rows(kernel, state, 1)
     if bias_values is not None:
         bias_values = _stacked(problem, bias_values, "bias")[None]
     beta, gamma = np.array([schedule.beta(n)]), np.array([schedule.gamma(n)])
     tables = kernel.tables(n, beta, gamma, bias_values, track=rows.parts is not None)
     xi = _stacked(problem, noise, "noise")[None]
-    w = kernel.innovations(np.empty((2, _MIN_ROWS, problem.dim)),
+    w = kernel.innovations(np.empty((2, len(rows.z), problem.dim)),
                            lambda r, out: np.copyto(out, xi), 1, tables.s)
     rows.advance(w, tables, _NO_MARKS, None)
     return rows.state(0)
@@ -771,7 +758,8 @@ def simulate_batch(
     Deterministic for a fixed (base_seed, replications, n_final) triple;
     replication r draws from stream (base_seed, r) regardless of how many
     others run alongside it, and its path depends on neither the batch size
-    nor ``chunk``.
+    nor ``chunk``. ``checkpoints``, when given, are integral, strictly
+    increasing from 1 and end at ``n_final``; ValueError otherwise.
     """
     if n_final < 1:
         raise ValueError("n_final must be >= 1")
@@ -780,16 +768,19 @@ def simulate_batch(
 
     d, dim = problem.d, problem.dim
     b = replications
-    kernel = _kernel(problem).with_gains(gains)
+    kernel = _kernel(problem, gains)
     x_star = kernel.x_star
     state = initial_state(problem, theta0, mu0, track_decomposition)
-    rows = _Rows(kernel, state, max(b, _MIN_ROWS))
+    rows = _Rows(kernel, state, b)
 
     beta_arr = schedule.beta_array(n_final)
     gamma_arr = schedule.gamma_array(n_final)
     u_arr, s_arr = schedule.partial_sum_arrays(n_final)
 
-    grid = np.asarray(checkpoints, dtype=int) if checkpoints is not None else checkpoint_indices(n_final)
+    grid = checkpoint_indices(n_final) if checkpoints is None else np.asarray(checkpoints)
+    if not np.all(np.isfinite(grid) & (grid == np.round(grid))):  # never truncate one
+        raise ValueError("checkpoints must be integral")
+    grid = grid.astype(int)
     if grid.size == 0 or np.any(np.diff(grid) <= 0) or grid[0] < 1 or grid[-1] != n_final:
         raise ValueError("checkpoints must be strictly increasing and end at n_final")
     k = grid.size

@@ -53,8 +53,8 @@ class StepSchedule:
     def __post_init__(self):
         if self.regime not in REGIMES:
             raise ValueError(f"unknown regime {self.regime!r}, expected one of {REGIMES}")
-        if not (self.beta0 > 0 and self.gamma0 > 0):
-            raise ValueError("beta0 and gamma0 must be positive (A3)")
+        if not (0 < self.beta0 < math.inf and 0 < self.gamma0 < math.inf):
+            raise ValueError("beta0 and gamma0 must be positive and finite (A3)")
         if not (0.5 < self.a < self.b <= 1.0):
             raise ValueError(
                 "step exponents must satisfy 1/2 < a < b <= 1 (A3); "

@@ -66,14 +66,16 @@ _BY_TYPE = {
 }
 # Keys parse_config validates, drawn from their valid values.
 _POSITIVE = st.floats(min_value=0.0, exclude_min=True)
+# step scales and tolerances must also be finite; a decay rate or clamp may not
+_FINITE_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 _BY_NAME = {
     **{KEY_TABLE[key][0]: st.sampled_from(allowed) for key, allowed in _CHOICES.items()},
-    "step_beta0": _POSITIVE,
-    "step_gamma0": _POSITIVE,
+    "step_beta0": _FINITE_POSITIVE,
+    "step_gamma0": _FINITE_POSITIVE,
     "problem_bias_rho": _POSITIVE,
     "problem_residual_clamp": _POSITIVE,
-    "mc_tol_rel": _POSITIVE,
-    "mc_tol_cross": _POSITIVE,
+    "mc_tol_rel": _FINITE_POSITIVE,
+    "mc_tol_cross": _FINITE_POSITIVE,
     "run_n_final": st.integers(min_value=1),
     "run_checkpoints_per_decade": st.integers(min_value=1),
     "mc_replications": st.integers(min_value=2),
@@ -650,6 +652,12 @@ class TestBadStart:
         (f"{MINIMAL}step.gamma0 = 0\n", "step.gamma0"),
         (f"{MINIMAL}mc.tol_rel = -1.0\n", "mc.tol_rel"),
         (f"{MINIMAL}mc.tol_cross = 0\n", "mc.tol_cross"),
+        # an infinite step scale overflows the steps; an infinite tolerance
+        # makes its gate vacuous
+        (f"{MINIMAL}run.n_final = 200\nstep.beta0 = inf\n", "step.beta0"),
+        (f"{MINIMAL}step.gamma0 = inf\n", "step.gamma0"),
+        (f"{MINIMAL}mc.tol_rel = inf\n", "mc.tol_rel"),
+        (f"{MINIMAL}mc.tol_cross = inf\n", "mc.tol_cross"),
         (f"{MINIMAL}mc.base_seed = -1\n", "mc.base_seed"),
         (f"{MINIMAL}run.seed = -5\n", "run.seed"),
         # one verdict per check: a repeated check would be written once

@@ -164,6 +164,26 @@ class TestMatricialStep:
             step(p, s, state, zero_noise(p), gains=gains)
         assert len(calls) == 3
 
+    def test_each_gains_value_keeps_its_kernel(self, monkeypatch):
+        # one kernel per gains value: alternating values are checked once
+        # each, and equal values share a kernel
+        p = library_problem("linear-2x2")
+        calls = []
+        check = engine.validate_gains
+        monkeypatch.setattr(engine, "validate_gains",
+                            lambda *args: calls.append(1) or check(*args))
+        s, gains = matricial_schedule(0.6), optimal_gains(p)
+        other = GainMatrices(fast=np.eye(2), slow=np.eye(2))
+        state = initial_state(p)
+        for g in (gains, other, gains):
+            state = step(p, s, state, zero_noise(p), gains=g)
+        assert len(calls) == 2
+        same = GainMatrices(fast=gains.fast.copy(), slow=gains.slow.copy())
+        assert engine._kernel(p, same) is engine._kernel(p, gains)
+        assert engine._kernel(p, other) is not engine._kernel(p, gains)
+        assert engine._kernel(p).gainT is None
+        assert len(calls) == 2
+
 
 class TestOptimalGains:
     def test_negated_identity(self):
@@ -533,6 +553,25 @@ class TestCheckpointGrid:
             for per_decade in range(1, 21):
                 got = checkpoint_indices(n_final, per_decade).tolist()
                 assert got == reference(n_final, per_decade).tolist(), (n_final, per_decade)
+
+    @pytest.mark.parametrize("checkpoints, message", [
+        ([1.5, 3.9, 10], "integral"),  # once truncated to [1, 3, 10]
+        ([1, 5, 3, 10], "increasing"),
+        ([0, 5, 10], "increasing"),
+        ([1, 5, 9], "end at n_final"),
+    ])
+    def test_simulate_batch_rejects_bad_checkpoints(self, linear_problem, schedule,
+                                                     checkpoints, message):
+        with pytest.raises(ValueError, match=message):
+            simulate_batch(linear_problem, schedule, 10, base_seed=0, replications=2,
+                           checkpoints=checkpoints)
+
+    def test_simulate_batch_takes_integral_floats(self, linear_problem, schedule):
+        def ns(checkpoints):
+            return simulate_batch(linear_problem, schedule, 10, base_seed=0, replications=2,
+                                  checkpoints=checkpoints).ns.tolist()
+
+        assert ns([2.0, 5.0, 10.0]) == ns([2, 5, 10]) == [2, 5, 10]
 
     def test_does_not_import_numpy_ma(self):
         # numpy.ma costs about 15 ms of import in every process that loads it
@@ -956,6 +995,46 @@ class TestDivergenceAcrossChunks:
                 for key in DECOMP_KEYS:
                     np.testing.assert_array_equal(trace.decomposition[key],
                                                   errors[0].trace.decomposition[key])
+
+    def test_a_tie_names_the_lowest_replication(self):
+        # with near-zero noise every replication follows one path from an
+        # offset start, so all of them cross the guard at the same index; a
+        # zero theta* keeps the tiny offset representable
+        index, unit_offset = 300, 1e-100
+        unit = simulate_batch(self.problem(1e-200, root=(0.0, 0.0)), self.SCHEDULE, index,
+                              base_seed=self.SEED, replications=1, theta0=[unit_offset],
+                              mu0=[0.0], checkpoints=[index - 1, index])
+        size = np.abs(unit.theta).max(axis=(1, 2)) + np.abs(unit.mu).max(axis=(1, 2))
+        p = self.problem(1e-200, root=(0.0, -0.25))
+        theta0 = [unit_offset * DIVERGENCE_GUARD / math.sqrt(size[0] * size[1])]
+        for chunk in (1, 7, 256):
+            with pytest.raises(DivergenceError) as err:
+                simulate_batch(p, self.SCHEDULE, self.N_FINAL, base_seed=self.SEED,
+                               replications=self.REPLICATIONS, chunk=chunk,
+                               theta0=theta0, mu0=p.mu_star,
+                               checkpoints=np.arange(1, self.N_FINAL + 1))
+            err = err.value
+            assert (err.step, err.replication) == (index, 0)
+            x = err.trace.x[-1]
+            np.testing.assert_allclose(x, np.broadcast_to(x[0], x.shape), rtol=1e-12)
+            np.testing.assert_array_equal(err.last_state, x[0])
+
+    def test_an_earlier_crossing_of_a_later_replication_is_named(self):
+        # at index 100 a later replication crosses first and a lower one two
+        # steps after it, inside one chunk of 7 and of 256: the guard names
+        # the earliest index, and the lowest replication only within it
+        p = self.problem(self.sigma_crossing_at(100))
+        (step_n, replication, last_state), paths = self.per_step(p)
+        crossings = [len(path) + 1 for path in paths]
+        assert step_n == 100 and replication > 0
+        assert any(step_n < n <= 106 for n in crossings[:replication])
+        for chunk in (1, 7, 256):
+            err = self.batch(p, chunk)
+            assert (err.step, err.replication) == (step_n, replication)
+            np.testing.assert_array_equal(err.last_state, last_state)
+            np.testing.assert_array_equal(err.trace.ns, np.arange(1, step_n))
+            for r in range(self.REPLICATIONS):
+                np.testing.assert_array_equal(err.trace.x[:, r], paths[r][: step_n - 1])
 
     def test_a_residual_problem_is_located_alike_at_any_chunk(self):
         # a custom residual of zeros leaves the path as it is, so the

@@ -38,6 +38,11 @@ class TestStepValues:
             StepSchedule(beta0=1.0, b=0.8, gamma0=1.0, a=0.4)
         with pytest.raises(ValueError):
             StepSchedule(beta0=-1.0, b=0.8, gamma0=1.0, a=0.6)
+        # an infinite scale makes every step infinite
+        with pytest.raises(ValueError, match="finite"):
+            StepSchedule(beta0=math.inf, b=0.8, gamma0=1.0, a=0.6)
+        with pytest.raises(ValueError, match="finite"):
+            StepSchedule(beta0=1.0, b=0.8, gamma0=math.inf, a=0.6)
 
     def test_averaging_with_b_one_is_constructible(self):
         # rejected by the validator, not the constructor
