@@ -1,42 +1,37 @@
-"""Row order of the engine's products: cost and bits of three designs.
+"""Row order of the engine's products: the row rule's bit check, and costs.
 
 Every product of the engine whose row count depends on the batch or the
-chunk is a (rows, dim) @ (dim, dim) product. The determinism contracts need
-each row to round alike at every row count. This script measures, for a
-square right operand:
+chunk goes through ``ttsa.linalg.rows_dot``. The determinism contracts need
+each row of it to round alike at every row count and offset: the row rule.
+``rows_dot`` pads its rows to a multiple of 4 and splits them into slabs of
+rows x m.size <= 10^6, each one ``ndarray.dot``, because a plain C-ordered
+dot keeps its BLAS kernel there. This script checks, for square (dim, dim)
+operands and the residual's (dim, dim^2) ones:
 
-- the cost of one ``ndarray.dot`` against the stacked form, one
-  ``np.matmul`` of the rows padded to a multiple of T and viewed as
-  (rows / T, T, dim), for T = 16, 32 and 64;
-- the cost of one 16-row slab through ``np.matmul`` and ``ndarray.dot``;
-- whether each row's bits are the same at every row count tried, for the
-  stacked form and for a plain C-ordered ``dot`` at row counts that are a
-  multiple of 4 with rows * dim^2 <= 10^6; and, above that bound, the first
-  row count at which a plain ``dot`` rounds a row differently.
+- that every run of rows of x gives, through ``rows_dot``, the bits of
+  those rows of the whole product: row counts 1 to 70 and a spread of larger
+  ones across two slabs, at offsets 0, 1 and 6;
+- above the slab bound, the first row count at which a single plain dot
+  rounds a row differently from 4-row products (informational).
 
-Run it with one BLAS thread:
+Without ``--quick`` it also times one ``ndarray.dot`` against the stacked
+form that the rule replaced (one ``np.matmul`` of the rows padded to a
+multiple of T and viewed as (rows / T, T, dim), for T = 16, 32 and 64).
+It exits 1 when a bit check fails. Run it from the repository root:
 
-    OPENBLAS_NUM_THREADS=1 python3 results/row_order.py [--quick]
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 results/row_order.py [--quick]
 """
 import argparse
+import sys
 import timeit
 
 import numpy as np
 
-BOUND = 10**6  # rows * dim^2 up to which the plain dot keeps its kernel
+from ttsa.linalg import ROW_ALIGN, SLAB_SIZE, rows_dot
 
 
 def best_us(fn, number):
     return min(timeit.repeat(fn, number=number, repeat=7)) / number * 1e6
-
-
-def stacked(x, m, t):
-    """x @ m as one matmul of (rows / t, t, dim) slabs, rows padded to t."""
-    rows, dim = x.shape
-    pad = -rows % t
-    if pad:
-        x = np.concatenate([x, np.zeros((pad, dim))])
-    return np.matmul(x.reshape(-1, t, dim), m).reshape(-1, dim)[:rows]
 
 
 def timings():
@@ -52,52 +47,30 @@ def timings():
             o = np.empty_like(xs)
             cells.append(best_us(lambda: np.matmul(xs, m, out=o), 2000))
         print(f"dim {dim}, B = {rows} | " + " | ".join(f"{c:.1f}" for c in cells))
-    x, m = rng.normal(size=(16, 4)), rng.normal(size=(4, 4))
-    out = np.empty_like(x)
-    slab_matmul = best_us(lambda: np.matmul(x, m, out=out), 20000)
-    slab_dot = best_us(lambda: x.dot(m, out=out), 20000)
-    print(f"one 16-row slab, dim 4: np.matmul {slab_matmul:.2f} us, ndarray.dot {slab_dot:.2f} us")
 
 
-def row_counts(limit):
-    counts = set(range(4, min(limit, 512) + 1, 4))
-    counts.update(int(c) // 4 * 4 for c in np.geomspace(512, limit, 40))
-    return sorted(c for c in counts if 4 <= c <= limit)
+def slab_rows(m):
+    return max(SLAB_SIZE // m.size // ROW_ALIGN, 1) * ROW_ALIGN
 
 
-def reference(x, m, block):
-    """Each row of x @ m as a product of ``block`` rows computes it."""
-    ref = np.empty((len(x), m.shape[1]))
-    for i in range(0, len(x), block):
-        ref[i : i + block] = x[i : i + block].dot(m)
-    return ref
-
-
-def check_plain(dims):
-    """Plain dot at multiples of 4 up to the bound: the same bits as 4-row products."""
+def check_helper(dims):
+    """Each run of rows through rows_dot against those rows of the whole
+    product; returns the (dim, cols, rows, offset) cases that differ."""
     rng = np.random.default_rng(2)
     bad = []
     for dim in dims:
-        limit = BOUND // dim**2 // 4 * 4
-        x, m = rng.normal(size=(limit, dim)), rng.normal(size=(dim, dim))
-        ref = reference(x, m, 4)
-        bad += [(dim, r) for r in row_counts(limit) if not np.array_equal(x[:r].dot(m), ref[:r])]
-    print(f"plain dot, multiples of 4 rows up to rows * dim^2 <= 1e6, "
-          f"{len(dims)} dims from {dims[0]} to {dims[-1]}:",
-          "same bits" if not bad else f"differs at (dim, rows) {bad[:10]}")
-
-
-def check_stacked(dims, t=16):
-    rng = np.random.default_rng(3)
-    bad = []
-    for dim in dims:
-        x, m = rng.normal(size=(2048, dim)), rng.normal(size=(dim, dim))
-        ref = stacked(x, m, t)
-        bad += [(dim, r) for r in (*range(1, 70), 255, 256, 257, 1000, 2000)
-                if not np.array_equal(stacked(x[:r], m, t), ref[:r])]
-    print(f"stacked T = {t}, rows 1-69, 255-257, 1000 and 2000, "
-          f"{len(dims)} dims from {dims[0]} to {dims[-1]}:",
-          "same bits" if not bad else f"differs at (dim, rows) {bad[:10]}")
+        for cols in (dim, dim * dim):
+            m = rng.normal(size=(dim, cols))
+            slab = slab_rows(m)
+            x = rng.normal(size=(2 * slab + 12, dim))
+            full = rows_dot(x, m)
+            counts = {*range(1, 71), *np.geomspace(71, 2 * slab + 6, 24).astype(int)}
+            bad += [(dim, cols, r, s) for r in sorted(counts) for s in (0, 1, 6)
+                    if not np.array_equal(rows_dot(x[s : s + r], m), full[s : s + r])]
+    print(f"rows_dot, row counts 1 to two slabs at offsets 0, 1 and 6, (dim, dim) and "
+          f"(dim, dim^2) operands, {len(dims)} dims from {dims[0]} to {dims[-1]}:",
+          "same bits" if not bad else f"differs at (dim, cols, rows, offset) {bad[:10]}")
+    return bad
 
 
 def switch_points(dims):
@@ -105,25 +78,32 @@ def switch_points(dims):
     rows differently from 4-row products."""
     rng = np.random.default_rng(4)
     for dim in dims:
-        start = BOUND // dim**2 - 8
+        start = SLAB_SIZE // dim**2 - 8
         x, m = rng.normal(size=(start + 64, dim)), rng.normal(size=(dim, dim))
-        ref = reference(x[:4], m, 4)
+        ref = x[:4].dot(m)
         first = next((r for r in range(start, start + 64)
                       if not np.array_equal(x[:r].dot(m)[:4], ref)), None)
-        print(f"dim {dim}: rows * dim^2 = 1e6 at {BOUND / dim**2:.0f} rows;"
-              f" first differing row count {first}")
+        print(f"dim {dim}: rows * dim^2 = 1e6 at {SLAB_SIZE / dim**2:.0f} rows;"
+              f" first differing row count of a plain dot {first}")
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--quick", action="store_true", help="fewer dims in the bit checks")
+    parser.add_argument("--quick", action="store_true",
+                        help="seven dims in the bit check, and no timings")
     args = parser.parse_args()
-    timings()
+    if not args.quick:
+        timings()
     dims = [2, 4, 9, 18, 25, 40, 64] if args.quick else list(range(2, 65))
-    check_stacked(dims)
-    check_plain(dims)
+    bad = check_helper(dims)
     switch_points([18, 25, 33])
+    if bad:
+        print("the row rule does not hold with this BLAS: rows_dot rounds a row "
+              "differently at different row counts, so the determinism contracts "
+              "(batch size, chunk size, run = replication 0) can fail", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -470,8 +470,8 @@ def _start(config: ExperimentConfig, problem: ProblemSpec):
                              (config.run_mu0_offset, problem.mu_star))
     )
     x, d = _initial_iterate(problem, theta0, mu0), problem.d
-    if _first_diverged(x[None], d) >= 0:
-        fast = np.abs(x[:d]).max() >= np.abs(x[d:]).max()
+    if _first_diverged(x[None], d) >= 0:  # which leaves |x| in x
+        fast = x[:d].max() >= x[d:].max()
         block, start = ("theta", theta0) if fast else ("mu", mu0)
         key = f"problem.{block}_star" if start is None else f"run.{block}0_offset"
         raise ConfigError(

@@ -65,10 +65,16 @@ reduction starts from the partial sum (copied into the row before the
 stretch) and adds one row after another, as a step-by-step sum would.
 
 ``_Rows`` tiles a state to a count of rows: ``simulate_batch`` asks for its
-replications, ``step`` for one. It never makes fewer than two (the two-row
-rule): a one-row product runs as a matrix-vector BLAS kernel that rounds
-differently from the matrix-matrix kernel of a batch, so a single trajectory
-runs as two rows and keeps one.
+replications, ``step`` for one. It rounds the count up to a multiple of
+``linalg.ROW_ALIGN`` = 4, the extra rows repeating row 0, and every product
+whose row count depends on the batch or the chunk goes through
+``linalg.rows_dot``: the residual's product by its coefficient tensor
+(``NonlinearResidual``), the gain product of a scratch group and the noise
+model's factor product. The step loop's products (the step, the residual's
+product by R_n and both decomposition products) go through the
+``linalg.row_product`` of their shape, picked once per chunk. That is the row
+rule of ``linalg``: each row of such a product rounds alike at every row
+count.
 
 The trace keeps the iterate's layout: a ``BatchTrace`` holds the checkpointed
 x = z + x* and its running average x_bar as (checkpoint, replication, d+d')
@@ -77,18 +83,12 @@ is one replication's trace with the replication axis dropped; ``run`` returns
 replication 0. Checkpoints 1..n_final give the every-step paths.
 
 Replication r of a seed draws from its own counter-based stream, so its path
-does not depend on the batch size; nor on the chunk size, because the noise
-model scales a one-row draw as two rows, the gain product of a scratch group
-never has one row, and no table entry depends on the chunk it is built in. A
-single run is exactly replication 0 of a batch with the same seed, and chained
-``step`` calls reproduce ``run``, decomposition included; all bit for bit.
-Both rules need BLAS to round a row the same at every row count, which it
-does not always do. The tests check them at d + d' = 2 to 6 and 24 only.
-With OpenBLAS 0.3.31 the batch-size rule fails at 9 + 9 and 13 + 12:
-``run`` and replication 0 of a batch of 5, 64 or 70 differ by up to 3e-15
-relative from a few steps in (a batch of 2 agrees). The chunk-size rule
-fails at 20 + 20, where chunks of 7 and 256 differ by 2e-15. ROADMAP item 6
-holds the fix.
+does not depend on the batch size; nor on the chunk size, because the row
+rule rounds each row alike whatever the row count of a product, and no table
+entry depends on the chunk it is built in. A single run is exactly
+replication 0 of a batch with the same seed, and chained ``step`` calls
+reproduce ``run``, decomposition included; all bit for bit, at every
+dimension.
 Advancing z rounds differently from advancing x, so the paths agree with the
 x recursion to about 1e-13 relative.
 """
@@ -106,7 +106,6 @@ from .schedules import AVERAGING, StepSchedule
 
 DIVERGENCE_GUARD = 1e9
 _CHUNK = 256
-_MIN_ROWS = 2  # the two-row rule of the module docstring
 _FOLD = 64  # indices per block of the running sum, see the module docstring
 _GROUP = 64  # replications per scratch group in ``_Kernel.innovations``
 _NO_MARKS = np.empty(0, dtype=int)
@@ -467,16 +466,14 @@ class _Kernel:
         ``fill(r, out)`` writes replication r's (span, dim) noise into ``out``,
         for r in range(count), and ``out`` is a slot of a scratch group of
         ``_GROUP`` replications. Each group is scaled by the steps ``s`` in one
-        call, takes the gain G^T of the matricial variant in one product of
-        depth dim, and is copied, transposed, into the step-major block. That
-        product never has one row, which would round as a matrix-vector
-        kernel: a group of one replication at one step is multiplied as two
-        (the two-row rule). Rows past the last replication repeat the first.
+        call, takes the gain G^T of the matricial variant in one
+        ``linalg.rows_dot`` of depth dim, and is copied, transposed, into the
+        step-major block. Rows past the last replication repeat the first.
         Row 0 is left for ``_Rows.advance``.
         """
         u = block[1:]
-        span, rows, dim = u.shape
-        group = np.empty((min(_GROUP, rows), span, dim))
+        span, _, dim = u.shape
+        group = np.empty((min(_GROUP, count), span, dim))
         gained = None if self.gainT is None else np.empty_like(group)
         for lo in range(0, count, _GROUP):
             size = min(_GROUP, count - lo)
@@ -485,18 +482,16 @@ class _Kernel:
             g = group[:size]
             g *= s
             if gained is not None:
-                m = max(size, _MIN_ROWS)
-                group[size:m] = group[:1]
-                np.matmul(group[:m].reshape(-1, dim), self.gainT, out=gained[:m].reshape(-1, dim))
-                g = gained[:size]
-            u[:, lo : lo + size] = g.transpose(1, 0, 2)
+                g = linalg.rows_dot(g.reshape(-1, dim), self.gainT, gained[:size].reshape(-1, dim))
+            u[:, lo : lo + size] = g.reshape(size, span, dim).transpose(1, 0, 2)
         u[:, count:] = u[:, :1]
         return block
 
     def first_diverged(self, z: np.ndarray) -> int:
         """``_first_diverged`` of the iterates z + x*, behind a one-dot test.
 
-        A sum of squares that overflows is infinite and takes the exact path.
+        A sum of squares that overflows is infinite and takes the exact path,
+        which allocates one array of the size of z and two of its row count.
         """
         if np.vdot(z, z) <= self.z_sq_max:
             return -1
@@ -504,18 +499,19 @@ class _Kernel:
 
 
 def _first_diverged(x: np.ndarray, d: int) -> int:
-    """Index of the first row that diverged, or -1.
+    """Index of the first row that diverged, or -1; leaves |x| in ``x``.
 
     A row diverges when it is non-finite or when max|theta| + max|mu| of that
     row exceeds the guard. 2 max|x| bounds that sum for every row at once, so
     the common case costs one pass and one reduction. A sum that overflows
     is infinite, so beyond the guard.
     """
-    a = np.abs(x)
+    a = np.abs(x, out=x)
     if np.maximum.reduce(a, axis=None) <= 0.5 * DIVERGENCE_GUARD:
         return -1
+    row = a[:, :d].max(axis=1)
     with np.errstate(over="ignore"):
-        bad = ~(a[:, :d].max(axis=1) + a[:, d:].max(axis=1) <= DIVERGENCE_GUARD)
+        bad = ~(np.add(row, a[:, d:].max(axis=1), out=row) <= DIVERGENCE_GUARD)
     return int(np.argmax(bad)) if bad.any() else -1
 
 
@@ -535,13 +531,14 @@ def _kahan_add(total, comp, term, scratch) -> None:
 class _Rows:
     """A state tiled to ``count`` identical rows, and the one step loop.
 
-    Row r is replication r of a batch. A count below two still makes two
-    rows, and a single trajectory keeps the first (the two-row rule of the
-    module docstring).
+    Row r is replication r of a batch. The count is rounded up to a multiple
+    of ``linalg.ROW_ALIGN``, so the step loop's products need no padding; a
+    single trajectory runs as four rows and keeps the first (the row rule of
+    the module docstring).
     """
 
     def __init__(self, kernel: _Kernel, state: SAState, count: int):
-        rows = max(count, _MIN_ROWS)
+        rows = count + -count % linalg.ROW_ALIGN
         if kernel.gainT is not None and state.parts is not None:
             raise ConfigError("decomposition tracking applies to the plain iteration only")
         self.kernel, self.n, self.d = kernel, state.n, state.d
@@ -563,7 +560,10 @@ class _Rows:
         Row 0 gets the chunk's starting z, and step j reads row j and
         overwrites row j + 1, its innovation, with z_{n+j+1}; so the loop runs
         only the step and, when tracked, the decomposition update, whose
-        increment dx is row j + 1 minus row j. The guard then makes one
+        increment dx is row j + 1 minus row j. The row and table views, and
+        the ``linalg.row_product`` of each product's shape, are made once per
+        chunk, so a step pays no call beyond its products. The guard then
+        makes one
         ``first_diverged`` call over rows 1..span as one step-major list, so
         the first row it flags, split by ``divmod``, is the first step that
         holds a diverged row and the lowest replication within it. Steps
@@ -587,9 +587,9 @@ class _Rows:
         dec, snaps = self.parts, {}
         if dec is not None:
             t1, t2, dim, marked = tables.t1, tables.t2, w.shape[2], set(marks[lo:hi].tolist())
-            v = np.empty_like(dec)  # (u, dx)
+            v, ddot = np.empty_like(dec), linalg.row_product(len(dec), t1[0].size)  # v = (u, dx)
         stop, bad = span, -1
-        ws, a = list(w), list(tables.a)  # the views, made once per chunk
+        ws, a, dot = list(w), list(tables.a), linalg.row_product(w.shape[1], tables.a[0].size)
         # an overflow makes a row infinite, and the guard reports it; the rows
         # after it are discarded, whatever they hold
         with np.errstate(over="ignore", invalid="ignore"):
@@ -597,16 +597,15 @@ class _Rows:
                 z, out = ws[j], ws[j + 1]
                 if dec is not None:
                     v[:, :dim] = out
-                z.dot(a[j], out=prod)  # ndarray.dot: the same GEMM as @, less dispatch
-                out += prod  # u_j + z A_j, which rounds as z A_j + u_j
+                out += dot(z, a[j], prod)  # u_j + z A_j, which rounds as z A_j + u_j
                 if residual is not None:
-                    out += residual.evaluate(z).dot(r[j])
+                    out += dot(residual.evaluate(z), r[j])
                 if c is not None:
                     out += c[j]
                 if dec is not None:
                     np.subtract(out, z, out=v[:, dim:])
-                    dec = dec.dot(t1[j])
-                    dec += v.dot(t2[j])
+                    dec = ddot(dec, t1[j])
+                    dec += ddot(v, t2[j])
                     if n0 + j + 1 in marked:
                         snaps[n0 + j + 1] = dec
             if (flat := kernel.first_diverged(w[1:].reshape(-1, w.shape[2]))) >= 0:
@@ -765,6 +764,8 @@ def simulate_batch(
         raise ValueError("n_final must be >= 1")
     if replications < 1:
         raise ValueError("replications must be >= 1")
+    if chunk < 1:
+        raise ValueError("chunk must be >= 1")
 
     d, dim = problem.d, problem.dim
     b = replications

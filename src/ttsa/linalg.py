@@ -14,6 +14,20 @@ from an ``ExpBasis`` of a, which holds (a/2^e)^k for k = 0..12. A caller that
 exponentiates one matrix at many values of t builds the basis once, so each
 exponential costs one coefficient dot and its squarings (Higham, SIAM J.
 Matrix Anal. Appl. 26(4), 2005).
+
+``rows_dot`` is the row rule: every product whose row count depends on a
+batch or a chunk goes through it, so that each row rounds alike at every row
+count and at every position. BLAS picks its kernel by the shape of a product:
+one row runs as a matrix-vector kernel, a row count that is not a multiple of
+4 ends in an edge kernel, and a large product switches kernel again. With
+OpenBLAS 0.3.31 (DYNAMIC_ARCH, on an AVX-512 Xeon) a plain ``ndarray.dot`` by
+a C-ordered matrix m rounds a row alike at every position and row count that
+is a multiple of ``ROW_ALIGN`` = 4, as long as rows x m.size <= ``SLAB_SIZE``
+= 10^6, at one BLAS thread and at two; ``results/row_order.py`` checks this.
+So ``rows_dot`` pads x to a multiple of 4 rows when needed and splits it into
+slabs under that bound (Ahrens, Demmel and Nguyen, ACM TOMS 46(3), 2020, fix
+the order of a reduction the same way). ``row_product`` picks the product of
+the rule for one shape, so a loop of products of that shape picks it once.
 """
 from __future__ import annotations
 
@@ -28,6 +42,9 @@ from .errors import DimensionError, InfeasibleError, SingularMatrixError
 # Inverses feed covariance formulas where noise amplification is quadratic,
 # so reject anything past this conditioning.
 COND_LIMIT = 1e12
+
+ROW_ALIGN = 4  # rows_dot's row counts are multiples of this
+SLAB_SIZE = 10**6  # the most rows x m.size of one ndarray.dot in rows_dot
 
 _EXP_THETA = 0.25
 # _EXP_LIMITS[q] is the largest double x whose Taylor tail bound
@@ -165,6 +182,36 @@ def mat_exp(a, t: float = 1.0) -> np.ndarray:
     for _ in range(squarings):
         out = out @ out
     return out
+
+
+def row_product(rows: int, size: int):
+    """The product f(x, m, out) of the row rule for an x of ``rows`` rows and
+    an m of ``size`` entries: ``np.ndarray.dot`` where a plain dot keeps the
+    rule, at a multiple of ``ROW_ALIGN`` rows with rows x size <=
+    ``SLAB_SIZE``, and ``rows_dot`` otherwise. A loop that takes many
+    products of one shape picks it once and pays no call per product.
+    """
+    return np.ndarray.dot if rows % ROW_ALIGN == 0 and rows * size <= SLAB_SIZE else rows_dot
+
+
+def rows_dot(x: np.ndarray, m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """x @ m for a (rows, k) x and a C-ordered (k, cols) m, each row rounded
+    alike at every row count and position (the row rule of the module
+    docstring).
+
+    The result is written into ``out``, any array of rows x cols entries,
+    when it is given, and ``out`` is returned.
+    """
+    rows = len(x)
+    direct = out is None or out.ndim == 2 and out.flags.c_contiguous  # ndarray.dot writes it
+    if direct and row_product(rows, m.size) is np.ndarray.dot:
+        return x.dot(m, out=out)
+    slab = max(SLAB_SIZE // m.size // ROW_ALIGN, 1) * ROW_ALIGN
+    x = np.concatenate([x, np.zeros((-rows % ROW_ALIGN, x.shape[1]))])
+    res = np.concatenate([x[lo : lo + slab].dot(m) for lo in range(0, rows, slab)])[:rows]
+    if out is not None:
+        out[...] = res.reshape(out.shape)
+    return res if out is None else out
 
 
 def invert(a) -> np.ndarray:

@@ -98,11 +98,11 @@ class NonlinearResidual:
             return np.zeros_like(z)
         if self.kind == "custom":
             return self.custom_fn(z)
-        b, dim = z.shape
-        rho = np.einsum("bik,bk->bi", (z @ self._stacked).reshape(b, dim, dim), z)
+        zc = linalg.rows_dot(z, self._stacked).reshape(*z.shape, -1)
+        rho = np.einsum("bik,bk->bi", zc, z)
         # ||z|| <= sqrt(dim) max|z_i|; with a margin far above rounding, every
         # row is inside and the clamp would multiply by one
-        if not math.sqrt(dim) * np.abs(z).max() <= 0.999 * self.clamp_radius:
+        if not math.sqrt(z.shape[1]) * np.abs(z).max() <= 0.999 * self.clamp_radius:
             rho *= (np.linalg.norm(z, axis=-1) <= self.clamp_radius)[:, None]
         return rho
 
@@ -140,10 +140,7 @@ class NoiseModel:
         if self.distribution not in (GAUSSIAN, BOUNDED_UNIFORM):
             raise ValueError(f"unknown noise distribution {self.distribution!r}")
         object.__setattr__(self, "cov", cov)
-        # F^T, the right operand of every draw's product, kept as the transposed
-        # view: at some sizes (17-20 and 25 with OpenBLAS 0.3.31) a C-ordered
-        # copy rounds differently from it
-        object.__setattr__(self, "_factorT", self.factor().T)
+        object.__setattr__(self, "_factorT", self.factor().T.copy())  # C-ordered, for rows_dot
 
     def factor(self) -> np.ndarray:
         """Matrix F with F F^T equal to the covariance.
@@ -163,23 +160,17 @@ class NoiseModel:
 
         The scaled draws, of shape ``size + (dim,)``, are written into ``out``
         when it is given, and ``out`` is returned; the bits do not depend on
-        it. A draw of one row is scaled as two identical rows: a one-row
-        product would run as a matrix-vector kernel, which rounds differently
-        from the matrix-matrix kernel of longer draws, and a replication's
-        noise must not depend on how its stream is split into draws.
+        it. The draws are scaled by one ``linalg.rows_dot``, so a
+        replication's noise does not depend on how its stream is split into
+        draws.
         """
         dim = self.cov.shape[0]
         if self.distribution == GAUSSIAN:
             z = rng.standard_normal(size + (dim,))
         else:
             z = rng.uniform(-_SQRT3, _SQRT3, size + (dim,))
-        if z.size == dim:
-            row = (np.tile(z.reshape(1, dim), (2, 1)) @ self._factorT)[0].reshape(z.shape)
-            if out is None:
-                return row
-            out[...] = row
-            return out
-        return np.matmul(z, self._factorT, out=out)
+        scaled = linalg.rows_dot(z.reshape(-1, dim), self._factorT, out)
+        return scaled.reshape(z.shape) if out is None else out
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -375,7 +376,7 @@ class TestRun:
     def test_replay_oracle(self, linear_problem, schedule):
         # independent straight-line replay of the affine recursion in error
         # coordinates, z_{n+1} = z_n A_n + u_n with A_n = I + Q^T S_n and
-        # u_n = xi_{n+1} S_n, on a two-row state, bit-comparable given the
+        # u_n = xi_{n+1} S_n, on a four-row state, bit-comparable given the
         # identical noise stream: the same products on the same shapes keep
         # the arithmetic identical to the engine's, so the comparison is
         # exact rather than within BLAS rounding
@@ -386,7 +387,7 @@ class TestRun:
         draws = p.noise.draw(replication_rng(9, 0), (n_final - 1,))
         q_t = np.block([[p.q11, p.q12], [p.q21, p.q22]]).T.copy()
         x_star = np.concatenate([p.theta_star, p.mu_star])
-        z = np.tile(x_star + np.ones(4) / math.sqrt(2) - x_star, (2, 1))
+        z = np.tile(x_star + np.ones(4) / math.sqrt(2) - x_star, (4, 1))
         path = [z[0] + x_star]
         for n in range(1, n_final):
             steps = np.repeat([schedule.beta(n), schedule.gamma(n)], 2)
@@ -487,6 +488,13 @@ class TestRun:
         assert err.value.trace is not None
         assert err.value.step is not None
         assert err.value.trace.ns.size >= 1
+
+    @pytest.mark.parametrize("chunk", [0, -3])
+    def test_a_chunk_below_one_is_rejected(self, linear_problem, schedule, chunk):
+        # chunk 0 would never advance, and a negative one failed inside numpy
+        with pytest.raises(ValueError, match="chunk must be >= 1"):
+            simulate_batch(linear_problem, schedule, 10, base_seed=0, replications=2,
+                           chunk=chunk)
 
     def test_unknown_algorithm_rejected(self, linear_problem, schedule):
         with pytest.raises(ConfigError):
@@ -599,13 +607,13 @@ class TestNoiseStreams:
 
     @pytest.mark.parametrize("replications", [1, 64, 130])
     def test_innovations_are_each_draw_scaled_by_the_steps(self, replications):
-        # 130 replications fill two scratch groups of 64 and a tail of 2; one
-        # replication fills a second row by the two-row rule
+        # 130 replications fill two scratch groups of 64 and a tail of 2; the
+        # rows past the last replication, up to a multiple of 4, repeat the first
         p = random_problem(12, 12, seed=3)
         rng = np.random.default_rng(5)
         draws = rng.standard_normal((replications, 7, p.dim))
         s = rng.uniform(0.1, 1.0, (7, p.dim))
-        rows = max(replications, 2)
+        rows = replications + -replications % 4
         block = _Kernel(p).innovations(np.full((8, rows, p.dim), np.nan),
                                        lambda r, out: np.copyto(out, draws[r]), replications, s)
         assert np.isnan(block[0]).all()  # row 0 is left for the starting state
@@ -623,6 +631,13 @@ def random_problem(d, dp, seed):
         theta_star=rng.normal(size=d), mu_star=rng.normal(size=dp),
         noise=NoiseModel(cov=random_psd(rng, d + dp) + 0.1 * np.eye(d + dp)),
     )
+
+
+def with_quadratic_residual(p):
+    """``p`` with a small random quadratic_form residual."""
+    coeff = 0.05 * np.random.default_rng(6).normal(size=(p.dim,) * 3)
+    return replace(p, residual=NonlinearResidual(kind="quadratic_form", coeff_fast=coeff[: p.d],
+                                                 coeff_slow=coeff[p.d :]))
 
 
 def assert_same_paths(a, b):
@@ -653,7 +668,7 @@ class TestDeterminismContracts:
         # the gain product of each scratch group and the per-chunk bias rows
         # must not depend on where a chunk starts or how long it is; at 65
         # replications the last group is one replication, whose product at
-        # chunk 1 takes the two-row rule
+        # chunk 1 has one row
         p = replace(linear_problem, bias=BiasModel(
             kind="power_decay", coeff_fast=[0.5, -0.3], coeff_slow=[0.2, 0.4], rho=0.9))
         s = matricial_schedule(0.6)
@@ -666,15 +681,73 @@ class TestDeterminismContracts:
         for other in traces[1:]:
             assert_same_paths(traces[0], other)
 
-    @pytest.mark.parametrize("d, dp", [(1, 1), (2, 2), (3, 3), (4, 1), (12, 12)])
+    @pytest.mark.parametrize("d, dp", [(1, 1), (2, 2), (3, 3), (4, 1), (9, 9), (12, 12),
+                                       (13, 12)])
     def test_run_equals_replication_zero(self, d, dp, schedule):
-        p = random_problem(d, dp, seed=10 * d + dp)
+        # run takes four rows; batches of 2, 5, 64 and 70 take 4, 8, 64 and 72.
+        # random_problem(13, 12, 142) diverges within 700 steps
+        p = random_problem(d, dp, seed=3 if (d, dp) == (13, 12) else 10 * d + dp)
         trace = run(p, schedule, 700, seed=21, track_decomposition=True)
-        batch = simulate_batch(p, schedule, 700, base_seed=21, replications=4,
-                               track_decomposition=True)
-        assert_same_paths(trace, batch.replication(0))
-        for key, val in trace.decomposition.items():
-            np.testing.assert_array_equal(val, batch.decomposition[key][:, 0])
+        for replications in (2, 5, 64, 70):
+            batch = simulate_batch(p, schedule, 700, base_seed=21, replications=replications,
+                                   track_decomposition=True)
+            assert_same_paths(trace, batch.replication(0))
+            for key, val in trace.decomposition.items():
+                np.testing.assert_array_equal(val, batch.decomposition[key][:, 0])
+
+    @pytest.mark.parametrize("kind", ["quadratic_form", "matricial"])
+    def test_run_equals_replication_zero_at_9_plus_9(self, kind, schedule):
+        # the residual's products (z by its stacked tensor, rho by R_n) and the
+        # gain product of each scratch group; optimal_gains does not stabilize
+        # this problem, but (-H^-1, -Q22^-1) does
+        p, gains = random_problem(9, 9, seed=3), None
+        if kind == "matricial":
+            schedule = matricial_schedule(0.6)
+            gains = GainMatrices(fast=-invert(p.fast_matrix()), slow=-invert(p.q22))
+        else:
+            p = with_quadratic_residual(p)
+        trace = run(p, schedule, 300, seed=21, gains=gains)
+        for replications in (2, 5, 64, 70):
+            batch = simulate_batch(p, schedule, 300, base_seed=21, replications=replications,
+                                   gains=gains)
+            assert_same_paths(trace, batch.replication(0))
+
+    @pytest.mark.parametrize("d, dp", [(9, 9), (13, 12), (20, 20)])
+    def test_chunk_size_does_not_change_the_trace_at_any_dimension(self, d, dp, schedule):
+        # 299 steps leave a last chunk of 5 steps at chunk 7 and of 43 at 256
+        p = random_problem(d, dp, seed=3)
+        traces = [
+            simulate_batch(p, schedule, 300, base_seed=3, replications=3, chunk=chunk,
+                           checkpoints=np.arange(1, 301), track_decomposition=True)
+            for chunk in (1, 7, 256)
+        ]
+        for other in traces[1:]:
+            assert_same_paths(traces[0], other)
+            for key in DECOMP_KEYS:
+                np.testing.assert_array_equal(
+                    traces[0].decomposition[key], other.decomposition[key]
+                )
+
+    @pytest.mark.parametrize("d, track, residual", [(9, True, False), (18, False, False),
+                                                    (9, False, True)])
+    def test_a_batch_above_the_slab_bound_keeps_each_replication(self, d, track, residual,
+                                                                 schedule):
+        # 800 rows pass rows x m.size = 10^6 in the decomposition's 36-wide
+        # products at 9+9, in the step product at 18+18 and in the residual's
+        # product by its (18, 18^2) tensor at 9+9, so linalg.rows_dot splits
+        # them into slabs; a batch of 5 takes one product of 8 rows
+        p = random_problem(d, d, seed=3)
+        p = with_quadratic_residual(p) if residual else p
+        small, large = (
+            simulate_batch(p, schedule, 40, base_seed=7, replications=replications,
+                           checkpoints=np.arange(1, 41), track_decomposition=track)
+            for replications in (5, 800)
+        )
+        for r in range(5):
+            assert_same_paths(small.replication(r), large.replication(r))
+            for key in DECOMP_KEYS if track else ():
+                np.testing.assert_array_equal(small.decomposition[key][:, r],
+                                              large.decomposition[key][:, r])
 
     def test_running_sum_folds_at_the_same_indices_at_any_chunk(self, linear_problem, schedule):
         # the sum folds at n = 64, 128 and 192; chunks of 63, 64 and 65 steps put
@@ -743,13 +816,17 @@ class TestDeterminismContracts:
         assert noise.draw(replication_rng(8, 0), size, out=buf) is buf
         np.testing.assert_array_equal(buf, noise.draw(replication_rng(8, 0), size))
         assert np.isnan(scratch[[0, 2]]).all()
+        # a buffer that is not C-ordered takes the same bits
+        strided = np.full((*size, 2, linear_problem.dim), np.nan)[..., 0, :]
+        assert noise.draw(replication_rng(8, 0), size, out=strided) is strided
+        np.testing.assert_array_equal(strided, buf)
 
 
 class TestPerStepApi:
     @pytest.mark.parametrize("name", ["linear-2x2", "quadratic-2x2"])
     def test_chained_steps_equal_run(self, name, schedule):
         # step advances a tracked state through the batch's step loop, on
-        # the same two-row shapes and noise, so the paths agree bit for bit;
+        # the same four-row shapes and noise, so the paths agree bit for bit;
         # the norms are taken over differently shaped arrays and agree to
         # rounding
         p = library_problem(name)
@@ -892,6 +969,21 @@ class TestGuardFastPath:
             for scale in (1e6, 1e8, 2.5e8, 5e8, 1e9):
                 z = scale * rng.uniform(-1.0, 1.0, size=(5, 2))
                 assert kernel.first_diverged(z) == _first_diverged(z + x_star, 1)
+
+    def test_the_exact_path_allocates_one_block(self):
+        # a diverged chunk of 256 steps of 2000 replications: the exact guard
+        # takes |z + x*| in the one array z + x*, beside two per-row maxima
+        kernel = _Kernel(library_problem("linear-2x2"))
+        w = np.zeros((257, 2000, 4))
+        w[100, 7, 0] = 2e9
+        z = w[1:].reshape(-1, 4)
+        tracemalloc.start()
+        try:
+            assert kernel.first_diverged(z) == 99 * 2000 + 7
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= z.nbytes + 2 * len(z) * z.itemsize + 2**16
 
     def test_non_finite_rows_are_named(self):
         kernel = self.kernel([0.3], [-0.2])

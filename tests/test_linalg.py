@@ -324,3 +324,32 @@ class TestInvert:
     def test_singular_rejected(self):
         with pytest.raises(SingularMatrixError):
             linalg.invert([[1.0, 2.0], [2.0, 4.0]])
+
+
+class TestRowsDot:
+    # the row rule: each row of rows_dot(x, m) has the same bits at every row
+    # count and offset, so any run of rows of x gives those rows of the
+    # product; the counts cross 4-row boundaries and the slab bound
+    @pytest.mark.parametrize("dim, cols", [(2, 2), (4, 4), (9, 9), (18, 18), (25, 25), (40, 40),
+                                           (9, 81), (18, 324)])
+    def test_any_run_of_rows_is_those_rows_of_the_product(self, dim, cols):
+        rng = np.random.default_rng(dim + cols)
+        m = rng.normal(size=(dim, cols))
+        slab = linalg.SLAB_SIZE // m.size // linalg.ROW_ALIGN * linalg.ROW_ALIGN
+        x = rng.normal(size=(2 * slab + 9, dim))
+        full = linalg.rows_dot(x, m)
+        assert np.all(np.abs(full - x @ m) <= 1e-14 * (np.abs(x) @ np.abs(m)))
+        for k in (*range(1, 71), slab - 1, slab, slab + 1, 2 * slab + 3):
+            for start in (0, 1, 6):
+                np.testing.assert_array_equal(linalg.rows_dot(x[start : start + k], m),
+                                              full[start : start + k])
+            # the product a loop picks once for k rows
+            np.testing.assert_array_equal(linalg.row_product(k, m.size)(x[:k], m), full[:k])
+
+    @pytest.mark.parametrize("rows", [3, 8, 1001])
+    def test_writes_into_out(self, rows):
+        rng = np.random.default_rng(rows)
+        x, m = rng.normal(size=(rows, 40)), rng.normal(size=(40, 40))
+        for out in (np.empty((rows, 40)), np.empty((rows, 2, 40))[:, 0]):  # C-ordered or not
+            assert linalg.rows_dot(x, m, out) is out
+            np.testing.assert_array_equal(out, linalg.rows_dot(x, m))
