@@ -9,17 +9,21 @@ z = x - x* for the stacked iterate x = (theta, mu), one row per replication,
 shape (B, d+d'). In z the coupled recursion is affine, with matrices that
 depend on the step index alone, so one step is one table product
 
-    z_{n+1} = z_n A_n + u_n  [+ rho(z_n) R_n]  [+ c_n]
+    z_{n+1} = z_n A_n + gain(xi_{n+1} S_n)  [+ gain(rho(z_n) S_n)]  [+ gain(r_n S_n)]
 
-with A_n = I + Q^T G^T S_n and R_n = G^T S_n. Q = [[Q11, Q12], [Q21, Q22]] is
-the full Jacobian, G = blockdiag(A_fast, A_slow) for the matricial variant
-(the identity otherwise) and S_n = diag(beta_n 1_d, gamma_n 1_d') the
-per-component step; G and S_n commute. The innovation term
-u_n = (xi_{n+1} S_n) G^T is pre-scaled as the noise of a chunk is drawn, a
-scratch group of ``_GROUP`` replications at a time (``_Kernel.innovations``),
-the residual rho enters through R_n, and the bias row c_n = r_n R_n is added
-per step. ``simulate_batch`` builds A, R and c once per chunk of steps as
-stacked (span, ., .) tables; ``step`` builds one-step tables through the same
+with A_n = I + Q^T G^T S_n and gain(v) = v G^T. Q = [[Q11, Q12], [Q21, Q22]]
+is the full Jacobian, G = blockdiag(A_fast, A_slow) for the matricial
+variant (the identity otherwise, where gain(v) is v itself) and
+S_n = diag(beta_n 1_d, gamma_n 1_d') the per-component step; G and S_n
+commute. The steps and the gain multiply the whole observation, so the
+noise xi, the residual rho and the bias r enter through one gain map,
+``_Kernel.gain``, each already scaled by its steps. The innovation term
+u_n = gain(xi_{n+1} S_n) is pre-scaled as the noise of a chunk is drawn, a
+scratch group of ``_GROUP`` replications at a time
+(``_Kernel.innovations``); the residual's term is mapped on each step; and
+the bias row c_n = gain(r_n S_n) is added per step.
+``simulate_batch`` builds A and c once per chunk of steps, as stacked
+(span, ., .) tables; ``step`` builds one-step tables through the same
 code. Each (problem, gains) pair has one ``_Kernel``, built and its gains
 checked on first use, then kept on the problem (``_kernel``).
 A tracked run's decomposition tables T1 and T2 (``_Kernel``) are part of the
@@ -69,12 +73,11 @@ replications, ``step`` for one. It rounds the count up to a multiple of
 ``linalg.ROW_ALIGN`` = 4, the extra rows repeating row 0, and every product
 whose row count depends on the batch or the chunk goes through
 ``linalg.rows_dot``: the residual's product by its coefficient tensor
-(``NonlinearResidual``), the gain product of a scratch group and the noise
-model's factor product. The step loop's products (the step, the residual's
-product by R_n and both decomposition products) go through the
-``linalg.row_product`` of their shape, picked once per chunk. That is the row
-rule of ``linalg``: each row of such a product rounds alike at every row
-count.
+(``NonlinearResidual``), every product of the gain map and the noise
+model's factor product. The step loop's products (the step and both
+decomposition products) go through the ``linalg.row_product`` of their
+shape, picked once per chunk. That is the row rule of ``linalg``: each row
+of such a product rounds alike at every row count.
 
 The trace keeps the iterate's layout: a ``BatchTrace`` holds the checkpointed
 x = z + x* and its running average x_bar as (checkpoint, replication, d+d')
@@ -352,27 +355,27 @@ def _step_sizes(d: int, dp: int, beta: np.ndarray, gamma: np.ndarray) -> np.ndar
 class _StepTables:
     """The step of a chunk of indices, stacked on axis 0.
 
-    ``s`` holds the steps s_j as (span, dim) rows, ``a`` and ``r`` the
-    (span, dim, dim) tables A_j and R_j, and ``c`` the (span, dim) bias rows
-    c_j = r_j R_j, or None without a bias. ``t1`` and ``t2`` are the
-    (span, 2 dim, 2 dim) decomposition tables T1_j and T2_j of
-    ``_Kernel.tables``, or None when the run is not tracked.
+    ``s`` holds the steps s_j as (span, dim) rows, ``a`` the (span, dim, dim)
+    tables A_j, and ``c`` the (span, dim) bias rows c_j = gain(r_j S_j), or
+    None without a bias. ``t1`` and ``t2`` are the (span, 2 dim, 2 dim)
+    decomposition tables T1_j and T2_j of ``_Kernel.tables``, or None when
+    the run is not tracked.
     """
 
     s: np.ndarray
     a: np.ndarray
-    r: np.ndarray
     c: np.ndarray | None
     t1: np.ndarray | None = None
     t2: np.ndarray | None = None
 
 
 class _Kernel:
-    """The affine step z_{n+1} = z_n A_n + u_n + rho(z_n) R_n + c_n of one algorithm,
-    and the decomposition update that a tracked run takes with it.
+    """The affine step z_{n+1} = z_n A_n + u_n + gain(rho(z_n) S_n) + c_n of one
+    algorithm, and the decomposition update that a tracked run takes with it.
 
-    A and R are built entry by entry, and c and the gain product of u row by
-    row, so no step's entries depend on the chunk they are built in.
+    ``gain`` is the one gain map of the noise, the residual and the bias
+    (module docstring). A is built entry by entry, and every gain product
+    row by row, so no step's entries depend on the chunk they are built in.
 
     A decomposition row is (martingale, coupling), each in the (fast, slow)
     layout of z, so one update is  dec @ T1 + v @ T2  with v = (u, dx) the
@@ -386,9 +389,10 @@ class _Kernel:
 
     where E = blockdiag(exp(beta H), exp(gamma Q22)) and K = Q12 Q22^-1, the
     fast component's sensitivity to slow innovations. The coupling's slow
-    part consumes the pre-update fast parts. Two products of depth 2 dim
-    rather than one of depth 4 dim: BLAS rounds a row the same at any batch
-    size only for shallow products. H and K need Q22 invertible, so they are
+    part consumes the pre-update fast parts. It takes two products of depth
+    2 dim rather than one of depth 4 dim: the row rule would hold for either,
+    but merging them would move the decomposition's rounding, for no
+    measured gain. H and K need Q22 invertible, so they are
     built on the first tracked call, and an untracked run never needs it.
     That call also builds the ``linalg.exp_basis`` of H and of Q22 and keeps
     them, so each step's exp(beta H) and exp(gamma Q22) is
@@ -429,12 +433,11 @@ class _Kernel:
         s = _step_sizes(self.d, self.dp, beta, gamma)
         a = self.qgT * s[:, None, :]
         a += self.eye
-        r = (self.eye if self.gainT is None else self.gainT) * s[:, None, :]
         if biases is None and self.bias is not None:
             biases = np.stack([self.bias.values(m) for m in range(n, n + len(beta))])
-        c = None if biases is None else np.matmul(biases[:, None, :], r)[:, 0]
+        c = None if biases is None else self.gain(biases * s)
         if not track:
-            return _StepTables(s, a, r, c)
+            return _StepTables(s, a, c)
         p = self.problem
         if self.decomposition is None:
             self.decomposition = (
@@ -457,7 +460,13 @@ class _Kernel:
         t2[:, :dim, :dim] = self.eye
         t2[:, d:dim, :d] = -(b / g) * kT
         t2[:, dim + d :, dim : dim + d] = (b / g) * kT
-        return _StepTables(s, a, r, c, t1, t2)
+        return _StepTables(s, a, c, t1, t2)
+
+    def gain(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The gain map v G^T of (rows, dim) rows v, into ``out`` when given, by
+        one ``linalg.rows_dot``; without gains (G = I) it is v itself.
+        """
+        return v if self.gainT is None else linalg.rows_dot(v, self.gainT, out)
 
     def innovations(self, block: np.ndarray, fill, count: int, s: np.ndarray) -> np.ndarray:
         """Fill rows 1..span of the (span + 1, rows, dim) ``block`` with the
@@ -466,23 +475,21 @@ class _Kernel:
         ``fill(r, out)`` writes replication r's (span, dim) noise into ``out``,
         for r in range(count), and ``out`` is a slot of a scratch group of
         ``_GROUP`` replications. Each group is scaled by the steps ``s`` in one
-        call, takes the gain G^T of the matricial variant in one
-        ``linalg.rows_dot`` of depth dim, and is copied, transposed, into the
-        step-major block. Rows past the last replication repeat the first.
+        call, takes ``gain`` into a second scratch group, and is copied,
+        transposed, into the step-major block. Rows past the last
+        replication repeat the first.
         Row 0 is left for ``_Rows.advance``.
         """
         u = block[1:]
         span, _, dim = u.shape
-        group = np.empty((min(_GROUP, count), span, dim))
-        gained = None if self.gainT is None else np.empty_like(group)
+        group, gained = np.empty((2, min(_GROUP, count), span, dim))
         for lo in range(0, count, _GROUP):
             size = min(_GROUP, count - lo)
             for r in range(size):
                 fill(lo + r, group[r])
             g = group[:size]
             g *= s
-            if gained is not None:
-                g = linalg.rows_dot(g.reshape(-1, dim), self.gainT, gained[:size].reshape(-1, dim))
+            g = self.gain(g.reshape(-1, dim), gained[:size].reshape(-1, dim))
             u[:, lo : lo + size] = g.reshape(size, span, dim).transpose(1, 0, 2)
         u[:, count:] = u[:, :1]
         return block
@@ -562,11 +569,14 @@ class _Rows:
         only the step and, when tracked, the decomposition update, whose
         increment dx is row j + 1 minus row j. The row and table views, and
         the ``linalg.row_product`` of each product's shape, are made once per
-        chunk, so a step pays no call beyond its products. The guard then
-        makes one
-        ``first_diverged`` call over rows 1..span as one step-major list, so
-        the first row it flags, split by ``divmod``, is the first step that
-        holds a diverged row and the lowest replication within it. Steps
+        chunk, so a step pays no call beyond its products. A residual's term
+        rho S_j is written into the loop's scratch ``prod``, and its
+        ``_Kernel.gain`` into the scratch ``gained``, so the step allocates
+        no array for it and never modifies an array rho returns. The guard
+        then makes one ``first_diverged`` call over rows 1..span as one
+        step-major list, so the first row it flags, split by ``divmod``, is
+        the first step that holds a diverged row and the lowest replication
+        within it. Steps
         after a divergence are discarded, so rho may see a diverged row,
         under ``np.errstate``, but nothing it returns for one is kept.
 
@@ -579,10 +589,10 @@ class _Rows:
         guard flags, after recording the marks before it.
         """
         kernel, n0, span = self.kernel, self.n, len(w) - 1
-        residual, r, c = kernel.residual, tables.r, tables.c
+        residual, s, c = kernel.residual, tables.s, tables.c
         w[0] = self.z
         scratch = np.empty((2, *self.z.shape))
-        prod = scratch[0]
+        prod, gained = scratch
         lo, hi = marks.searchsorted((n0 + 1, n0 + span + 1))  # the chunk's marks
         dec, snaps = self.parts, {}
         if dec is not None:
@@ -599,7 +609,7 @@ class _Rows:
                     v[:, :dim] = out
                 out += dot(z, a[j], prod)  # u_j + z A_j, which rounds as z A_j + u_j
                 if residual is not None:
-                    out += dot(residual.evaluate(z), r[j])
+                    out += kernel.gain(np.multiply(residual.evaluate(z), s[j], out=prod), gained)
                 if c is not None:
                     out += c[j]
                 if dec is not None:

@@ -24,10 +24,13 @@ OpenBLAS 0.3.31 (DYNAMIC_ARCH, on an AVX-512 Xeon) a plain ``ndarray.dot`` by
 a C-ordered matrix m rounds a row alike at every position and row count that
 is a multiple of ``ROW_ALIGN`` = 4, as long as rows x m.size <= ``SLAB_SIZE``
 = 10^6, at one BLAS thread and at two; ``results/row_order.py`` checks this.
-So ``rows_dot`` pads x to a multiple of 4 rows when needed and splits it into
-slabs under that bound (Ahrens, Demmel and Nguyen, ACM TOMS 46(3), 2020, fix
-the order of a reduction the same way). ``row_product`` picks the product of
-the rule for one shape, so a loop of products of that shape picks it once.
+So ``rows_dot`` splits x into 4-row-aligned slabs under that bound, each
+written straight into one result, and takes the rows past the last whole
+block of four as the last rows of one more block of four, padded with the
+rows before them or, below four rows, with zero rows (Ahrens, Demmel and
+Nguyen, ACM TOMS 46(3), 2020, fix the order of a reduction the same way).
+``row_product`` picks the product of the rule for one shape, so a loop of
+products of that shape picks it once.
 """
 from __future__ import annotations
 
@@ -200,16 +203,24 @@ def rows_dot(x: np.ndarray, m: np.ndarray, out: np.ndarray | None = None) -> np.
     docstring).
 
     The result is written into ``out``, any array of rows x cols entries,
-    when it is given, and ``out`` is returned.
+    when it is given, and ``out`` is returned. Each slab is written straight
+    into the result: ``out`` itself when it is a C-ordered 2-d array, else
+    one fresh array. The rows past the last whole block of four take one
+    padded block of four (module docstring), the only allocation beyond the
+    result.
     """
     rows = len(x)
     direct = out is None or out.ndim == 2 and out.flags.c_contiguous  # ndarray.dot writes it
     if direct and row_product(rows, m.size) is np.ndarray.dot:
         return x.dot(m, out=out)
-    slab = max(SLAB_SIZE // m.size // ROW_ALIGN, 1) * ROW_ALIGN
-    x = np.concatenate([x, np.zeros((-rows % ROW_ALIGN, x.shape[1]))])
-    res = np.concatenate([x[lo : lo + slab].dot(m) for lo in range(0, rows, slab)])[:rows]
-    if out is not None:
+    res = out if direct and out is not None else np.empty((rows, m.shape[1]))
+    aligned, slab = rows - rows % ROW_ALIGN, max(SLAB_SIZE // m.size // ROW_ALIGN, 1) * ROW_ALIGN
+    for lo in range(0, aligned, slab):  # each slab straight into res
+        x[lo : min(lo + slab, aligned)].dot(m, out=res[lo : min(lo + slab, aligned)])
+    if aligned < rows:  # the rest, as the last rows of x's last four, or after zero rows
+        block = np.concatenate([np.zeros((max(ROW_ALIGN - rows, 0), x.shape[1])), x[-ROW_ALIGN:]])
+        res[aligned:] = block.dot(m)[aligned - rows :]
+    if out is not None and res is not out:
         out[...] = res.reshape(out.shape)
     return res if out is None else out
 

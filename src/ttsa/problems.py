@@ -132,11 +132,9 @@ class NoiseModel:
 
     def __post_init__(self):
         cov = linalg.as_square(np.asarray(self.cov, dtype=float), "noise covariance")
-        if linalg.frobenius(cov - cov.T) > 1e-12 * max(1.0, linalg.frobenius(cov)):
-            raise ValueError("noise covariance must be symmetric")
-        cov = 0.5 * (cov + cov.T)
         if not linalg.is_psd(cov):
-            raise ValueError("noise covariance must be positive semidefinite")
+            raise ValueError("noise covariance must be symmetric positive semidefinite")
+        cov = 0.5 * (cov + cov.T)
         if self.distribution not in (GAUSSIAN, BOUNDED_UNIFORM):
             raise ValueError(f"unknown noise distribution {self.distribution!r}")
         object.__setattr__(self, "cov", cov)

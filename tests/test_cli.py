@@ -556,10 +556,11 @@ class TestValidateCommand:
         assert cli.main(["validate", "--config", path]) == 1
         assert "A4(iii)" in capsys.readouterr().out
 
-    def test_noise_cov_within_the_psd_tolerance_runs_and_validates(self, tmp_path, capsys):
-        # -5e-10 is inside the tolerance 1e-10 ||Gamma||_F = 2e-9 of the one
-        # PSD rule, which the noise model and validate share
-        cov = "[[-5e-10, 0.0], [0.0, 20.0]]"
+    @pytest.mark.parametrize("cov", ["[[-5e-10, 0.0], [0.0, 20.0]]", "[[1.0, 5e-11], [0.0, 1.0]]"])
+    def test_noise_cov_within_the_psd_tolerance_runs_and_validates(self, tmp_path, capsys, cov):
+        # a negative eigenvalue of -5e-10 and an asymmetry of 5e-11 are inside
+        # the tolerance 1e-10 max(1, ||Gamma||_F) of the one rule for a noise
+        # covariance, linalg.is_psd, which the noise model and validate share
         text = CUSTOM_1X1.replace("[[1.0, 0.0], [0.0, 1.0]]", cov) + "run.n_final = 20\n"
         path = write_config(tmp_path, text)
         assert cli.main(["validate", "--config", path]) == 0

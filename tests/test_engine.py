@@ -186,6 +186,72 @@ class TestMatricialStep:
         assert len(calls) == 2
 
 
+class TestGainMap:
+    """The steps and the gain multiply the whole observation: the noise, the
+    residual and the bias each enter a step as gain(v S) = (v S) G^T."""
+
+    @staticmethod
+    def by_hand(p, schedule, state, xi, gT):
+        """One step of ``state`` by hand, on the four rows the step loop
+        advances: z A + gain(xi S) + gain(rho S) + gain(r S), added in the
+        loop's order."""
+        n, z = state.n, np.tile(state.z, (4, 1))
+        s = np.repeat([schedule.beta(n), schedule.gamma(n)], [p.d, p.d_prime])
+        q = np.block([[p.q11, p.q12], [p.q21, p.q22]])
+        a = q.T.copy() @ gT * s + np.eye(p.dim)
+
+        def gain(v):  # a row, tiled to a block of four rows
+            return np.tile(v, (4, 1)).dot(gT)
+
+        rho = p.residual.evaluate(z)
+        return (z.dot(a) + gain(xi * s) + (rho * s).dot(gT) + gain(p.bias.values(n) * s))[0]
+
+    def test_a_matricial_step_maps_each_term(self):
+        # each step of a chained path from a far start; a term's rounding
+        # shows in the sum only on some steps, so one step would not tell
+        p = replace(library_problem("quadratic-2x2"), bias=BiasModel(
+            kind="power_decay", coeff_fast=[0.5, -0.3], coeff_slow=[0.2, 0.4], rho=0.8))
+        s, gains = matricial_schedule(0.6), optimal_gains(p)
+        gT = np.block([[gains.fast, np.zeros((2, 2))], [np.zeros((2, 2)), gains.slow]]).T.copy()
+        state = initial_state(p, theta0=[2.0, -1.5], mu0=[1.8, 1.0])
+        for xi in np.random.default_rng(3).normal(size=(40, 4)):
+            new = step(p, s, state, (xi[:2], xi[2:]), gains=gains)
+            np.testing.assert_array_equal(new.z, self.by_hand(p, s, state, xi, gT))
+            state = new
+
+    @pytest.mark.parametrize("name", ["quadratic-2x2", "9+9"])
+    def test_without_gains_the_residual_term_is_rho_times_the_steps(self, name, schedule):
+        p = (library_problem(name) if name != "9+9"
+             else with_quadratic_residual(random_problem(9, 9, seed=3)))
+        state = replace(initial_state(p), n=7)
+        new = step(p, schedule, state, zero_noise(p))
+        z = np.tile(state.z, (4, 1))
+        s = np.repeat([schedule.beta(7), schedule.gamma(7)], [p.d, p.d_prime])
+        a = np.block([[p.q11, p.q12], [p.q21, p.q22]]).T * s + np.eye(p.dim)
+        rho = p.residual.evaluate(z)
+        np.testing.assert_array_equal(new.z, (z.dot(a) + rho * s)[0])
+        # and rho diag(S): each entry of that product has one nonzero term
+        np.testing.assert_array_equal(rho * s, rho.dot(np.diag(s)))
+        assert engine._kernel(p).gain(rho) is rho
+
+    @pytest.mark.parametrize("matricial", [False, True])
+    def test_an_array_the_residual_returns_is_not_modified(self, linear_problem, schedule,
+                                                           matricial):
+        returned = []
+
+        def fn(z):
+            rho = 0.01 * z
+            returned.append((rho, rho.copy()))
+            return rho
+
+        p = replace(linear_problem, residual=NonlinearResidual(kind="custom", custom_fn=fn))
+        s, gains = (matricial_schedule(0.6), optimal_gains(p)) if matricial else (schedule, None)
+        simulate_batch(p, s, 20, base_seed=1, replications=3, gains=gains)
+        assert len(returned) == 19
+        for rho, copy in returned:
+            np.testing.assert_array_equal(rho, copy)
+
+
 class TestOptimalGains:
     def test_negated_identity(self):
         p = scalar_spec(-1.0, 0.0, 0.0, -1.0)
@@ -695,21 +761,26 @@ class TestDeterminismContracts:
             for key, val in trace.decomposition.items():
                 np.testing.assert_array_equal(val, batch.decomposition[key][:, 0])
 
-    @pytest.mark.parametrize("kind", ["quadratic_form", "matricial"])
+    @pytest.mark.parametrize("kind", ["quadratic_form", "matricial", "matricial_residual_bias"])
     def test_run_equals_replication_zero_at_9_plus_9(self, kind, schedule):
-        # the residual's products (z by its stacked tensor, rho by R_n) and the
-        # gain product of each scratch group; optimal_gains does not stabilize
-        # this problem, but (-H^-1, -Q22^-1) does
+        # the residual's product by its stacked tensor and every product of
+        # the gain map: of each scratch group, of the bias rows and of the
+        # residual's term on each step; optimal_gains does not stabilize this
+        # problem, but (-H^-1, -Q22^-1) does
         p, gains = random_problem(9, 9, seed=3), None
-        if kind == "matricial":
+        if kind != "quadratic_form":
             schedule = matricial_schedule(0.6)
             gains = GainMatrices(fast=-invert(p.fast_matrix()), slow=-invert(p.q22))
-        else:
+        if kind != "matricial":
             p = with_quadratic_residual(p)
-        trace = run(p, schedule, 300, seed=21, gains=gains)
-        for replications in (2, 5, 64, 70):
+        if kind == "matricial_residual_bias":
+            p = replace(p, bias=BiasModel(kind="power_decay", coeff_fast=np.full(9, 0.5),
+                                          coeff_slow=np.full(9, -0.5), rho=0.8))
+        every = np.arange(1, 301)
+        trace = run(p, schedule, 300, seed=21, gains=gains, checkpoints=every)
+        for replications, chunk in ((2, 256), (5, 256), (64, 256), (70, 256), (5, 1), (5, 7)):
             batch = simulate_batch(p, schedule, 300, base_seed=21, replications=replications,
-                                   gains=gains)
+                                   gains=gains, chunk=chunk, checkpoints=every)
             assert_same_paths(trace, batch.replication(0))
 
     @pytest.mark.parametrize("d, dp", [(9, 9), (13, 12), (20, 20)])

@@ -1,5 +1,6 @@
 import bisect
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -353,3 +354,18 @@ class TestRowsDot:
         for out in (np.empty((rows, 40)), np.empty((rows, 2, 40))[:, 0]):  # C-ordered or not
             assert linalg.rows_dot(x, m, out) is out
             np.testing.assert_array_equal(out, linalg.rows_dot(x, m))
+
+    @pytest.mark.parametrize("rows", [800, 803])
+    def test_a_product_above_the_bound_allocates_at_most_one_block(self, rows):
+        # 800 x 36^2 passes SLAB_SIZE: each slab goes straight into out, and
+        # the 3 rows past the last whole block of four take one padded block
+        rng = np.random.default_rng(rows)
+        x, m = rng.normal(size=(rows, 36)), rng.normal(size=(36, 36))
+        out = np.empty((rows, 36))
+        tracemalloc.start()
+        try:
+            assert linalg.rows_dot(x, m, out) is out
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * (x.shape[1] + m.shape[1]) * x.itemsize + 2**10  # a block and its product

@@ -131,8 +131,16 @@ class TestNoiseCovariances:
         assert noise.draw(np.random.default_rng(0), (4,)).shape == (4, 2)
 
     def test_asymmetric_cov_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="symmetric positive semidefinite"):
             NoiseModel(cov=[[1.0, 0.5], [0.0, 1.0]])
+
+    def test_asymmetry_within_the_tolerance_of_is_psd_is_accepted(self):
+        # 5e-11 is inside is_psd's 1e-10 max(1, ||Gamma||_F), the one rule for
+        # a noise covariance; the covariance kept is the symmetric part
+        cov = np.eye(4)
+        cov[0, 1] = 5e-11
+        assert linalg.is_psd(cov)
+        np.testing.assert_array_equal(NoiseModel(cov=cov).cov, 0.5 * (cov + cov.T))
 
     def test_indefinite_cov_rejected(self):
         with pytest.raises(ValueError):
