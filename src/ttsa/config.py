@@ -110,6 +110,7 @@ def _render(value) -> str:
     return json.dumps(value)
 
 
+# a default that a model field also holds is read from that field
 @dataclass
 class ExperimentConfig:
     problem_name: str = "linear-2x2"
@@ -120,16 +121,16 @@ class ExperimentConfig:
     problem_q21: list | None = None
     problem_q22: list | None = None
     problem_noise_cov: list | None = None
-    problem_noise: str = GAUSSIAN
-    problem_moment_order: float = math.inf
-    problem_bias: str = "zero"
-    problem_bias_rho: float = 1.0
+    problem_noise: str = NoiseModel.distribution
+    problem_moment_order: float = NoiseModel.moment_order
+    problem_bias: str = BiasModel.kind
+    problem_bias_rho: float = BiasModel.rho
     problem_bias_coeff_fast: list | None = None
     problem_bias_coeff_slow: list | None = None
-    problem_residual: str = "none"
+    problem_residual: str = NonlinearResidual.kind
     problem_residual_coeff_fast: list | None = None
     problem_residual_coeff_slow: list | None = None
-    problem_residual_clamp: float = 10.0
+    problem_residual_clamp: float = NonlinearResidual.clamp_radius
 
     step_a: float = 0.6
     step_b: float = 0.8
@@ -140,16 +141,16 @@ class ExperimentConfig:
     run_n_final: int = 100000
     run_seed: int = 20240701
     run_algorithm: str = "standard"
-    run_track_decomposition: bool = False
+    run_track_decomposition: bool = MCConfig.track_decomposition
     run_theta0_offset: list | None = None
     run_mu0_offset: list | None = None
     run_checkpoints_per_decade: int = 8
 
     mc_replications: int = 2000
     mc_base_seed: int = 20240701
-    mc_tol_rel: float = 0.15
-    mc_tol_cross: float = 0.10
-    mc_checks: tuple = ("clt",)
+    mc_tol_rel: float = MCConfig.tol_rel
+    mc_tol_cross: float = MCConfig.tol_cross
+    mc_checks: tuple = MCConfig.checks
     mc_dump_samples: bool = False
 
     output_directory: str = ""

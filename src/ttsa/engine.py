@@ -134,6 +134,8 @@ def checkpoint_indices(n_final: int, per_decade: int = 8) -> np.ndarray:
     """Geometric checkpoint grid from 1 to n_final, final index included."""
     if n_final < 1:
         raise ValueError("n_final must be >= 1")
+    if not isinstance(per_decade, (int, np.integer)) or per_decade < 1:
+        raise ValueError(f"per_decade must be an integer >= 1, got {per_decade!r}")
     exps = np.arange(0, per_decade * math.ceil(math.log10(max(n_final, 2))) + 1)
     grid = np.rint(10.0 ** (exps / per_decade)).astype(int)
     # the rounded grid never decreases, so a zero step marks a repeat;

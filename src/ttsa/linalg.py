@@ -23,12 +23,13 @@ one row runs as a matrix-vector kernel, a row count that is not a multiple of
 OpenBLAS 0.3.31 (DYNAMIC_ARCH, on an AVX-512 Xeon) a plain ``ndarray.dot`` by
 a C-ordered matrix m rounds a row alike at every position and row count that
 is a multiple of ``ROW_ALIGN`` = 4, as long as rows x m.size <= ``SLAB_SIZE``
-= 10^6, at one BLAS thread and at two; ``results/row_order.py`` checks this.
-So ``rows_dot`` splits x into 4-row-aligned slabs under that bound, each
-written straight into one result, and takes the rows past the last whole
-block of four as the last rows of one more block of four, padded with the
-rows before them or, below four rows, with zero rows (Ahrens, Demmel and
-Nguyen, ACM TOMS 46(3), 2020, fix the order of a reduction the same way).
+= 10^6, at one BLAS thread and at two; ``TestRowsDot`` in
+``tests/test_linalg.py`` checks this at every dim from 2 to 64. So
+``rows_dot`` splits x into 4-row-aligned slabs under that bound, each written
+straight into one result, and takes the rows past the last whole block of
+four as the last rows of one more block of four, padded with the rows before
+them or, below four rows, with zero rows (Ahrens, Demmel and Nguyen, ACM TOMS
+46(3), 2020, fix the order of a reduction the same way).
 ``row_product`` picks the product of the rule for one shape, so a loop of
 products of that shape picks it once.
 """

@@ -53,9 +53,18 @@ class MCConfig:
             raise ValueError("need at least 2 replications")
         if self.n_final < 1:
             raise ValueError("n_final must be >= 1")
+        if self.base_seed < 0:  # a seed of numpy's SeedSequence
+            raise ValueError(f"base_seed must be non-negative, got {self.base_seed}")
+        # an infinite tolerance passes every gate, and a NaN one fails every gate
+        for name in ("tol_rel", "tol_cross"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
         unknown = set(self.checks) - set(KNOWN_CHECKS)
         if unknown:
             raise ConfigError(f"unknown checks: {sorted(unknown)}")
+        repeated = sorted({c for c in self.checks if self.checks.count(c) > 1})
+        if repeated:  # each check writes one verdict
+            raise ConfigError(f"repeated checks: {repeated}")
         if "negligibility" in self.checks and not self.track_decomposition:
             raise ConfigError("the negligibility check needs track_decomposition = True")
 

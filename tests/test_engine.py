@@ -186,6 +186,7 @@ class TestMatricialStep:
         assert len(calls) == 2
 
 
+@pytest.mark.bitwise
 class TestGainMap:
     """The steps and the gain multiply the whole observation: the noise, the
     residual and the bias each enter a step as gain(v S) = (v S) G^T."""
@@ -614,6 +615,11 @@ class TestCheckpointGrid:
         grid = checkpoint_indices(10**4, per_decade=8)
         assert 30 <= grid.size <= 36
 
+    @pytest.mark.parametrize("per_decade", [0, -3, 2.5])
+    def test_per_decade_must_be_an_integer_of_at_least_one(self, per_decade):
+        with pytest.raises(ValueError, match="per_decade must be an integer >= 1"):
+            checkpoint_indices(1000, per_decade)
+
     def test_equals_the_np_unique_grid(self):
         def reference(n_final, per_decade):
             exps = np.arange(0, per_decade * math.ceil(math.log10(max(n_final, 2))) + 1)
@@ -711,6 +717,7 @@ def assert_same_paths(a, b):
         np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
 
+@pytest.mark.bitwise
 class TestDeterminismContracts:
     def test_chunk_size_does_not_change_the_trace(self, linear_problem, schedule):
         # 3585 steps leave a last chunk of one step at chunk sizes 7, 256 and
@@ -894,6 +901,7 @@ class TestDeterminismContracts:
 
 
 class TestPerStepApi:
+    @pytest.mark.bitwise
     @pytest.mark.parametrize("name", ["linear-2x2", "quadratic-2x2"])
     def test_chained_steps_equal_run(self, name, schedule):
         # step advances a tracked state through the batch's step loop, on
@@ -932,6 +940,7 @@ class TestPerStepApi:
         for key, got in norms.items():
             np.testing.assert_allclose(got, trace.decomposition[key], rtol=1e-14, atol=0)
 
+    @pytest.mark.bitwise
     @pytest.mark.parametrize("name", ["linear-2x2", "quadratic-2x2"])
     def test_chained_steps_equal_run_matricial(self, name, schedule):
         # the matricial variant is step with its schedule and gains, so it
@@ -1083,6 +1092,7 @@ class TestGuardFastPath:
             assert (err.value.step, err.value.replication) == (2, 0)
 
 
+@pytest.mark.bitwise
 class TestDivergenceAcrossChunks:
     # z starts at 0 (the start is the root) and grows by 1 + 20 beta_n per
     # step, so it is linear in the noise scale; sigma puts the first crossing

@@ -327,25 +327,32 @@ class TestInvert:
             linalg.invert([[1.0, 2.0], [2.0, 4.0]])
 
 
+@pytest.mark.bitwise
 class TestRowsDot:
     # the row rule: each row of rows_dot(x, m) has the same bits at every row
     # count and offset, so any run of rows of x gives those rows of the
-    # product; the counts cross 4-row boundaries and the slab bound
-    @pytest.mark.parametrize("dim, cols", [(2, 2), (4, 4), (9, 9), (18, 18), (25, 25), (40, 40),
-                                           (9, 81), (18, 324)])
+    # product; at every dim from 2 to 64, square and residual-shaped (dim,
+    # dim^2) operands, the counts cross 4-row boundaries and the slab bound
+    @pytest.mark.parametrize("dim, cols", [(d, c) for d in range(2, 65) for c in (d, d * d)])
     def test_any_run_of_rows_is_those_rows_of_the_product(self, dim, cols):
         rng = np.random.default_rng(dim + cols)
         m = rng.normal(size=(dim, cols))
-        slab = linalg.SLAB_SIZE // m.size // linalg.ROW_ALIGN * linalg.ROW_ALIGN
-        x = rng.normal(size=(2 * slab + 9, dim))
+        slab = max(linalg.SLAB_SIZE // m.size // linalg.ROW_ALIGN, 1) * linalg.ROW_ALIGN
+        x = rng.normal(size=(max(2 * slab, 70) + 12, dim))
         full = linalg.rows_dot(x, m)
         assert np.all(np.abs(full - x @ m) <= 1e-14 * (np.abs(x) @ np.abs(m)))
-        for k in (*range(1, 71), slab - 1, slab, slab + 1, 2 * slab + 3):
-            for start in (0, 1, 6):
-                np.testing.assert_array_equal(linalg.rows_dot(x[start : start + k], m),
-                                              full[start : start + k])
-            # the product a loop picks once for k rows
-            np.testing.assert_array_equal(linalg.row_product(k, m.size)(x[:k], m), full[:k])
+        spread = np.geomspace(71, max(2 * slab + 6, 71), 24).astype(int).tolist()
+        counts = {*range(1, 71), *spread, slab - 1, slab, slab + 1, 2 * slab + 3}
+        bad = [(k, start) for k in sorted(counts) for start in (0, 1, 6)
+               if not np.array_equal(linalg.rows_dot(x[start : start + k], m),
+                                     full[start : start + k])]
+        # the product a loop picks once for k rows
+        bad += [(k, "row_product") for k in sorted(counts)
+                if not np.array_equal(linalg.row_product(k, m.size)(x[:k], m), full[:k])]
+        assert not bad, (
+            "the row rule does not hold with this BLAS: rows_dot rounds a row of a "
+            f"({dim}, {cols}) product differently at (row count, offset) {bad[:10]}, so the "
+            "determinism contracts (batch size, chunk size, run = replication 0) can fail")
 
     @pytest.mark.parametrize("rows", [3, 8, 1001])
     def test_writes_into_out(self, rows):

@@ -330,6 +330,7 @@ class TestRunMonteCarlo:
         assert exc.step < 50
         assert report.curves["n"].size == 0
 
+    @pytest.mark.bitwise
     def test_divergence_record_holds_the_last_finite_state(self, schedule):
         report, exc = self._divergent_report(schedule)
         div = report.divergence
@@ -377,6 +378,21 @@ class TestRunMonteCarlo:
     def test_negligibility_without_tracking_rejected(self):
         with pytest.raises(ConfigError, match="track_decomposition"):
             MCConfig(replications=2, n_final=10, base_seed=0, checks=("negligibility",))
+
+    @pytest.mark.parametrize("name, value", [("tol_rel", math.inf), ("tol_rel", math.nan),
+                                             ("tol_cross", -1.0), ("tol_cross", 0.0)])
+    def test_a_tolerance_that_decides_no_gate_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+            MCConfig(replications=2, n_final=10, base_seed=0, **{name: value})
+
+    def test_negative_base_seed_rejected(self):
+        with pytest.raises(ValueError, match="base_seed must be non-negative"):
+            MCConfig(replications=2, n_final=10, base_seed=-1)
+
+    def test_repeated_check_rejected(self):
+        # each check writes one verdict, so verdicts match checks one to one
+        with pytest.raises(ConfigError, match="repeated checks"):
+            MCConfig(replications=2, n_final=10, base_seed=0, checks=("slopes", "slopes"))
 
     def test_kurtosis_diagnostic_soft(self, linear_problem, schedule):
         mc = MCConfig(replications=64, n_final=200, base_seed=3, checks=())
