@@ -16,6 +16,11 @@ provenance, so the echo is the experiment that ran.
 
 Matrix- and vector-valued keys take JSON arrays, e.g.
 ``problem.q11 = [[-1.3, 0.4], [-0.3, -1.1]]``.
+
+The schedule rules (A3) live in ``StepSchedule`` and the Monte Carlo rules in
+``MCConfig``: parsing checks the keys that set their fields by building both
+(``_build``), and a field a model rejects is the error ``<key>: <the model's
+message>``, naming the key that set it.
 """
 from __future__ import annotations
 
@@ -31,11 +36,13 @@ from .engine import (
     _initial_iterate, checkpoint_indices, matricial_schedule, resolve_algorithm,
 )
 from .errors import ConfigError
-from .montecarlo import KNOWN_CHECKS, MCConfig
+from .montecarlo import MCConfig
 from .problems import (
+    BIAS_KINDS,
     BOUNDED_UNIFORM,
     GAUSSIAN,
     LIBRARY_NAMES,
+    RESIDUAL_KINDS,
     BiasModel,
     NoiseModel,
     NonlinearResidual,
@@ -232,10 +239,7 @@ def _defaults(config: ExperimentConfig) -> ExperimentConfig:
         overlay.update(problem_residual=residual.kind,
                        problem_residual_clamp=residual.clamp_radius)
     if config.run_algorithm == MATRICIAL:
-        try:
-            schedule = matricial_schedule(config.step_a)
-        except ValueError as exc:
-            raise ConfigError(f"run.algorithm = {MATRICIAL}: {exc}", key="step.a") from exc
+        schedule = _build(matricial_schedule, {"a": "step.a"}, config)
         overlay.update(step_beta0=schedule.beta0, step_b=schedule.b,
                        step_gamma0=schedule.gamma0, step_regime=schedule.regime)
     return replace(ExperimentConfig(), **overlay)
@@ -245,8 +249,8 @@ def _defaults(config: ExperimentConfig) -> ExperimentConfig:
 _CHOICES = {
     "problem.name": (*LIBRARY_NAMES, "custom"),
     "problem.noise": (GAUSSIAN, BOUNDED_UNIFORM),
-    "problem.bias": ("zero", "power_decay"),
-    "problem.residual": ("none", "quadratic_form"),
+    "problem.bias": BIAS_KINDS,
+    "problem.residual": RESIDUAL_KINDS,
     "step.regime": REGIMES,
     "run.algorithm": ALGORITHMS,
 }
@@ -294,49 +298,22 @@ def _validate(config: ExperimentConfig, defaults: ExperimentConfig) -> None:
                     f"when {cond} = {' or '.join(values)}, so its inline value would be ignored",
                     key=key,
                 )
-    a, b = config.step_a, config.step_b
-    if not (0.0 < a <= 1.0) or not (0.0 < b <= 1.0):
-        raise ConfigError(
-            f"step exponents out of range: need 1/2 < a < b <= 1 (A3); "
-            f"got a={a}, b={b}",
-            key="step.b" if not (0.0 < b <= 1.0) else "step.a",
-        )
-    if not (0.5 < a < b):
-        raise ConfigError(
-            f"step exponent ordering violated: need 1/2 < a < b (A3); got a={a}, b={b}",
-            key="step.a",
-        )
+    _build(StepSchedule, _SCHEDULE_KEYS, config)
     if config.run_algorithm == MATRICIAL and config.run_track_decomposition:
         raise ConfigError(
             "run.track_decomposition: decomposition tracking applies to the plain "
             "iteration only, not to run.algorithm = matricial",
             key="run.track_decomposition",
         )
-    if "negligibility" in config.mc_checks and not config.run_track_decomposition:
-        raise ConfigError(
-            "run.track_decomposition: mc.checks = negligibility reads the tracked "
-            "decomposition, so it needs run.track_decomposition = true",
-            key="run.track_decomposition",
-        )
-    # each key must exceed its bound: the counts, and the step scales (A3),
-    # bias decay rate (A4), clamp radius and tolerances, which are positive
-    bounds = {
-        "run.n_final": 0, "run.checkpoints_per_decade": 0, "mc.replications": 1,
-        "step.beta0": 0.0, "step.gamma0": 0.0, "problem.bias_rho": 0.0,
-        "problem.residual_clamp": 0.0, "mc.tol_rel": 0.0, "mc.tol_cross": 0.0,
-    }
-    for key, bound in bounds.items():
-        value = _value(config, key)
-        if not value > bound:
-            raise ConfigError(f"{key} must be greater than {bound}, got {value}", key=key)
-    # an infinite step scale overflows the steps, and an infinite tolerance
-    # passes every gate; an infinite moment order or clamp radius means none
-    for key in ("step.beta0", "step.gamma0", "mc.tol_rel", "mc.tol_cross"):
-        if not math.isfinite(_value(config, key)):
-            raise ConfigError(f"{key} must be finite, got {_value(config, key)}", key=key)
-    for key in ("run.seed", "mc.base_seed"):  # seeds of numpy's SeedSequence
-        if _value(config, key) < 0:
-            raise ConfigError(f"{key} must be non-negative, got {_value(config, key)}", key=key)
+    _build(MCConfig, _MC_KEYS, config)
+    # keys whose models need the grid or the problem: each must exceed its bound
+    for key, bound in (("run.checkpoints_per_decade", 0), ("problem.bias_rho", 0.0),
+                       ("problem.residual_clamp", 0.0)):
+        if not _value(config, key) > bound:
+            raise ConfigError(f"{key} must be greater than {bound}, got {_value(config, key)}",
+                              key=key)
+    if config.run_seed < 0:  # a seed of numpy's SeedSequence
+        raise ConfigError(f"run.seed must be non-negative, got {config.run_seed}", key="run.seed")
     # later rows first, so missing coefficients name their kind, not problem.name
     for cond, _, keys in reversed(_READ_WHEN):
         needed = [key for key in keys if key not in unread and _value(defaults, key) is None]
@@ -344,13 +321,24 @@ def _validate(config: ExperimentConfig, defaults: ExperimentConfig) -> None:
             *rest, last = needed
             listed = f"{', '.join(rest)} and {last}" if rest else last
             raise ConfigError(f"{cond} = {_value(config, cond)} requires {listed}", key=cond)
-    unknown = set(config.mc_checks) - set(KNOWN_CHECKS)
-    if unknown:
-        raise ConfigError(f"unknown mc.checks entries: {sorted(unknown)}", key="mc.checks")
-    repeated = sorted({c for c in config.mc_checks if config.mc_checks.count(c) > 1})
-    if repeated:
-        # each check writes one verdict, so verdicts match checks one to one
-        raise ConfigError(f"repeated mc.checks entries: {repeated}", key="mc.checks")
+
+
+# the key that sets each field of a model, which a rejection of the field names
+_SCHEDULE_KEYS = {name: f"step.{name}" for name in ("beta0", "b", "gamma0", "a", "regime")}
+_MC_KEYS = {
+    "replications": "mc.replications", "n_final": "run.n_final", "base_seed": "mc.base_seed",
+    "tol_rel": "mc.tol_rel", "tol_cross": "mc.tol_cross",
+    "track_decomposition": "run.track_decomposition", "checks": "mc.checks",
+}
+
+
+def _build(model, keys: dict[str, str], config: ExperimentConfig, **extra):
+    """``model`` built from the keys ``keys`` maps its fields to, and ``extra``."""
+    try:
+        return model(**{name: _value(config, key) for name, key in keys.items()}, **extra)
+    except ConfigError as exc:
+        key = keys[exc.key]
+        raise ConfigError(f"{key}: {exc}", key=key) from exc
 
 
 def render_config(config: ExperimentConfig) -> str:
@@ -374,8 +362,7 @@ def build_experiment(config: ExperimentConfig):
     raises names a key.
     """
     problem = build_problem(config)
-    schedule = StepSchedule(beta0=config.step_beta0, b=config.step_b,
-                            gamma0=config.step_gamma0, a=config.step_a, regime=config.step_regime)
+    schedule = _build(StepSchedule, _SCHEDULE_KEYS, config)
     try:
         resolved = resolve_algorithm(problem, schedule, config.run_algorithm)
     except ConfigError as exc:
@@ -384,12 +371,8 @@ def build_experiment(config: ExperimentConfig):
         ) from exc
     theta0, mu0 = _start(config, problem)
     grid = checkpoint_indices(config.run_n_final, config.run_checkpoints_per_decade)
-    mc = MCConfig(
-        replications=config.mc_replications, n_final=config.run_n_final,
-        base_seed=config.mc_base_seed, tol_rel=config.mc_tol_rel, tol_cross=config.mc_tol_cross,
-        track_decomposition=config.run_track_decomposition, checks=config.mc_checks,
-        theta0=theta0, mu0=mu0, checkpoints=tuple(int(n) for n in grid),
-    )
+    mc = _build(MCConfig, _MC_KEYS, config, theta0=theta0, mu0=mu0,
+                checkpoints=tuple(int(n) for n in grid))
     return problem, resolved, mc
 
 

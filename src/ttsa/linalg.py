@@ -206,21 +206,27 @@ def rows_dot(x: np.ndarray, m: np.ndarray, out: np.ndarray | None = None) -> np.
     The result is written into ``out``, any array of rows x cols entries,
     when it is given, and ``out`` is returned. Each slab is written straight
     into the result: ``out`` itself when it is a C-ordered 2-d array, else
-    one fresh array. The rows past the last whole block of four take one
-    padded block of four (module docstring), the only allocation beyond the
-    result.
+    one fresh array. The rows past the last whole block of four are the last
+    rows of one more product of four rows (module docstring): of x's last
+    four, written straight into the result's last four, or below four rows of
+    one zero-padded block, whose product holds the result.
     """
     rows = len(x)
     direct = out is None or out.ndim == 2 and out.flags.c_contiguous  # ndarray.dot writes it
     if direct and row_product(rows, m.size) is np.ndarray.dot:
         return x.dot(m, out=out)
-    res = out if direct and out is not None else np.empty((rows, m.shape[1]))
-    aligned, slab = rows - rows % ROW_ALIGN, max(SLAB_SIZE // m.size // ROW_ALIGN, 1) * ROW_ALIGN
-    for lo in range(0, aligned, slab):  # each slab straight into res
-        x[lo : min(lo + slab, aligned)].dot(m, out=res[lo : min(lo + slab, aligned)])
-    if aligned < rows:  # the rest, as the last rows of x's last four, or after zero rows
-        block = np.concatenate([np.zeros((max(ROW_ALIGN - rows, 0), x.shape[1])), x[-ROW_ALIGN:]])
-        res[aligned:] = block.dot(m)[aligned - rows :]
+    if rows < ROW_ALIGN:  # the last rows of one block of four, after zero rows
+        block = np.zeros((ROW_ALIGN, x.shape[1]))
+        block[ROW_ALIGN - rows :] = x
+        res = block.dot(m)[ROW_ALIGN - rows :]
+    else:
+        res = out if direct and out is not None else np.empty((rows, m.shape[1]))
+        aligned = rows - rows % ROW_ALIGN
+        slab = max(SLAB_SIZE // m.size // ROW_ALIGN, 1) * ROW_ALIGN
+        for lo in range(0, aligned, slab):  # each slab straight into res
+            x[lo : min(lo + slab, aligned)].dot(m, out=res[lo : min(lo + slab, aligned)])
+        if aligned < rows:  # the rest: x's last four, rewriting the rows before them alike
+            x[-ROW_ALIGN:].dot(m, out=res[-ROW_ALIGN:])
     if out is not None and res is not out:
         out[...] = res.reshape(out.shape)
     return res if out is None else out

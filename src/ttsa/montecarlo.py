@@ -48,25 +48,26 @@ class MCConfig:
     mu0: np.ndarray | None = None
     checkpoints: tuple | None = None
 
-    def __post_init__(self):
-        if self.replications < 2:
-            raise ValueError("need at least 2 replications")
-        if self.n_final < 1:
-            raise ValueError("n_final must be >= 1")
-        if self.base_seed < 0:  # a seed of numpy's SeedSequence
-            raise ValueError(f"base_seed must be non-negative, got {self.base_seed}")
+    def __post_init__(self):  # a rejection names its field
+        if "negligibility" in self.checks and not self.track_decomposition:
+            raise ConfigError("the negligibility check reads the tracked decomposition, so it "
+                              "needs track_decomposition = True", key="track_decomposition")
+        for name, low, rule in (("n_final", 1, ">= 1"), ("replications", 2, "at least 2"),
+                                ("base_seed", 0, "non-negative")):  # counts, and a seed
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or value < low:
+                raise ConfigError(f"{name} must be {rule} and integral, got {value!r}", key=name)
         # an infinite tolerance passes every gate, and a NaN one fails every gate
         for name in ("tol_rel", "tol_cross"):
             if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
+                raise ConfigError(f"{name} must be positive and finite, "
+                                  f"got {getattr(self, name)}", key=name)
         unknown = set(self.checks) - set(KNOWN_CHECKS)
         if unknown:
-            raise ConfigError(f"unknown checks: {sorted(unknown)}")
+            raise ConfigError(f"unknown checks: {sorted(unknown)}", key="checks")
         repeated = sorted({c for c in self.checks if self.checks.count(c) > 1})
         if repeated:  # each check writes one verdict
-            raise ConfigError(f"repeated checks: {repeated}")
-        if "negligibility" in self.checks and not self.track_decomposition:
-            raise ConfigError("the negligibility check needs track_decomposition = True")
+            raise ConfigError(f"repeated checks: {repeated}", key="checks")
 
     def as_dict(self) -> dict:
         """The settings a report echoes: all but the start and the grid."""

@@ -34,6 +34,8 @@ if TYPE_CHECKING:
 
 GAUSSIAN = "gaussian"
 BOUNDED_UNIFORM = "bounded_uniform"
+BIAS_KINDS = ("zero", "power_decay")
+RESIDUAL_KINDS = ("none", "quadratic_form")  # NonlinearResidual also takes "custom"
 
 _SQRT3 = math.sqrt(3.0)
 
@@ -69,7 +71,7 @@ class NonlinearResidual:
     custom_fn: Callable | None = None
 
     def __post_init__(self):
-        if self.kind not in ("none", "quadratic_form", "custom"):
+        if self.kind not in (*RESIDUAL_KINDS, "custom"):
             raise ValueError(f"unknown residual kind {self.kind!r}")
         if self.clamp_radius <= 0:
             raise ValueError("clamp_radius must be positive")
@@ -189,7 +191,7 @@ class BiasModel:
     rho: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("zero", "power_decay"):
+        if self.kind not in BIAS_KINDS:
             raise ValueError(f"unknown bias kind {self.kind!r}")
         if self.kind == "power_decay":
             if self.coeff_fast is None or self.coeff_slow is None:

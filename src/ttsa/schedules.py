@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
 from .validation import ValidationReport
 
 PLAIN = "plain"  # 1/2 < a < b <= 1
@@ -50,16 +51,21 @@ class StepSchedule:
     a: float
     regime: str = PLAIN
 
-    def __post_init__(self):
+    def __post_init__(self):  # a rejection names its field
+        a, b = self.a, self.b
         if self.regime not in REGIMES:
-            raise ValueError(f"unknown regime {self.regime!r}, expected one of {REGIMES}")
-        if not (0 < self.beta0 < math.inf and 0 < self.gamma0 < math.inf):
-            raise ValueError("beta0 and gamma0 must be positive and finite (A3)")
-        if not (0.5 < self.a < self.b <= 1.0):
-            raise ValueError(
-                "step exponents must satisfy 1/2 < a < b <= 1 (A3); "
-                f"got a={self.a}, b={self.b}"
-            )
+            raise ConfigError(f"unknown regime {self.regime!r}, expected one of {REGIMES}",
+                              key="regime")
+        if not (0.0 < a <= 1.0 and 0.0 < b <= 1.0):
+            raise ConfigError(f"step exponents out of range: need 1/2 < a < b <= 1 (A3); "
+                              f"got a={a}, b={b}", key="a" if 0.0 < b <= 1.0 else "b")
+        if not 0.5 < a < b:
+            raise ConfigError(f"step exponent ordering violated: need 1/2 < a < b (A3); "
+                              f"got a={a}, b={b}", key="a")
+        for name in ("beta0", "gamma0"):  # an infinite scale makes every step infinite
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be positive and finite (A3), "
+                                  f"got {getattr(self, name)}", key=name)
 
     def beta(self, n: int) -> float:
         """Fast step beta0 * n^(-b).

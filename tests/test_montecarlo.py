@@ -394,6 +394,16 @@ class TestRunMonteCarlo:
         with pytest.raises(ConfigError, match="repeated checks"):
             MCConfig(replications=2, n_final=10, base_seed=0, checks=("slopes", "slopes"))
 
+    @pytest.mark.parametrize("name, value", [("replications", 2.5), ("n_final", 10.5),
+                                             ("base_seed", 1.5)])
+    def test_a_non_integral_count_or_seed_rejected_naming_the_field(self, name, value):
+        # run_monte_carlo would fail late on it, with no word of the field
+        counts = {"replications": 2, "n_final": 10, "base_seed": 0, name: value}
+        with pytest.raises(ConfigError, match=f"{name} must be .* and integral") as err:
+            MCConfig(**counts)
+        assert err.value.key == name
+        MCConfig(**{**counts, name: np.int64(math.ceil(value))})  # numpy integers are integers
+
     def test_kurtosis_diagnostic_soft(self, linear_problem, schedule):
         mc = MCConfig(replications=64, n_final=200, base_seed=3, checks=())
         report = run_monte_carlo(linear_problem, resolve_algorithm(linear_problem, schedule, "standard"), mc)
