@@ -17,16 +17,18 @@ provenance, so the echo is the experiment that ran.
 Matrix- and vector-valued keys take JSON arrays, e.g.
 ``problem.q11 = [[-1.3, 0.4], [-0.3, -1.1]]``.
 
-The schedule rules (A3) live in ``StepSchedule`` and the Monte Carlo rules in
-``MCConfig``: parsing checks the keys that set their fields by building both
-(``_build``), and a field a model rejects is the error ``<key>: <the model's
-message>``, naming the key that set it.
+The schedule rules (A3) live in ``StepSchedule``, the Monte Carlo rules in
+``MCConfig``, and the shape, covariance, bias and residual rules in the
+problem models: parsing builds the first two and ``build_problem`` the
+problem (``_build``), and a field a model rejects is the error ``<key>:
+<the model's message>``, naming the key that set it.
 """
 from __future__ import annotations
 
 import json
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -35,7 +37,7 @@ from .engine import (
     ALGORITHMS, AVERAGED, DIVERGENCE_GUARD, MATRICIAL, STANDARD, _first_diverged,
     _initial_iterate, checkpoint_indices, matricial_schedule, resolve_algorithm,
 )
-from .errors import ConfigError
+from .errors import ConfigError, DimensionError
 from .montecarlo import MCConfig
 from .problems import (
     BIAS_KINDS,
@@ -87,12 +89,21 @@ def _finite_json_number(text: str) -> float:
 
 
 def _parse_json(text: str):
+    """A rectangular array of numbers, a number, or null for unset: the models
+    check shapes, but cannot name the key of an array they cannot read."""
     try:
-        return json.loads(
+        value = json.loads(
             text, parse_float=_finite_json_number, parse_constant=_finite_json_number
         )
     except json.JSONDecodeError as exc:
         raise ValueError(f"expected a JSON array, got {text!r}") from exc
+    try:  # a ragged array raises; null, true, "1" or an integer past 2^64 are not numbers
+        numbers = value is None or np.asarray(value).dtype.kind in "iuf"
+    except ValueError:
+        numbers = False
+    if not numbers:
+        raise ValueError(f"expected a rectangular array of numbers, got {text}")
+    return value
 
 
 def _parse_str(text: str) -> str:
@@ -306,12 +317,10 @@ def _validate(config: ExperimentConfig, defaults: ExperimentConfig) -> None:
             key="run.track_decomposition",
         )
     _build(MCConfig, _MC_KEYS, config)
-    # keys whose models need the grid or the problem: each must exceed its bound
-    for key, bound in (("run.checkpoints_per_decade", 0), ("problem.bias_rho", 0.0),
-                       ("problem.residual_clamp", 0.0)):
-        if not _value(config, key) > bound:
-            raise ConfigError(f"{key} must be greater than {bound}, got {_value(config, key)}",
-                              key=key)
+    # checkpoint_indices' bound, as the grid is built only with the experiment
+    if not config.run_checkpoints_per_decade > 0:
+        raise ConfigError("run.checkpoints_per_decade must be greater than 0, got "
+                          f"{config.run_checkpoints_per_decade}", key="run.checkpoints_per_decade")
     if config.run_seed < 0:  # a seed of numpy's SeedSequence
         raise ConfigError(f"run.seed must be non-negative, got {config.run_seed}", key="run.seed")
     # later rows first, so missing coefficients name their kind, not problem.name
@@ -330,15 +339,36 @@ _MC_KEYS = {
     "tol_rel": "mc.tol_rel", "tol_cross": "mc.tol_cross",
     "track_decomposition": "run.track_decomposition", "checks": "mc.checks",
 }
+# a nested model's field is "<model>.<field>", as ProblemSpec names it
+_PROBLEM_KEYS = {
+    **{name: f"problem.{name}" for name in ("q11", "q12", "q21", "q22", "theta_star", "mu_star")},
+    "noise.cov": "problem.noise_cov", "noise.distribution": "problem.noise",
+    "noise.moment_order": "problem.moment_order",
+    "bias.kind": "problem.bias", "bias.rho": "problem.bias_rho",
+    "residual.kind": "problem.residual", "residual.clamp_radius": "problem.residual_clamp",
+    **{f"{model}.{name}": f"problem.{model}_{name}"
+       for model in ("bias", "residual") for name in ("coeff_fast", "coeff_slow")},
+}
 
 
-def _build(model, keys: dict[str, str], config: ExperimentConfig, **extra):
-    """``model`` built from the keys ``keys`` maps its fields to, and ``extra``."""
+@contextmanager
+def _naming(keys: dict[str, str]):
+    """A field a model rejects inside is a ConfigError naming the key ``keys`` maps it to."""
     try:
-        return model(**{name: _value(config, key) for name, key in keys.items()}, **extra)
-    except ConfigError as exc:
+        yield
+    except (ConfigError, DimensionError) as exc:
         key = keys[exc.key]
         raise ConfigError(f"{key}: {exc}", key=key) from exc
+
+
+def _build(model, keys: dict[str, str], config: ExperimentConfig, nested: str = "", **extra):
+    """``model`` built from ``extra`` and the keys ``keys`` maps its fields to.
+    ``nested``, e.g. "bias.", picks a nested model's rows; a field still dotted
+    is a nested model's, which ``extra`` may hold."""
+    keys = {name.removeprefix(nested): key for name, key in keys.items() if name.startswith(nested)}
+    with _naming(keys):
+        return model(**{name: _value(config, key) for name, key in keys.items() if "." not in name},
+                     **extra)
 
 
 def render_config(config: ExperimentConfig) -> str:
@@ -378,81 +408,44 @@ def build_experiment(config: ExperimentConfig):
 
 def build_problem(config: ExperimentConfig) -> ProblemSpec:
     """The problem a validated config describes. Its unread keys hold their
-    defaults, so each model takes the keys of its kind as they stand. An array
-    key whose shape does not fit the problem's dimensions is a ConfigError
-    naming it (``_check_shapes``).
+    defaults, so each model takes the keys of its kind as they stand, and a
+    field a model rejects is a ConfigError naming its key (``_PROBLEM_KEYS``).
     """
-    custom = config.problem_name == "custom"
-    if custom:  # the row counts of the diagonal blocks set the dimensions
-        d, d_prime = (len(q) if isinstance(q, list) and q else 1
-                      for q in (config.problem_q11, config.problem_q22))
+    bias = _build(BiasModel, _PROBLEM_KEYS, config, "bias.")
+    if config.problem_name == "custom":
+        noise = _build(NoiseModel, _PROBLEM_KEYS, config, "noise.")
+        problem = _build(ProblemSpec, _PROBLEM_KEYS, config, noise=noise)
+        if config.problem_residual == "quadratic_form":
+            # fit to the blocks first: the residual alone cannot tell which tensor is wrong
+            with _naming(_PROBLEM_KEYS):
+                problem.check_coeffs("residual", config.problem_residual_coeff_fast,
+                                     config.problem_residual_coeff_slow)
+        residual = _build(NonlinearResidual, _PROBLEM_KEYS, config, "residual.")
     else:
         problem = library_problem(config.problem_name)
-        d, d_prime = problem.d, problem.d_prime
-    _check_shapes(config, d, d_prime)
-    if custom:
-        problem = ProblemSpec(
-            q11=config.problem_q11, q12=config.problem_q12,
-            q21=config.problem_q21, q22=config.problem_q22,
-            theta_star=config.problem_theta_star, mu_star=config.problem_mu_star,
-            noise=_custom_noise(config),
-            residual=NonlinearResidual(
-                kind=config.problem_residual,
-                coeff_fast=config.problem_residual_coeff_fast,
-                coeff_slow=config.problem_residual_coeff_slow,
-                clamp_radius=config.problem_residual_clamp,
-            ),
-        )
-    noise = replace(problem.noise, distribution=config.problem_noise,
-                    moment_order=config.problem_moment_order)
-    bias = BiasModel(kind=config.problem_bias, coeff_fast=config.problem_bias_coeff_fast,
-                     coeff_slow=config.problem_bias_coeff_slow, rho=config.problem_bias_rho)
-    return replace(problem, noise=noise, bias=bias)
-
-
-def _custom_noise(config: ExperimentConfig) -> NoiseModel:
-    """The custom noise model; a covariance it rejects names ``problem.noise_cov``."""
-    try:
-        return NoiseModel(cov=config.problem_noise_cov)
-    except ValueError as exc:
-        raise ConfigError(f"problem.noise_cov: {exc}", key="problem.noise_cov") from exc
-
-
-def _check_shapes(config: ExperimentConfig, d: int, d_prime: int) -> None:
-    """Each array key that is set has the shape a d+d' problem gives it."""
-    dim = d + d_prime
-    for key, shape in (
-        ("problem.q11", (d, d)), ("problem.q22", (d_prime, d_prime)),
-        ("problem.q12", (d, d_prime)), ("problem.q21", (d_prime, d)),
-        ("problem.noise_cov", (dim, dim)),
-        ("problem.theta_star", (d,)), ("problem.mu_star", (d_prime,)),
-        ("run.theta0_offset", (d,)), ("run.mu0_offset", (d_prime,)),
-        ("problem.bias_coeff_fast", (d,)), ("problem.bias_coeff_slow", (d_prime,)),
-        ("problem.residual_coeff_fast", (d, dim, dim)),
-        ("problem.residual_coeff_slow", (d_prime, dim, dim)),
-    ):
-        value = _value(config, key)
-        try:
-            fits = value is None or np.asarray(value, dtype=float).shape == shape
-        except (TypeError, ValueError):  # ragged, or not numbers
-            fits = False
-        if not fits:
-            expected = f"length {shape[0]}" if len(shape) == 1 else f"shape {shape}"
-            raise ConfigError(f"{key}: expected {expected}, got {value}", key=key)
+        noise = replace(problem.noise, distribution=config.problem_noise,
+                        moment_order=config.problem_moment_order)
+        residual = problem.residual
+    with _naming(_PROBLEM_KEYS):
+        return replace(problem, noise=noise, bias=bias, residual=residual)
 
 
 def _start(config: ExperimentConfig, problem: ProblemSpec):
     """(theta0, mu0) from the run offsets, or None where no offset is set.
 
-    A start the engine's divergence guard would flag before any step is a
+    An offset must have its root's shape: a shorter one would broadcast. A
+    start the engine's divergence guard would flag before any step is a
     ConfigError naming the key that set the larger block: its offset, or else
     its root.
     """
-    theta0, mu0 = (
-        None if offset is None else root + np.asarray(offset, dtype=float)
-        for offset, root in ((config.run_theta0_offset, problem.theta_star),
-                             (config.run_mu0_offset, problem.mu_star))
-    )
+    starts = []
+    for key, root in (("run.theta0_offset", problem.theta_star),
+                      ("run.mu0_offset", problem.mu_star)):
+        offset = _value(config, key)
+        if offset is not None and np.shape(offset) != root.shape:
+            raise ConfigError(f"{key}: expected length {len(root)}, got {offset}", key=key)
+        starts.append(None if offset is None else root + np.asarray(offset, dtype=float))
+    theta0, mu0 = starts
     x, d = _initial_iterate(problem, theta0, mu0), problem.d
     if _first_diverged(x[None], d) >= 0:  # which leaves |x| in x
         fast = x[:d].max() >= x[d:].max()

@@ -20,8 +20,9 @@ noise xi, the residual rho and the bias r enter through one gain map,
 ``_Kernel.gain``, each already scaled by its steps. The innovation term
 u_n = gain(xi_{n+1} S_n) is pre-scaled as the noise of a chunk is drawn, a
 scratch group of ``_GROUP`` replications at a time
-(``_Kernel.innovations``); the residual's term is mapped on each step; and
-the bias row c_n = gain(r_n S_n) is added per step.
+(``_Kernel.innovations``; ``step`` writes its one row straight in); the
+residual's term is mapped on each step; and the bias row c_n = gain(r_n S_n)
+is added per step.
 ``simulate_batch`` builds A and c once per chunk of steps, as stacked
 (span, ., .) tables; ``step`` builds one-step tables through the same
 code. Each (problem, gains) pair has one ``_Kernel``, built and its gains
@@ -309,8 +310,9 @@ def _initial_iterate(problem: ProblemSpec, theta0, mu0) -> np.ndarray:
     off_f, off_s = default_offsets(problem)
     theta = np.array(theta0, dtype=float) if theta0 is not None else problem.theta_star + off_f
     mu = np.array(mu0, dtype=float) if mu0 is not None else problem.mu_star + off_s
-    if theta.shape != (problem.d,) or mu.shape != (problem.d_prime,):
-        raise DimensionError("initial iterates do not match the problem dimensions")
+    for name, start, dim in (("theta0", theta, problem.d), ("mu0", mu, problem.d_prime)):
+        if start.shape != (dim,):
+            raise DimensionError(f"{name} must have shape {(dim,)}, got {start.shape}", key=name)
     return np.concatenate([theta, mu])
 
 
@@ -675,9 +677,9 @@ def step(
         bias_values = _stacked(problem, bias_values, "bias")[None]
     beta, gamma = np.array([schedule.beta(n)]), np.array([schedule.gamma(n)])
     tables = kernel.tables(n, beta, gamma, bias_values, track=rows.parts is not None)
-    xi = _stacked(problem, noise, "noise")[None]
-    w = kernel.innovations(np.empty((2, len(rows.z), problem.dim)),
-                           lambda r, out: np.copyto(out, xi), 1, tables.s)
+    # u = gain(xi S_n) on every row; row 0 is scratch until ``advance`` writes z there
+    w = np.empty((2, len(rows.z), problem.dim))
+    w[1] = kernel.gain(np.multiply(_stacked(problem, noise, "noise"), tables.s[0], out=w[0]))
     rows.advance(w, tables, _NO_MARKS, None)
     return rows.state(0)
 

@@ -2,7 +2,11 @@
 
 
 class DimensionError(ValueError):
-    """Operands have incompatible or non-square shapes."""
+    """Operands have incompatible shapes; ``key`` names a model's rejected field."""
+
+    def __init__(self, message, key=None):
+        super().__init__(message)
+        self.key = key
 
 
 class SingularMatrixError(ValueError):

@@ -73,20 +73,13 @@ _EXP_ORDERS = np.arange(len(_EXP_LIMITS), dtype=float)
 _EXP_INV_FACTORIALS = np.array([1.0 / math.factorial(k) for k in range(len(_EXP_LIMITS))])
 
 
-def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Coerce to a finite 2-d float64 array."""
+def as_square(a, name: str = "matrix") -> np.ndarray:
+    """Coerce to a finite square float64 matrix."""
     m = np.asarray(a, dtype=float)
-    if m.ndim != 2:
-        raise DimensionError(f"{name} must be 2-dimensional, got shape {m.shape}")
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise DimensionError(f"{name} must be a square matrix, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise ValueError(f"{name} contains non-finite entries")
-    return m
-
-
-def as_square(a, name: str = "matrix") -> np.ndarray:
-    m = as_matrix(a, name)
-    if m.shape[0] != m.shape[1]:
-        raise DimensionError(f"{name} must be square, got shape {m.shape}")
     return m
 
 

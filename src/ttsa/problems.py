@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from . import linalg
-from .errors import DimensionError
+from .errors import ConfigError, DimensionError
 from .schedules import AVERAGING, StepSchedule, validate_schedule
 from .validation import ValidationReport
 
@@ -40,13 +40,27 @@ RESIDUAL_KINDS = ("none", "quadratic_form")  # NonlinearResidual also takes "cus
 _SQRT3 = math.sqrt(3.0)
 
 
-def _as_vector(v, dim: int, name: str) -> np.ndarray:
-    arr = np.asarray(v, dtype=float).reshape(-1)
-    if arr.size != dim:
-        raise DimensionError(f"{name} must have length {dim}, got {arr.size}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite entries")
+def _array(value, key: str, shape) -> np.ndarray:
+    """``value`` as a finite float array of ``shape``, a tuple, or of that
+    many dimensions, an int. A rejection names the field ``key``."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:  # ragged, or not numbers
+        raise ConfigError(f"{key} must be an array of numbers, got {value!r}", key=key) from exc
+    if (arr.ndim if isinstance(shape, int) else arr.shape) != shape:
+        want = f"{shape} dimensions" if isinstance(shape, int) else f"shape {shape}"
+        raise DimensionError(f"{key} must have {want}, got shape {arr.shape}", key=key)
+    if not np.isfinite(arr).all():
+        raise ConfigError(f"{key} contains non-finite entries", key=key)
     return arr
+
+
+def _coeffs(model, ndim: int) -> None:
+    """Set a bias or residual ``model``'s two coefficient arrays, of ``ndim`` dimensions."""
+    for name in ("coeff_fast", "coeff_slow"):
+        if getattr(model, name) is None:
+            raise ConfigError(f"{model.kind} needs both coefficient arrays", key=name)
+        object.__setattr__(model, name, _array(getattr(model, name), name, ndim))
 
 
 @dataclass(frozen=True)
@@ -70,29 +84,28 @@ class NonlinearResidual:
     clamp_radius: float = 10.0
     custom_fn: Callable | None = None
 
-    def __post_init__(self):
+    def __post_init__(self):  # a rejection names its field
         if self.kind not in (*RESIDUAL_KINDS, "custom"):
-            raise ValueError(f"unknown residual kind {self.kind!r}")
-        if self.clamp_radius <= 0:
-            raise ValueError("clamp_radius must be positive")
+            raise ConfigError(f"unknown residual kind {self.kind!r}", key="kind")
+        if not self.clamp_radius > 0:
+            raise ConfigError(f"clamp_radius must be positive, got {self.clamp_radius}",
+                              key="clamp_radius")
         if self.kind == "quadratic_form":
-            if self.coeff_fast is None or self.coeff_slow is None:
-                raise ValueError("quadratic_form residual needs both coefficient tensors")
-            object.__setattr__(self, "coeff_fast", np.asarray(self.coeff_fast, dtype=float))
-            object.__setattr__(self, "coeff_slow", np.asarray(self.coeff_slow, dtype=float))
-            coeff = np.concatenate([self.coeff_fast, self.coeff_slow])
-            dim = coeff.shape[0]
-            if coeff.shape != (dim, dim, dim):
+            _coeffs(self, 3)
+            fast, slow = self.coeff_fast, self.coeff_slow
+            dim = len(fast) + len(slow)
+            if fast.shape[1:] != (dim, dim) or slow.shape[1:] != (dim, dim):
                 raise DimensionError(
-                    "quadratic_form coefficient tensors must stack to shape "
-                    f"(d+d', d+d', d+d'), got {coeff.shape}"
-                )
+                    "quadratic_form coefficient tensors must stack to shape (d+d', d+d', d+d'), "
+                    f"got {fast.shape} and {slow.shape}",
+                    key="coeff_fast" if fast.shape[1:] != (dim, dim) else "coeff_slow")
+            coeff = np.concatenate([fast, slow])
             # Row j holds C_ijk at column i*dim + k, so (z @ stacked)[b, i*dim + k]
             # is sum_j z_j C_ijk: one matmul serves every output component.
             stacked = np.ascontiguousarray(coeff.transpose(1, 0, 2)).reshape(dim, dim * dim)
             object.__setattr__(self, "_stacked", stacked)
         if self.kind == "custom" and self.custom_fn is None:
-            raise ValueError("custom residual needs a callable")
+            raise ConfigError("custom residual needs a callable", key="custom_fn")
 
     def evaluate(self, z: np.ndarray) -> np.ndarray:
         """Stacked residual for a (B, d+d') batch of centered states."""
@@ -132,13 +145,17 @@ class NoiseModel:
     distribution: str = GAUSSIAN
     moment_order: float = math.inf
 
-    def __post_init__(self):
-        cov = linalg.as_square(np.asarray(self.cov, dtype=float), "noise covariance")
+    def __post_init__(self):  # a rejection names its field
+        cov = _array(self.cov, "cov", 2)
+        if cov.shape[0] != cov.shape[1]:
+            raise DimensionError(f"cov must be square, got shape {cov.shape}", key="cov")
         if not linalg.is_psd(cov):
-            raise ValueError("noise covariance must be symmetric positive semidefinite")
+            raise ConfigError("noise covariance must be symmetric positive semidefinite",
+                              key="cov")
         cov = 0.5 * (cov + cov.T)
         if self.distribution not in (GAUSSIAN, BOUNDED_UNIFORM):
-            raise ValueError(f"unknown noise distribution {self.distribution!r}")
+            raise ConfigError(f"unknown noise distribution {self.distribution!r}",
+                              key="distribution")
         object.__setattr__(self, "cov", cov)
         object.__setattr__(self, "_factorT", self.factor().T.copy())  # C-ordered, for rows_dot
 
@@ -190,16 +207,14 @@ class BiasModel:
     coeff_slow: np.ndarray | None = None
     rho: float = 1.0
 
-    def __post_init__(self):
+    def __post_init__(self):  # a rejection names its field
         if self.kind not in BIAS_KINDS:
-            raise ValueError(f"unknown bias kind {self.kind!r}")
+            raise ConfigError(f"unknown bias kind {self.kind!r}", key="kind")
         if self.kind == "power_decay":
-            if self.coeff_fast is None or self.coeff_slow is None:
-                raise ValueError("power_decay bias needs both coefficient vectors")
-            if self.rho <= 0:
-                raise ValueError("bias decay exponent must be positive")
-            object.__setattr__(self, "coeff_fast", np.asarray(self.coeff_fast, dtype=float))
-            object.__setattr__(self, "coeff_slow", np.asarray(self.coeff_slow, dtype=float))
+            if not self.rho > 0:
+                raise ConfigError(f"bias decay exponent must be positive, got {self.rho}",
+                                  key="rho")
+            _coeffs(self, 1)
             object.__setattr__(self, "_coeff", np.concatenate([self.coeff_fast, self.coeff_slow]))
 
     def values(self, n: int) -> np.ndarray | float:
@@ -209,13 +224,6 @@ class BiasModel:
 
     def is_zero(self) -> bool:
         return self.kind == "zero"
-
-
-def _check_coeffs(name: str, model, fast: tuple, slow: tuple) -> None:
-    """A bias or residual model's fast and slow coefficients have these shapes."""
-    got = (model.coeff_fast.shape, model.coeff_slow.shape)
-    if got != (fast, slow):
-        raise DimensionError(f"{name} must have shapes {fast} and {slow}, got {got[0]} and {got[1]}")
 
 
 @dataclass(frozen=True)
@@ -231,32 +239,29 @@ class ProblemSpec:
     bias: BiasModel = field(default_factory=BiasModel)
     name: str = "custom"
 
-    def __post_init__(self):
-        q11 = linalg.as_square(self.q11, "Q11")
-        q22 = linalg.as_square(self.q22, "Q22")
-        d, dp = q11.shape[0], q22.shape[0]
-        q12 = linalg.as_matrix(self.q12, "Q12")
-        q21 = linalg.as_matrix(self.q21, "Q21")
-        if q12.shape != (d, dp):
-            raise DimensionError(f"Q12 must have shape {(d, dp)}, got {q12.shape}")
-        if q21.shape != (dp, d):
-            raise DimensionError(f"Q21 must have shape {(dp, d)}, got {q21.shape}")
-        if self.noise.cov.shape != (d + dp, d + dp):
-            raise DimensionError(
-                f"noise covariance must have shape {(d + dp, d + dp)}, "
-                f"got {self.noise.cov.shape}"
-            )
-        dim = d + dp
+    def __post_init__(self):  # a rejection names its field, a nested model's as "bias.rho"
+        d, dp = (len(_array(getattr(self, name), name, 2)) for name in ("q11", "q22"))
+        for name, shape in (("q11", (d, d)), ("q22", (dp, dp)), ("q12", (d, dp)),
+                            ("q21", (dp, d)), ("theta_star", (d,)), ("mu_star", (dp,))):
+            object.__setattr__(self, name, _array(getattr(self, name), name, shape))
+        if self.noise.cov.shape != (self.dim,) * 2:
+            raise DimensionError(f"noise.cov must have shape {(self.dim,) * 2}, "
+                                 f"got shape {self.noise.cov.shape}", key="noise.cov")
         if self.bias.kind == "power_decay":
-            _check_coeffs("bias coefficients", self.bias, (d,), (dp,))
+            self.check_coeffs("bias", self.bias.coeff_fast, self.bias.coeff_slow)
         if self.residual.kind == "quadratic_form":
-            _check_coeffs("residual tensors", self.residual, (d, dim, dim), (dp, dim, dim))
-        object.__setattr__(self, "q11", q11)
-        object.__setattr__(self, "q12", q12)
-        object.__setattr__(self, "q21", q21)
-        object.__setattr__(self, "q22", q22)
-        object.__setattr__(self, "theta_star", _as_vector(self.theta_star, d, "theta_star"))
-        object.__setattr__(self, "mu_star", _as_vector(self.mu_star, dp, "mu_star"))
+            self.check_coeffs("residual", self.residual.coeff_fast, self.residual.coeff_slow)
+
+    def check_coeffs(self, model: str, fast, slow) -> None:
+        """The "bias" or "residual" ``model``'s coefficients fit the problem: d
+        and d' entries, or slices of (d+d')x(d+d'); a misfit names the field."""
+        tail = () if model == "bias" else (self.dim, self.dim)
+        want = ((self.d, *tail), (self.d_prime, *tail))
+        got = (np.shape(fast), np.shape(slow))
+        if got != want:
+            name = "coeff_fast" if got[0] != want[0] else "coeff_slow"
+            raise DimensionError(f"{model} coefficients must have shapes {want[0]} and {want[1]}, "
+                                 f"got {got[0]} and {got[1]}", key=f"{model}.{name}")
 
     @property
     def d(self) -> int:

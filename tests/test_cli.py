@@ -47,9 +47,19 @@ mc.tol_cross = 2.0
 """
 
 
-# Values the format carries: floats finite or infinite, JSON arrays of finite
-# numbers, and one-line strings without surrounding whitespace.
+# Values the format carries: floats finite or infinite, rectangular JSON arrays
+# of finite numbers, and one-line strings without surrounding whitespace.
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _matrices(min_rows, max_rows, max_cols):
+    """Rectangular arrays of numbers, as ``_parse_json`` requires."""
+    shapes = st.tuples(st.integers(min_rows, max_rows), st.integers(1, max_cols))
+    return shapes.flatmap(lambda shape: st.lists(
+        st.lists(_FINITE, min_size=shape[1], max_size=shape[1]),
+        min_size=shape[0], max_size=shape[0]))
+
+
 _BY_TYPE = {
     "float": st.floats(allow_nan=False),
     "int": st.integers(),
@@ -60,7 +70,7 @@ _BY_TYPE = {
     "list | None": st.one_of(
         st.none(),
         st.lists(_FINITE, max_size=4),
-        st.lists(st.lists(_FINITE, min_size=1, max_size=3), max_size=3),
+        _matrices(min_rows=0, max_rows=3, max_cols=3),
     ),
     "tuple": st.lists(st.sampled_from(KNOWN_CHECKS), max_size=6, unique=True).map(tuple),
 }
@@ -104,7 +114,7 @@ def experiment_configs(draw):
         if values[KEY_TABLE[cond][0]] not in allowed:  # unread keys keep their defaults
             unread |= attrs
             values.update((attr, getattr(defaults, attr)) for attr in attrs)
-    array = st.lists(st.lists(_FINITE, min_size=1, max_size=2), min_size=1, max_size=2)
+    array = _matrices(min_rows=1, max_rows=2, max_cols=2)
     for attr in sorted(conditional - unread):  # read keys without a default are set
         if values[attr] is None:
             values[attr] = draw(array)
@@ -325,7 +335,7 @@ _CROSS_KEYS = (
     ("run.algorithm", "run.track_decomposition"),  # matricial is not tracked
     ("mc.checks", "run.track_decomposition"),  # negligibility reads the tracked parts
 )
-# The array keys whose shape problem.name sets (config._check_shapes).
+# The array keys whose shape problem.name sets (ProblemSpec and config._start).
 _SHAPED_BY_NAME = {
     "run.theta0_offset", "run.mu0_offset", "problem.bias_coeff_fast", "problem.bias_coeff_slow",
     "problem.residual_coeff_fast", "problem.residual_coeff_slow",
@@ -679,7 +689,7 @@ class TestBadStart:
          f"problem.residual_coeff_fast = [{_SLICE_3X3}]\n"
          f"problem.residual_coeff_slow = [{_SLICE_3X3}, {_SLICE_3X3}]\n",
          "problem.residual_coeff_fast"),
-        # misfit custom blocks, checked before the problem is built
+        # misfit custom blocks, which ProblemSpec rejects
         (CUSTOM_1X1.replace("q12 = [[1.0]]", "q12 = [[1.0, 2.0]]"), "problem.q12"),
         (CUSTOM_1X1.replace("theta_star = [0.0]", "theta_star = [0.5, 1.0]"),
          "problem.theta_star"),
@@ -688,6 +698,13 @@ class TestBadStart:
          "problem.noise_cov"),
         (CUSTOM_1X1.replace("[[1.0, 0.0], [0.0, 1.0]]", "[[1.0, 0.0], [0.0]]"),
          "problem.noise_cov"),
+        # an offset that would broadcast, a root that would flatten, and arrays
+        # that are ragged, not numbers, or not an array
+        (f"{MINIMAL}run.theta0_offset = [1.0]\n", "run.theta0_offset"),
+        (CUSTOM_1X1.replace("theta_star = [0.0]", "theta_star = [[0.0]]"), "problem.theta_star"),
+        (CUSTOM_1X1.replace("q12 = [[1.0]]", "q12 = [[1.0], [2.0, 3.0]]"), "problem.q12"),
+        (CUSTOM_1X1.replace("q12 = [[1.0]]", 'q12 = [["a"]]'), "problem.q12"),
+        (CUSTOM_1X1.replace("q11 = [[-2.0]]", "q11 = 3"), "problem.q11"),
         # a covariance NoiseModel rejects: not symmetric, then not PSD
         (CUSTOM_1X1.replace("[[1.0, 0.0], [0.0, 1.0]]", "[[1.0, 0.5], [0.0, 1.0]]"),
          "problem.noise_cov"),
