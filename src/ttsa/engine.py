@@ -28,9 +28,10 @@ is added per step.
 code. Each (problem, gains) pair has one ``_Kernel``, built and its gains
 checked on first use, then kept on the problem (``_kernel``).
 A tracked run's decomposition tables T1 and T2 (``_Kernel``) are part of the
-same step tables. Their problem pieces, Q12 Q22^-1 and the ``linalg.exp_basis``
-of H and of Q22, are built on the first tracked use and kept, so an untracked
-run never inverts Q22.
+same step tables. Their problem pieces, Q12 Q22^-1 and H from the problem's
+one derivation (``ProblemSpec``) and the ``linalg.exp_basis`` of H and of
+Q22, are read on the first tracked use and kept, so an untracked run never
+inverts Q22.
 The matricial variant is this recursion with the gain G and the schedule
 ``matricial_schedule(a)``. ``step``, ``run`` and ``simulate_batch`` all take
 that (schedule, gains) pair and reject gains that do not stabilize it, and
@@ -106,7 +107,7 @@ import numpy as np
 from . import linalg
 from .errors import ConfigError, DimensionError, DivergenceError
 from .problems import ProblemSpec
-from .schedules import AVERAGING, StepSchedule
+from .schedules import AVERAGING, StepSchedule, _a3_holds
 
 DIVERGENCE_GUARD = 1e9
 _CHUNK = 256
@@ -166,22 +167,23 @@ class GainMatrices:
 
 
 def validate_gains(problem: ProblemSpec, gains: GainMatrices) -> None:
-    """Raise unless the gains stabilize the matricial iteration."""
+    """Raise unless the gains stabilize the matricial iteration.
+
+    The fast rule is A3(ii) at beta0 = 1, 1/2 < Lambda(A H)
+    (``schedules._a3_holds``, the rule validate reports); the slow one is
+    the A2(ii) Hurwitz test of A Q22.
+    """
     if gains.fast.shape[0] != problem.d or gains.slow.shape[0] != problem.d_prime:
         raise DimensionError("gain dimensions do not match the problem")
-    m = gains.fast @ problem.fast_matrix() + 0.5 * np.eye(problem.d)
-    if not linalg.is_hurwitz(m):
-        raise ConfigError("fast gain does not stabilize: A*H + I/2 is not Hurwitz")
+    if not _a3_holds(1.0, linalg.stability_gap(gains.fast @ problem.fast_matrix())):
+        raise ConfigError("fast gain does not stabilize: Lambda(A*H) <= 1/2, A3(ii) at beta0 = 1")
     if not linalg.is_hurwitz(gains.slow @ problem.q22):
         raise ConfigError("slow gain does not stabilize: A*Q22 is not Hurwitz")
 
 
 def optimal_gains(problem: ProblemSpec) -> GainMatrices:
     """The efficiency-optimal gains (-H^-1, -G^-1)."""
-    return GainMatrices(
-        fast=-linalg.invert(problem.fast_matrix()),
-        slow=-linalg.invert(problem.slow_matrix()),
-    )
+    return GainMatrices(fast=-problem._component(0).inverse, slow=-problem._component(1).inverse)
 
 
 def matricial_schedule(a: float) -> StepSchedule:
@@ -396,8 +398,9 @@ class _Kernel:
     part consumes the pre-update fast parts. It takes two products of depth
     2 dim rather than one of depth 4 dim: the row rule would hold for either,
     but merging them would move the decomposition's rounding, for no
-    measured gain. H and K need Q22 invertible, so they are
-    built on the first tracked call, and an untracked run never needs it.
+    measured gain. H and K need Q22 invertible, so they are read from the
+    problem's derivation on the first tracked call, and an untracked run
+    never needs it.
     That call also builds the ``linalg.exp_basis`` of H and of Q22 and keeps
     them, so each step's exp(beta H) and exp(gamma Q22) is
     ``linalg.mat_exp(basis, beta)`` and ``linalg.mat_exp(basis, gamma)``: a
@@ -447,7 +450,7 @@ class _Kernel:
             self.decomposition = (
                 linalg.exp_basis(p.fast_matrix()),
                 linalg.exp_basis(p.q22),
-                (p.q12 @ linalg.invert(p.q22)).T.copy(),
+                p._component(0).coupling.T.copy(),
                 p.q21.T.copy(),
             )
         basis_h, basis_q22, kT, q21T = self.decomposition

@@ -225,13 +225,14 @@ def rows_dot(x: np.ndarray, m: np.ndarray, out: np.ndarray | None = None) -> np.
     return res if out is None else out
 
 
-def invert(a) -> np.ndarray:
-    """Inverse of a square matrix, rejecting near-singular inputs."""
-    m = as_square(a)
+def invert(a, name: str = "matrix") -> np.ndarray:
+    """Inverse of a square matrix, rejecting near-singular inputs; a rejection
+    names the matrix ``name``."""
+    m = as_square(a, name)
     cond = np.linalg.cond(m)
     if not np.isfinite(cond) or cond > COND_LIMIT:
         raise SingularMatrixError(
-            f"matrix is singular to working precision (condition estimate {cond:.3e})"
+            f"{name} is singular to working precision (condition estimate {cond:.3e})"
         )
     return np.linalg.inv(m)
 

@@ -20,12 +20,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from . import linalg
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError, DimensionError, SingularMatrixError
 from .schedules import AVERAGING, StepSchedule, validate_schedule
 from .validation import ValidationReport
 
@@ -149,6 +150,9 @@ class NoiseModel:
         cov = _array(self.cov, "cov", 2)
         if cov.shape[0] != cov.shape[1]:
             raise DimensionError(f"cov must be square, got shape {cov.shape}", key="cov")
+        with np.errstate(over="ignore"):  # is_psd's tolerance needs a finite norm
+            if not math.isfinite(linalg.frobenius(cov)):
+                raise ConfigError("cov is too large: its Frobenius norm overflows", key="cov")
         if not linalg.is_psd(cov):
             raise ConfigError("noise covariance must be symmetric positive semidefinite",
                               key="cov")
@@ -226,8 +230,56 @@ class BiasModel:
         return self.kind == "zero"
 
 
+class _Component:
+    """The coupled structure of one component, derived from the blocks once per
+    problem (``ProblemSpec._component``).
+
+    The fast component (side 0) eliminates mu through Q22, the slow one
+    (side 1) theta through Q11. With i the side and j the other one,
+    ``block_inverse`` is Q_jj^-1, ``coupling`` K = Q_ij Q_jj^-1, ``matrix``
+    the Schur complement Q_ii - K Q_ji (H or G), ``noise_cov`` the covariance
+    of the effective innovation (V - K W for the fast one), and ``inverse``
+    the matrix's inverse, derived on first use. Every array is read-only. A
+    block that ``linalg.invert`` rejects raises SingularMatrixError naming it
+    and what needs it; a failure is not kept, so every later call raises
+    again.
+    """
+
+    def __init__(self, problem: ProblemSpec, side: int):
+        i, j = side, 1 - side
+        q = ((problem.q11, problem.q12), (problem.q21, problem.q22))
+        g = problem.noise_block
+        self.name = ("H = Q11 - Q12 Q22^-1 Q21", "G = Q22 - Q21 Q11^-1 Q12")[i]
+        try:
+            self.block_inverse = linalg.invert(q[j][j], f"Q{j + 1}{j + 1}")
+        except SingularMatrixError as exc:
+            raise SingularMatrixError(f"{exc}; {self.name} needs its inverse") from None
+        k = self.coupling = q[i][j] @ self.block_inverse
+        out = g(i, i) + k @ g(j, j) @ k.T - g(i, j) @ k.T - k @ g(j, i)
+        self.matrix, self.noise_cov = q[i][i] - k @ q[j][i], 0.5 * (out + out.T)
+        for kept in (self.block_inverse, k, self.matrix, self.noise_cov):
+            kept.flags.writeable = False
+
+    @cached_property  # a raise stores nothing
+    def inverse(self) -> np.ndarray:
+        inverse = linalg.invert(self.matrix, self.name)
+        inverse.flags.writeable = False
+        return inverse
+
+
 @dataclass(frozen=True)
 class ProblemSpec:
+    """The blocks, root and models of a problem, and the structure derived from them.
+
+    The structure is derived once: each component's coupling, Schur
+    complement, effective noise and inverse (``_Component``) is built on
+    first use and kept on the problem, as ``engine._kernel`` keeps kernels.
+    ``fast_matrix``, ``slow_matrix``, ``fast_noise_cov``, ``slow_noise_cov``,
+    the theory's optimal and averaged covariances, the optimal gains and the
+    tracked decomposition all read it, so ``linalg.invert`` runs at most four
+    times per problem: on Q22, Q11, H and G. The kept arrays are read-only.
+    """
+
     q11: np.ndarray
     q12: np.ndarray
     q21: np.ndarray
@@ -286,29 +338,28 @@ class ProblemSpec:
         sl = (slice(0, d), slice(d, self.dim))
         return self.noise.cov[sl[row]][:, sl[col]]
 
+    def _component(self, side: int) -> _Component:
+        """The fast (0) or slow (1) ``_Component``, derived on first use and kept."""
+        kept = vars(self).setdefault("_components", {})  # past the frozen __setattr__
+        if side not in kept:
+            kept[side] = _Component(self, side)
+        return kept[side]
+
     def fast_matrix(self) -> np.ndarray:
         """Schur complement Q11 - Q12 Q22^{-1} Q21 driving the fast error."""
-        return self.q11 - self.q12 @ linalg.invert(self.q22) @ self.q21
+        return self._component(0).matrix
 
     def slow_matrix(self) -> np.ndarray:
         """Schur complement Q22 - Q21 Q11^{-1} Q12 driving the slow error."""
-        return self.q22 - self.q21 @ linalg.invert(self.q11) @ self.q12
+        return self._component(1).matrix
 
     def fast_noise_cov(self) -> np.ndarray:
         """Covariance of the effective fast innovation V - Q12 Q22^{-1} W."""
-        k = self.q12 @ linalg.invert(self.q22)
-        g11, g12 = self.noise_block(0, 0), self.noise_block(0, 1)
-        g21, g22 = self.noise_block(1, 0), self.noise_block(1, 1)
-        out = g11 + k @ g22 @ k.T - g12 @ k.T - k @ g21
-        return 0.5 * (out + out.T)
+        return self._component(0).noise_cov
 
     def slow_noise_cov(self) -> np.ndarray:
         """Covariance of the effective slow innovation W - Q21 Q11^{-1} V."""
-        k = self.q21 @ linalg.invert(self.q11)
-        g11, g12 = self.noise_block(0, 0), self.noise_block(0, 1)
-        g21, g22 = self.noise_block(1, 0), self.noise_block(1, 1)
-        out = g22 + k @ g11 @ k.T - g21 @ k.T - k @ g12
-        return 0.5 * (out + out.T)
+        return self._component(1).noise_cov
 
     def drift(self, theta, mu) -> tuple[np.ndarray, np.ndarray]:
         """(f, g) at the given state; accepts single vectors or (B, dim) batches."""
@@ -336,9 +387,9 @@ def validate_problem(
     """Run every machine-checkable assumption and report pass/fail per item.
 
     ``(schedule, gains)`` is the pair that runs, as ``step``,
-    ``simulate_batch`` and ``theory_report`` take it. With gains A, the fast
-    iterate is driven by A H, so the b = 1 condition reads Lambda(A H): with
-    beta0 = 1 it is the ``A H + I/2`` Hurwitz test of ``validate_gains``.
+    ``simulate_batch`` and ``theory_report`` take it. Its A2(ii) and A3
+    items are ``_stability_checks``, the one decision on A2(ii) and A3(ii)
+    that ``theory_report`` refuses from.
 
     Failures never raise; they are entries in the returned report. Overall
     pass means no checkable item failed; items that can only be asserted
@@ -365,20 +416,7 @@ def validate_problem(
             f"{problem.residual.clamp_radius}",
         )
 
-    h = problem.fast_matrix()
-    gap_h = linalg.stability_gap(h)
-    gap_q22 = linalg.stability_gap(problem.q22)
-    report.add(
-        "A2(ii) Lambda(H) > 0", gap_h > 0, f"Lambda(H) = {gap_h:.6g}"
-    )
-    report.add(
-        "A2(ii) Lambda(Q22) > 0", gap_q22 > 0, f"Lambda(Q22) = {gap_q22:.6g}"
-    )
-
-    if gains is None:
-        report.extend(validate_schedule(schedule, gap_h))
-    else:
-        report.extend(validate_schedule(schedule, linalg.stability_gap(gains.fast @ h), "A H"))
+    report.extend(_stability_checks(problem, schedule, gains))
 
     report.note(
         "A4(i) martingale differences",
@@ -421,6 +459,38 @@ def validate_problem(
                 rho > schedule.b / 2.0,
                 f"requires rho > b/2 = {schedule.b / 2.0}; rho = {rho}",
             )
+    return report
+
+
+def _stability_checks(
+    problem: ProblemSpec, schedule: StepSchedule, gains: GainMatrices | None = None
+) -> ValidationReport:
+    """The A2(ii) items and the schedule's A3 items (``validate_schedule``),
+    the one decision on A2(ii) and A3(ii): ``validate_problem`` reports them,
+    and ``theory_report`` refuses exactly the (problem, schedule, gains) that
+    fail one of the A2(ii) and A3(ii) items, naming the first.
+
+    With gains A, the fast iterate is driven by A H, so the b = 1 condition
+    reads Lambda(A H): with beta0 = 1 it is the fast rule of
+    ``validate_gains``. H needs Q22 inverted; when ``linalg.invert`` rejects
+    Q22, the A2(ii) item on H fails saying so, and so does A3(ii) at b = 1.
+    """
+    report = ValidationReport()
+    try:
+        h = problem.fast_matrix()
+    except SingularMatrixError as exc:
+        gap = None
+        report.add("A2(ii) Lambda(H) > 0", False, str(exc))
+    else:
+        gap = linalg.stability_gap(h)
+        report.add("A2(ii) Lambda(H) > 0", gap > 0, f"Lambda(H) = {gap:.6g}")
+        if gains is not None:
+            gap = linalg.stability_gap(gains.fast @ h)
+    gap_q22 = linalg.stability_gap(problem.q22)
+    report.add(
+        "A2(ii) Lambda(Q22) > 0", gap_q22 > 0, f"Lambda(Q22) = {gap_q22:.6g}"
+    )
+    report.extend(validate_schedule(schedule, gap, "H" if gains is None else "A H"))
     return report
 
 

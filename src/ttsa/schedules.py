@@ -104,17 +104,25 @@ class StepSchedule:
         return float(u[-1]), float(s[-1])
 
 
+def _a3_holds(beta0: float, gap: float) -> bool:
+    """A3(ii) at b = 1: 1/(2 beta0) < ``gap``, the stability gap of the matrix
+    that drives the fast iterate (H, or A H under gains A). The one form of
+    the rule; it divides by beta0 > 0 alone, so a gap <= 0 fails it."""
+    return 1.0 / (2.0 * beta0) < gap
+
+
 def validate_schedule(
-    schedule: StepSchedule, lambda_h: float, fast: str = "H"
+    schedule: StepSchedule, lambda_h: float | None, fast: str = "H"
 ) -> ValidationReport:
     """Check the schedule against the stability gap of the fast matrix.
 
     ``lambda_h`` is the stability gap (positive when Hurwitz) of the matrix
     that drives the fast iterate, named ``fast`` in the report: H, or A H
-    under gains A. Structural constraints are enforced at construction and
-    re-reported here; the b = 1 case additionally requires
-    beta0 > 1 / (2 * lambda_h), and the averaging regime requires b strictly
-    below 1.
+    under gains A; None when that matrix is undefined. Structural constraints
+    are enforced at construction and re-reported here; the b = 1 case
+    additionally requires A3(ii), beta0 > 1 / (2 * lambda_h), decided by
+    ``_a3_holds`` (so an undefined or non-positive gap fails it), and the
+    averaging regime requires b strictly below 1.
     """
     report = ValidationReport()
     report.add(
@@ -124,13 +132,15 @@ def validate_schedule(
         f"gamma0={schedule.gamma0}",
     )
     if schedule.b == 1.0:
-        threshold = 1.0 / (2.0 * lambda_h)
-        report.add(
-            "A3(ii) beta0 condition",
-            schedule.beta0 > threshold,
-            f"b = 1 requires beta0 > 1/(2*Lambda({fast})) = {threshold:.6g}; "
-            f"beta0 = {schedule.beta0}",
-        )
+        need = f"b = 1 requires beta0 > 1/(2*Lambda({fast}))"
+        if lambda_h is None:
+            detail = f"{need}, and {fast} is undefined"
+        elif lambda_h > 0:
+            detail = f"{need} = {0.5 / lambda_h:.6g}; beta0 = {schedule.beta0}"
+        else:
+            detail = f"{need} with Lambda({fast}) > 0; Lambda({fast}) = {lambda_h:.6g}"
+        ok = lambda_h is not None and _a3_holds(schedule.beta0, lambda_h)
+        report.add("A3(ii) beta0 condition", ok, detail)
     else:
         report.add("A3(ii) beta0 condition", True, "not applicable (b < 1)")
     if schedule.regime == AVERAGING:

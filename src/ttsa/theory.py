@@ -6,6 +6,13 @@ indicator on the fast schedule is taken exactly from the schedule, with no
 tolerance around b = 1. The matricial variant is the plain recursion with
 gain matrices, so it has no formulas of its own: its I/2 is that b = 1 shift
 at beta0 = 1.
+
+The theory decides no stability rule of its own. ``theory_report`` refuses
+exactly the (problem, schedule, gains) whose ``validate_problem`` report
+fails an A2(ii) or A3(ii) item, before it inverts anything, by reading the
+same checks (``problems._stability_checks``). The structure it reads (H, G,
+their inverses, the couplings and the effective noises) is the one
+``ProblemSpec`` derives and keeps.
 """
 from __future__ import annotations
 
@@ -16,8 +23,9 @@ import numpy as np
 from . import linalg
 from .engine import GainMatrices
 from .errors import InfeasibleError
-from .problems import ProblemSpec
-from .schedules import StepSchedule
+from .problems import ProblemSpec, _stability_checks
+from .schedules import StepSchedule, validate_schedule
+from .validation import ValidationReport
 
 
 def fast_error_cov(
@@ -27,25 +35,15 @@ def fast_error_cov(
 
     Solves [A H + shift I] S + S [.]^T = -A Gamma_fast A^T with the gain A
     (the identity by default) and shift = 1/(2 beta0) when b = 1, zero
-    otherwise. Without a gain the shifted matrix must be Hurwitz; for b = 1
-    that is exactly the beta0 > 1/(2 Lambda(H)) admissibility condition.
-    With one, the Lyapunov solver's own Hurwitz check is the only check.
+    otherwise. It raises InfeasibleError when the A3(ii) item of
+    ``validate_schedule`` on Lambda(A H) fails, the one A3(ii) rule. Otherwise
+    the Lyapunov solver's own Hurwitz check is the only check;
+    ``theory_report`` has already refused a problem failing A2(ii).
     """
-    h = problem.fast_matrix()
+    fast = "H" if gain is None else "A H"
+    drift, noise = _with_gain(problem.fast_matrix(), problem.fast_noise_cov(), gain, "fast gain")
+    _refuse(validate_schedule(schedule, linalg.stability_gap(drift), fast), "A3(ii)")
     shift = 1.0 / (2.0 * schedule.beta0) if schedule.b == 1.0 else 0.0
-    if gain is None:
-        gap = linalg.stability_gap(h)
-        if gap <= 0.0:
-            raise InfeasibleError(
-                f"A2(ii) violated: fast matrix is not Hurwitz (Lambda(H) = {gap:.6g})"
-            )
-        if shift >= gap:
-            raise InfeasibleError(
-                "A3(ii) violated: b = 1 requires beta0 > 1/(2*Lambda(H)) "
-                f"= {1.0 / (2.0 * gap):.6g} (beta0 = {schedule.beta0}, "
-                f"Lambda(H) = {gap:.6g})"
-            )
-    drift, noise = _with_gain(h, problem.fast_noise_cov(), gain, "fast gain")
     return linalg.solve_lyapunov(drift + shift * np.eye(problem.d), noise)
 
 
@@ -53,16 +51,20 @@ def slow_error_cov(problem: ProblemSpec, gain: np.ndarray | None = None) -> np.n
     """Asymptotic covariance of the gamma-scaled slow error.
 
     Solves (A Q22) S + S (.)^T = -A Gamma22 A^T with the gain A (the identity
-    by default). Without a gain Q22 must be Hurwitz; with one, the Lyapunov
-    solver's own Hurwitz check is the only check.
+    by default). A Q22 must be Hurwitz, the A2(ii) test, which the Lyapunov
+    solver makes; ``theory_report`` has already refused a problem whose Q22
+    fails it.
     """
-    if gain is None and not linalg.is_hurwitz(problem.q22):
-        raise InfeasibleError(
-            "A2(ii) violated: Q22 is not Hurwitz "
-            f"(Lambda(Q22) = {linalg.stability_gap(problem.q22):.6g})"
-        )
     drift, noise = _with_gain(problem.q22, problem.noise_block(1, 1), gain, "slow gain")
     return linalg.solve_lyapunov(drift, noise)
+
+
+def _refuse(report: ValidationReport, *items: str) -> None:
+    """Raise InfeasibleError naming the first failed check of ``report`` whose
+    name starts with one of ``items``."""
+    failed = [c for c in report.failures() if c.name.startswith(items)]
+    if failed:
+        raise InfeasibleError(f"{failed[0].name} violated: {failed[0].detail}")
 
 
 def _with_gain(drift, noise, gain, name: str) -> tuple[np.ndarray, np.ndarray]:
@@ -80,8 +82,7 @@ def optimal_covariances(problem: ProblemSpec) -> tuple[np.ndarray, np.ndarray]:
     These are the best achievable sqrt(n)-CLT covariances for the fast and
     slow components respectively.
     """
-    h_inv = linalg.invert(problem.fast_matrix())
-    g_inv = linalg.invert(problem.slow_matrix())
+    h_inv, g_inv = problem._component(0).inverse, problem._component(1).inverse
     fast = h_inv @ problem.fast_noise_cov() @ h_inv.T
     slow = g_inv @ problem.slow_noise_cov() @ g_inv.T
     return 0.5 * (fast + fast.T), 0.5 * (slow + slow.T)
@@ -91,14 +92,14 @@ def coupling_blocks(problem: ProblemSpec) -> tuple[np.ndarray, np.ndarray]:
     """The block matrices D = diag(H^-1, G^-1) and P = [[I, -Q12 Q22^-1],
     [-Q21 Q11^-1, I]] entering the averaged covariance."""
     d, dp = problem.d, problem.d_prime
-    h_inv = linalg.invert(problem.fast_matrix())
-    g_inv = linalg.invert(problem.slow_matrix())
+    fast, slow = problem._component(0), problem._component(1)
     dmat = np.zeros((d + dp, d + dp))
-    dmat[:d, :d] = h_inv
-    dmat[d:, d:] = g_inv
+    dmat[:d, :d] = fast.inverse
+    dmat[d:, d:] = slow.inverse
     pmat = np.eye(d + dp)
-    pmat[:d, d:] = -problem.q12 @ linalg.invert(problem.q22)
-    pmat[d:, :d] = -problem.q21 @ linalg.invert(problem.q11)
+    # (-Q12) Q22^-1 rather than -K: a zero entry of the two differs in sign
+    pmat[:d, d:] = -problem.q12 @ fast.block_inverse
+    pmat[d:, :d] = -problem.q21 @ slow.block_inverse
     return dmat, pmat
 
 
@@ -137,7 +138,13 @@ def theory_report(
     problem: ProblemSpec, schedule: StepSchedule, gains: GainMatrices | None = None
 ) -> TheoryReport:
     """The one assembly of the predictions, for the schedule and gains that
-    ``engine.resolve_algorithm`` returns."""
+    ``engine.resolve_algorithm`` returns.
+
+    Raises InfeasibleError naming the first A2(ii) or A3(ii) item that
+    ``validate_problem`` fails for the same arguments, before any inversion:
+    both read ``problems._stability_checks``. A'3 is not part of this gate.
+    """
+    _refuse(_stability_checks(problem, schedule, gains), "A2(ii)", "A3(ii)")
     fast_gain, slow_gain = (None, None) if gains is None else (gains.fast, gains.slow)
     opt_fast, opt_slow = optimal_covariances(problem)
     dmat, pmat = coupling_blocks(problem)

@@ -287,6 +287,17 @@ problem.q21 = [[1.0]]
 problem.q22 = [[-1.0]]
 problem.noise_cov = [[1.0, 0.0], [0.0, 1.0]]
 """
+
+
+def blocks_1x1(q11, q12, q21, q22):
+    """CUSTOM_1X1 with the blocks q11, q12, q21 and q22."""
+    text = CUSTOM_1X1
+    for name, old, new in (("q11", -2.0, q11), ("q12", 1.0, q12), ("q21", 1.0, q21),
+                           ("q22", -1.0, q22)):
+        text = text.replace(f"{name} = [[{old}]]", f"{name} = [[{new}]]")
+    return text
+
+
 QUADRATIC_1X1 = """
 problem.residual = quadratic_form
 problem.residual_coeff_fast = [[[0.1, 0.0], [0.0, 0.1]]]
@@ -583,6 +594,28 @@ class TestValidateCommand:
         err = capsys.readouterr().err
         assert "A3" in err
 
+    @pytest.mark.parametrize("text", [
+        # 1/(2 beta0) < Lambda(H) fails by an ulp where beta0 > 1/(2 Lambda(H)) held
+        f"{MINIMAL}step.b = 1.0\nstep.beta0 = 0.4610801709623106\n",
+        # Lambda(H) = 0 and Lambda(H) = -0.5, where 1/(2 Lambda(H)) is no threshold
+        blocks_1x1(-1.0, 1.0, 1.0, -1.0) + "step.b = 1.0\n",
+        blocks_1x1(0.5, 0.0, 0.0, -1.0) + "step.b = 1.0\n",
+    ])
+    def test_b_one_condition_fails_at_or_without_a_threshold(self, tmp_path, capsys, text):
+        path = write_config(tmp_path, text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["validate", "--config", path]) == 1
+        assert "[FAIL] A3(ii) beta0 condition: b = 1 requires" in capsys.readouterr().out
+
+    def test_singular_q22_fails_a2_and_theory_names_it(self, tmp_path, capsys):
+        path = write_config(tmp_path, blocks_1x1(-1.0, 1.0, 1.0, 0.0) + "run.n_final = 20\n")
+        assert cli.main(["validate", "--config", path]) == 1
+        assert "[FAIL] A2(ii) Lambda(H) > 0: Q22 is singular" in capsys.readouterr().out
+        for command in ("theory", "montecarlo"):
+            assert cli.main([command, "--config", path, "--output", str(tmp_path / "out")]) == 2
+            assert "A2(ii)" in capsys.readouterr().err
+
 
 class TestValidateMatricial:
     """``validate`` checks the schedule and gains the matricial algorithm runs:
@@ -710,6 +743,9 @@ class TestBadStart:
          "problem.noise_cov"),
         (CUSTOM_1X1.replace("[[1.0, 0.0], [0.0, 1.0]]", "[[1.0, 0.0], [0.0, -1.0]]"),
          "problem.noise_cov"),
+        # finite entries whose Frobenius norm overflows, so is_psd has no tolerance
+        (CUSTOM_1X1.replace("[[1.0, 0.0], [0.0, 1.0]]", "[[1e308, 0.0], [0.0, 1e308]]"),
+         "problem.noise_cov"),
     ])
     def test_config_error_names_the_key(self, tmp_path, capsys, text, key):
         path = write_config(tmp_path, text)
@@ -776,6 +812,27 @@ class TestTheoryCommand:
         path = write_config(tmp_path, MINIMAL + "run.algorithm = averaged\n")
         assert cli.main(["theory", "--config", path]) == 2
         assert "averaging regime" in capsys.readouterr().err
+
+    def test_zero_lambda_h_names_a2_not_a_singular_matrix(self, tmp_path, capsys):
+        path = write_config(tmp_path, blocks_1x1(-1.0, 1.0, 1.0, -1.0))  # H = 0, b = 0.8
+        assert cli.main(["theory", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert "A2(ii)" in err and "singular" not in err
+
+    @pytest.mark.parametrize("text, commands, block", [
+        # validate passes; G needs Q11 inverted, which no assumption names
+        (blocks_1x1(0.0, 1.0, -1.0, -1.0), ("theory", "montecarlo"), "Q11"),
+        # the tracked decomposition reads H and Q12 Q22^-1
+        (blocks_1x1(-1.0, 1.0, 1.0, 0.0) + "run.track_decomposition = true\n",
+         ("run", "decompose"), "Q22"),
+    ])
+    def test_a_singular_block_is_named_with_what_needs_it(self, tmp_path, capsys, text,
+                                                         commands, block):
+        path = write_config(tmp_path, text + "run.n_final = 20\n")
+        for command in commands:
+            assert cli.main([command, "--config", path, "--output", str(tmp_path / "out")]) == 2
+            err = capsys.readouterr().err
+            assert f"{block} is singular" in err and "needs its inverse" in err
 
 
 class TestRunCommand:

@@ -1,3 +1,6 @@
+import itertools
+import re
+
 import numpy as np
 import pytest
 
@@ -9,11 +12,13 @@ from ttsa import (
     ProblemSpec,
     StepSchedule,
     matricial_schedule,
+    resolve_algorithm,
+    theory_report,
     validate_problem,
 )
 from ttsa import linalg
 from ttsa.engine import validate_gains
-from ttsa.errors import ConfigError, DimensionError, SingularMatrixError
+from ttsa.errors import ConfigError, DimensionError, InfeasibleError, SingularMatrixError
 from ttsa.problems import library_problem
 
 from conftest import scalar_spec
@@ -54,6 +59,16 @@ class TestDerivedMatrices:
         p2 = scalar_spec(0.0, 1.0, 1.0, -1.0)
         with pytest.raises(SingularMatrixError):
             p2.slow_matrix()
+
+    def test_kept_structure_is_read_only_and_a_failure_is_not_kept(self):
+        p = library_problem("linear-2x2")
+        for derived in (p.fast_matrix(), p.slow_matrix(), p.fast_noise_cov(), p.slow_noise_cov()):
+            with pytest.raises(ValueError, match="read-only"):
+                derived[0, 0] = 0.0
+        singular = scalar_spec(-2.0, 1.0, 1.0, 0.0)
+        for _ in range(2):
+            with pytest.raises(SingularMatrixError, match="Q22 is singular"):
+                singular.fast_noise_cov()
 
 
 class TestNoiseCovariances:
@@ -351,6 +366,42 @@ class TestValidateProblem:
             assert check.status == "fail"
         else:
             assert check.status == "pass"
+
+    @pytest.mark.parametrize("b", [0.8, 1.0])
+    @pytest.mark.parametrize("beta0", [0.25, 0.5, 1.25, 2.0])
+    def test_theory_refuses_exactly_what_validate_fails(self, b, beta0):
+        # the A2(ii) and A3(ii) items are one decision: theory_report raises on the
+        # first of them that validate fails, and only then
+        schedule = StepSchedule(beta0=beta0, b=b, gamma0=1.0, a=0.6)
+        for q in itertools.product((-2.0, -1.0, -0.4, 0.0, 0.5), repeat=4):
+            p = scalar_spec(*q)
+            failed = [c.name for c in validate_problem(p, schedule).failures()
+                      if c.name.startswith(("A2(ii)", "A3(ii)"))]
+            if failed:
+                with pytest.raises(InfeasibleError, match=f"^{re.escape(failed[0])} violated"):
+                    theory_report(p, schedule)
+            elif q[0] == 0.0:  # G needs Q11 inverted, which no assumption names
+                with pytest.raises(SingularMatrixError, match="^Q11 is singular"):
+                    theory_report(p, schedule)
+            else:
+                theory_report(p, schedule)
+
+    def test_the_structure_is_derived_once(self, monkeypatch):
+        names, invert = [], linalg.invert
+
+        def counted(a, name="matrix"):
+            names.append(name)
+            return invert(a, name)
+
+        monkeypatch.setattr(linalg, "invert", counted)
+        p = library_problem("linear-2x2")
+        schedule = StepSchedule(beta0=2.0, b=0.8, gamma0=2.0, a=0.6)
+        for _ in range(2):
+            resolved = resolve_algorithm(p, schedule, "matricial")
+            for pair in ((schedule, None), (resolved.schedule, resolved.gains)):
+                validate_problem(p, *pair)
+                theory_report(p, *pair)
+        assert len(names) <= 4, names
 
     def test_zero_coupling_identities(self):
         gamma = np.diag([1.4, 0.9])
