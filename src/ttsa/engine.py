@@ -18,11 +18,14 @@ S_n = diag(beta_n 1_d, gamma_n 1_d') the per-component step; G and S_n
 commute. The steps and the gain multiply the whole observation, so the
 noise xi, the residual rho and the bias r enter through one gain map,
 ``_Kernel.gain``, each already scaled by its steps. The innovation term
-u_n = gain(xi_{n+1} S_n) is pre-scaled as the noise of a chunk is drawn, a
+u_n = gain(xi_{n+1} S_n) is built as the noise of a chunk is drawn, a
 scratch group of ``_GROUP`` replications at a time
-(``_Kernel.innovations``; ``step`` writes its one row straight in); the
-residual's term is mapped on each step; and the bias row c_n = gain(r_n S_n)
-is added per step.
+(``_Kernel.innovations``): each replication's unit draws e
+(``NoiseModel.draw``) go into its slot of the group, the group takes the
+noise factor, xi = e F^T, in one product (``NoiseModel.apply_factor``), then
+the steps S and the gain. ``step`` is given xi and writes its one row
+gain(xi S_n) straight in. The residual's term is mapped on each step, and the
+bias row c_n = gain(r_n S_n) is added per step.
 ``simulate_batch`` builds A and c once per chunk of steps, as stacked
 (span, ., .) tables; ``step`` builds one-step tables through the same
 code. Each (problem, gains) pair has one ``_Kernel``, built and its gains
@@ -76,7 +79,8 @@ replications, ``step`` for one. It rounds the count up to a multiple of
 whose row count depends on the batch or the chunk goes through
 ``linalg.rows_dot``: the residual's product by its coefficient tensor
 (``NonlinearResidual``), every product of the gain map and the noise
-model's factor product. The step loop's products (the step and both
+factor's product (``NoiseModel.apply_factor``), so a replication's xi rounds
+alike in a group of any size. The step loop's products (the step and both
 decomposition products) go through the ``linalg.row_product`` of their
 shape, picked once per chunk. That is the row rule of ``linalg``: each row
 of such a product rounds alike at every row count.
@@ -477,27 +481,34 @@ class _Kernel:
 
     def innovations(self, block: np.ndarray, fill, count: int, s: np.ndarray) -> np.ndarray:
         """Fill rows 1..span of the (span + 1, rows, dim) ``block`` with the
-        innovation terms u_j of a chunk, and return the block.
+        innovation terms u_j = gain(e_{j+1} F^T S_j) of a chunk, and return the
+        block.
 
-        ``fill(r, out)`` writes replication r's (span, dim) noise into ``out``,
-        for r in range(count), and ``out`` is a slot of a scratch group of
-        ``_GROUP`` replications. Each group is scaled by the steps ``s`` in one
-        call, takes ``gain`` into a second scratch group, and is copied,
-        transposed, into the step-major block. Rows past the last
-        replication repeat the first.
+        ``fill(r, out)`` writes replication r's (span, dim) unit draws e into
+        ``out``, for r in range(count), and ``out`` is a slot of a scratch
+        group of ``_GROUP`` replications. Each group then takes the noise
+        factor, ``NoiseModel.apply_factor``, in one product into a second
+        scratch group, is scaled by the steps ``s`` in one call, takes
+        ``gain`` back into the first group, and is copied, transposed, into
+        the step-major block. The copy moves each (dim,) row as one raw
+        element, so its inner loop is over rows rather than over the dim
+        entries of one row. Rows past the last replication repeat the first.
         Row 0 is left for ``_Rows.advance``.
         """
         u = block[1:]
         span, _, dim = u.shape
-        group, gained = np.empty((2, min(_GROUP, count), span, dim))
+        noise = self.problem.noise
+        row = np.dtype((np.void, u.itemsize * dim))  # one row of dim doubles, as raw bytes
+        group, factored = np.empty((2, min(_GROUP, count), span, dim))
         for lo in range(0, count, _GROUP):
             size = min(_GROUP, count - lo)
             for r in range(size):
                 fill(lo + r, group[r])
-            g = group[:size]
+            e, g = group[:size].reshape(-1, dim), factored[:size]
+            noise.apply_factor(e, g.reshape(-1, dim))
             g *= s
-            g = self.gain(g.reshape(-1, dim), gained[:size].reshape(-1, dim))
-            u[:, lo : lo + size] = g.reshape(size, span, dim).transpose(1, 0, 2)
+            g = self.gain(g.reshape(-1, dim), e)
+            u.view(row)[:, lo : lo + size, 0] = g.reshape(size, span, dim).view(row)[..., 0].T
         u[:, count:] = u[:, :1]
         return block
 
@@ -663,8 +674,11 @@ def step(
 ) -> SAState:
     """Advance one trajectory by a single iteration.
 
-    ``noise`` is the freshly drawn innovation pair (V, W); drawing it fresh
-    per call is the martingale-difference contract. ``bias_values``, when
+    ``noise`` is the freshly drawn innovation pair (V, W), with the
+    covariance of the problem's noise: the fast and slow parts of
+    ``noise.apply_factor(noise.draw(rng, ()))``, where ``simulate_batch``
+    draws from replication_rng(seed, r). Drawing it fresh per call is the
+    martingale-difference contract. ``bias_values``, when
     given, is this step's bias pair (r_f, r_g) and replaces the problem's own
     bias model for the step. ``schedule`` and ``gains`` are the pair
     ``simulate_batch`` takes: the matricial variant is

@@ -92,7 +92,7 @@ class SpectralSummary:
     """Real parts of a spectrum, its maximum, and the stability gap.
 
     ``gap`` is the negated spectral abscissa: positive exactly when every
-    eigenvalue has negative real part.
+    eigenvalue has negative real part, and +0.0 for a zero abscissa.
     """
 
     real_parts: np.ndarray
@@ -108,7 +108,8 @@ def spectral_summary(a) -> SpectralSummary:
     m = as_square(a)
     parts = np.sort(np.linalg.eigvals(m).real)[::-1]
     abscissa = float(parts[0])
-    return SpectralSummary(real_parts=parts, abscissa=abscissa, gap=-abscissa)
+    # 0.0 - x, not -x: a zero abscissa gives a gap of +0.0, which prints as 0
+    return SpectralSummary(real_parts=parts, abscissa=abscissa, gap=0.0 - abscissa)
 
 
 def stability_gap(a) -> float:

@@ -135,11 +135,14 @@ class NonlinearResidual:
 class NoiseModel:
     """Joint innovation model for the stacked (V, W) noise.
 
-    Draws are independent across iterations and mean zero by construction,
-    which realizes the martingale-difference contract. ``moment_order`` is
-    the conditional moment order the noise is declared to possess; both
-    built-in distributions have all moments, so it defaults to infinity and
-    exists to exercise the validator.
+    An innovation is xi = e F^T: ``draw`` gives the unit-variance draws e,
+    standard normal or uniform on [-sqrt 3, sqrt 3] per entry, and
+    ``apply_factor`` correlates them by the factor F of the covariance,
+    F F^T = cov. Draws are independent across iterations and mean zero by
+    construction, which realizes the martingale-difference contract.
+    ``moment_order`` is the conditional moment order the noise is declared to
+    possess; both built-in distributions have all moments, so it defaults to
+    infinity and exists to exercise the validator.
     """
 
     cov: np.ndarray
@@ -166,8 +169,8 @@ class NoiseModel:
     def factor(self) -> np.ndarray:
         """Matrix F with F F^T equal to the covariance.
 
-        Factorizes on every call; ``draw`` reuses the factor computed once at
-        construction.
+        Factorizes on every call; ``apply_factor`` reuses the factor computed
+        once at construction.
         """
         try:
             return np.linalg.cholesky(self.cov)
@@ -177,21 +180,36 @@ class NoiseModel:
 
     def draw(self, rng: np.random.Generator, size: tuple[int, ...],
              out: np.ndarray | None = None) -> np.ndarray:
-        """Unit-variance base draws of the given shape scaled to the covariance.
+        """The unit-variance draws e of shape ``size + (dim,)``, uncorrelated;
+        ``apply_factor`` turns them into innovations.
 
-        The scaled draws, of shape ``size + (dim,)``, are written into ``out``
-        when it is given, and ``out`` is returned; the bits do not depend on
-        it. The draws are scaled by one ``linalg.rows_dot``, so a
-        replication's noise does not depend on how its stream is split into
-        draws.
+        They are written into ``out`` when it is given, and ``out`` is
+        returned; the bits do not depend on it. Gaussian draws go straight into
+        a C-ordered ``out``; any other draw is made fresh and copied.
+        """
+        shape = (*size, self.cov.shape[0])
+        if self.distribution == GAUSSIAN:
+            if out is not None and out.flags.c_contiguous:
+                return rng.standard_normal(shape, out=out)
+            e = rng.standard_normal(shape)
+        else:
+            e = rng.uniform(-_SQRT3, _SQRT3, shape)
+        if out is None:
+            return e
+        out[...] = e
+        return out
+
+    def apply_factor(self, e: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The innovations e F^T of unit draws e, of shape (..., dim), by one
+        ``linalg.rows_dot``, into ``out`` when it is given.
+
+        Each row rounds alike at every row count, so a replication's noise does
+        not depend on how its stream is split into draws, nor on how many
+        replications' draws are factored together.
         """
         dim = self.cov.shape[0]
-        if self.distribution == GAUSSIAN:
-            z = rng.standard_normal(size + (dim,))
-        else:
-            z = rng.uniform(-_SQRT3, _SQRT3, size + (dim,))
-        scaled = linalg.rows_dot(z.reshape(-1, dim), self._factorT, out)
-        return scaled.reshape(z.shape) if out is None else out
+        xi = linalg.rows_dot(e.reshape(-1, dim), self._factorT, out)
+        return xi.reshape(e.shape) if out is None else out
 
 
 @dataclass(frozen=True)
@@ -472,8 +490,10 @@ def _stability_checks(
 
     With gains A, the fast iterate is driven by A H, so the b = 1 condition
     reads Lambda(A H): with beta0 = 1 it is the fast rule of
-    ``validate_gains``. H needs Q22 inverted; when ``linalg.invert`` rejects
-    Q22, the A2(ii) item on H fails saying so, and so does A3(ii) at b = 1.
+    ``validate_gains``. The slow iterate is driven by A Q22, so one more
+    A2(ii) item asks that it be Hurwitz, the slow rule of ``validate_gains``.
+    H needs Q22 inverted; when ``linalg.invert`` rejects Q22, the A2(ii) item
+    on H fails saying so, and so does A3(ii) at b = 1.
     """
     report = ValidationReport()
     try:
@@ -490,6 +510,10 @@ def _stability_checks(
     report.add(
         "A2(ii) Lambda(Q22) > 0", gap_q22 > 0, f"Lambda(Q22) = {gap_q22:.6g}"
     )
+    if gains is not None:
+        gap_slow = linalg.stability_gap(gains.slow @ problem.q22)
+        report.add("A2(ii) Lambda(A Q22) > 0", gap_slow > 0,
+                   f"Lambda(A Q22) = {gap_slow:.6g}, A the slow gain")
     report.extend(validate_schedule(schedule, gap, "H" if gains is None else "A H"))
     return report
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import linalg
 from .engine import GainMatrices
-from .errors import InfeasibleError
+from .errors import InfeasibleError, SingularMatrixError
 from .problems import ProblemSpec, _stability_checks
 from .schedules import StepSchedule, validate_schedule
 from .validation import ValidationReport
@@ -38,13 +38,26 @@ def fast_error_cov(
     otherwise. It raises InfeasibleError when the A3(ii) item of
     ``validate_schedule`` on Lambda(A H) fails, the one A3(ii) rule. Otherwise
     the Lyapunov solver's own Hurwitz check is the only check;
-    ``theory_report`` has already refused a problem failing A2(ii).
+    ``theory_report`` has already refused a problem failing A2(ii). At b = 1,
+    A3(ii) may hold by a margin Lambda(A H) - 1/(2 beta0) too small for the
+    solver's residual check; its SingularMatrixError then names A3(ii) and
+    that margin.
     """
     fast = "H" if gain is None else "A H"
     drift, noise = _with_gain(problem.fast_matrix(), problem.fast_noise_cov(), gain, "fast gain")
-    _refuse(validate_schedule(schedule, linalg.stability_gap(drift), fast), "A3(ii)")
+    gap = linalg.stability_gap(drift)
+    _refuse(validate_schedule(schedule, gap, fast), "A3(ii)")
     shift = 1.0 / (2.0 * schedule.beta0) if schedule.b == 1.0 else 0.0
-    return linalg.solve_lyapunov(drift + shift * np.eye(problem.d), noise)
+    try:
+        return linalg.solve_lyapunov(drift + shift * np.eye(problem.d), noise)
+    except SingularMatrixError as exc:
+        if not shift:
+            raise
+        raise SingularMatrixError(
+            f"A3(ii) beta0 condition holds by too small a margin to solve for the fast "
+            f"covariance: 1/(2*beta0) = {shift!r} vs Lambda({fast}) = {gap!r}, margin "
+            f"{gap - shift:.3g}; {exc}"
+        ) from None
 
 
 def slow_error_cov(problem: ProblemSpec, gain: np.ndarray | None = None) -> np.ndarray:

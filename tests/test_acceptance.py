@@ -232,7 +232,7 @@ def test_criterion_7_decomposition_structure(decomposition_report):
     n_last = 50
     vs, ws = [], []
     for n in range(1, n_last + 1):
-        draws = problem.noise.draw(rng, ())
+        draws = problem.noise.apply_factor(problem.noise.draw(rng, ()))
         v, w = draws[:2], draws[2:]
         state = step(problem, schedule, state, (v, w))
         vs.append(v)

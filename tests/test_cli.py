@@ -608,6 +608,33 @@ class TestValidateCommand:
             assert cli.main(["validate", "--config", path]) == 1
         assert "[FAIL] A3(ii) beta0 condition: b = 1 requires" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("beta0", [
+        # two ulps above 1/(2 Lambda(H)) = 0.4610801709623106, and 1e-10 above it
+        0.46108017096231063, 0.4610801709623106 * (1 + 1e-10),
+    ])
+    def test_theory_names_a3_when_its_margin_is_too_small_to_solve(self, tmp_path, capsys,
+                                                                  beta0):
+        # validate passes A3(ii), but the shifted Lyapunov system is too
+        # ill-conditioned to solve; theory names the assumption and its margin
+        path = write_config(tmp_path, f"{MINIMAL}step.b = 1.0\nstep.beta0 = {beta0!r}\n")
+        assert cli.main(["validate", "--config", path]) == 0
+        assert "[PASS] A3(ii)" in capsys.readouterr().out
+        lam = stability_gap(library_problem("linear-2x2").fast_matrix())
+        assert cli.main(["theory", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: A3(ii) beta0 condition holds by too small a margin")
+        assert f"1/(2*beta0) = {1.0 / (2.0 * beta0)!r} vs Lambda(H) = {lam!r}" in err
+        assert f"margin {lam - 1.0 / (2.0 * beta0):.3g}" in err
+
+    def test_a_zero_lambda_h_prints_as_zero(self, tmp_path, capsys):
+        # H = 0 has a zero abscissa, so a stability gap of +0.0, never "-0"
+        path = write_config(tmp_path, blocks_1x1(-1.0, 1.0, 1.0, -1.0) + "step.b = 1.0\n")
+        assert cli.main(["validate", "--config", path]) == 1
+        out = capsys.readouterr().out
+        assert "[FAIL] A2(ii) Lambda(H) > 0: Lambda(H) = 0\n" in out
+        assert "with Lambda(H) > 0; Lambda(H) = 0\n" in out
+        assert "-0" not in out
+
     def test_singular_q22_fails_a2_and_theory_names_it(self, tmp_path, capsys):
         path = write_config(tmp_path, blocks_1x1(-1.0, 1.0, 1.0, 0.0) + "run.n_final = 20\n")
         assert cli.main(["validate", "--config", path]) == 1

@@ -337,7 +337,7 @@ class TestDecomposition:
         vs, ws, mu_path = [], [], [state.mu.copy()]
         recursive = {}
         for n in range(1, n_last + 1):
-            draws = p.noise.draw(rng, ())
+            draws = p.noise.apply_factor(p.noise.draw(rng, ()))
             v, w = draws[:2], draws[2:]
             state = step(p, schedule, state, (v, w))
             vs.append(v)
@@ -451,7 +451,7 @@ class TestRun:
         n_final = 300
         trace = run(p, schedule, n_final, seed=9, checkpoints=np.arange(1, n_final + 1))
 
-        draws = p.noise.draw(replication_rng(9, 0), (n_final - 1,))
+        draws = p.noise.apply_factor(p.noise.draw(replication_rng(9, 0), (n_final - 1,)))
         q_t = np.block([[p.q11, p.q12], [p.q21, p.q22]]).T.copy()
         x_star = np.concatenate([p.theta_star, p.mu_star])
         z = np.tile(x_star + np.ones(4) / math.sqrt(2) - x_star, (4, 1))
@@ -483,7 +483,7 @@ class TestRun:
         trace = run(p, steps, n_final, seed=9, gains=gains,
                     checkpoints=np.arange(1, n_final + 1))
 
-        draws = p.noise.draw(replication_rng(9, 0), (n_final - 1,))
+        draws = p.noise.apply_factor(p.noise.draw(replication_rng(9, 0), (n_final - 1,)))
         theta = p.theta_star + np.ones(2) / math.sqrt(2)
         mu = p.mu_star + np.ones(2) / math.sqrt(2)
         thetas, mus = [theta], [mu]
@@ -514,7 +514,7 @@ class TestRun:
         trace = run(p, schedule, n_final, seed=13, checkpoints=np.arange(1, n_final + 1))
         theta, mu = trace.theta, trace.mu
         # the run's noise, replayed from replication 0's stream
-        draws = p.noise.draw(replication_rng(13, 0), (n_final - 1,))
+        draws = p.noise.apply_factor(p.noise.draw(replication_rng(13, 0), (n_final - 1,)))
         v, w = draws[:, : p.d], draws[:, p.d :]
         h = p.fast_matrix()
         k = p.q12 @ invert(p.q22)
@@ -679,6 +679,7 @@ class TestNoiseStreams:
 
     @pytest.mark.parametrize("replications", [1, 64, 130])
     def test_innovations_are_each_draw_scaled_by_the_steps(self, replications):
+        # each replication's unit draws, factored on their own, then scaled:
         # 130 replications fill two scratch groups of 64 and a tail of 2; the
         # rows past the last replication, up to a multiple of 4, repeat the first
         p = random_problem(12, 12, seed=3)
@@ -689,7 +690,7 @@ class TestNoiseStreams:
         block = _Kernel(p).innovations(np.full((8, rows, p.dim), np.nan),
                                        lambda r, out: np.copyto(out, draws[r]), replications, s)
         assert np.isnan(block[0]).all()  # row 0 is left for the starting state
-        expected = (draws * s).transpose(1, 0, 2)
+        expected = np.array([p.noise.apply_factor(e) * s for e in draws]).transpose(1, 0, 2)
         np.testing.assert_array_equal(block[1:, :replications], expected)
         np.testing.assert_array_equal(block[1:, replications:], expected[:, :1].repeat(
             rows - replications, axis=1))
@@ -878,7 +879,7 @@ class TestDeterminismContracts:
             assert_same_paths(large.replication(r), batch(replications).replication(r))
         state = initial_state(p)
         x = [state.x]
-        for xi in p.noise.draw(replication_rng(seed, 129), (n_final - 1,)):
+        for xi in p.noise.apply_factor(p.noise.draw(replication_rng(seed, 129), (n_final - 1,))):
             state = step(p, s, state, (xi[: p.d], xi[p.d :]), gains=gains)
             x.append(state.x)
         np.testing.assert_array_equal(large.replication(129).x, np.array(x))
@@ -899,6 +900,39 @@ class TestDeterminismContracts:
         assert noise.draw(replication_rng(8, 0), size, out=strided) is strided
         np.testing.assert_array_equal(strided, buf)
 
+    @pytest.mark.parametrize("matricial", [False, True])
+    @pytest.mark.parametrize("distribution", ["gaussian", "bounded_uniform"])
+    def test_group_factored_batches_equal_per_replication_steps(
+        self, linear_problem, schedule, distribution, matricial
+    ):
+        # the engine factors the unit draws of a whole scratch group of 64
+        # replications in one product; each replication must still be its own
+        # draws, factored alone, chained through ``step``. The batch sizes
+        # end, start and straddle the groups, and the chunks take the draws
+        # one step, seven steps and all steps at a time
+        p = replace(linear_problem, noise=replace(linear_problem.noise, distribution=distribution))
+        s, gains = (matricial_schedule(0.6), optimal_gains(p)) if matricial else (schedule, None)
+        n_final, seed, factor = 30, 4, p.noise.factor()
+        x, x_bar = [], []
+        for r in range(130):
+            e = p.noise.draw(replication_rng(seed, r), (n_final - 1,))
+            xi = p.noise.apply_factor(e)
+            np.testing.assert_allclose(xi, e @ factor.T, rtol=0, atol=1e-14)  # e F^T
+            state = initial_state(p)
+            path = [state]
+            for row in xi:
+                path.append(state := step(p, s, state, (row[: p.d], row[p.d :]), gains=gains))
+            x.append([st.x for st in path])
+            x_bar.append([np.concatenate([st.theta_bar, st.mu_bar]) for st in path])
+        x, x_bar = np.array(x).transpose(1, 0, 2), np.array(x_bar).transpose(1, 0, 2)
+        for replications in (1, 63, 64, 65, 129, 130):
+            for chunk in (1, 7, 256):
+                batch = simulate_batch(p, s, n_final, base_seed=seed, replications=replications,
+                                       chunk=chunk, gains=gains,
+                                       checkpoints=np.arange(1, n_final + 1))
+                np.testing.assert_array_equal(batch.x, x[:, :replications])
+                np.testing.assert_array_equal(batch.x_bar, x_bar[:, :replications])
+
 
 class TestPerStepApi:
     @pytest.mark.bitwise
@@ -913,7 +947,7 @@ class TestPerStepApi:
         trace = run(p, schedule, n_final, seed=9, track_decomposition=True,
                     checkpoints=np.arange(1, n_final + 1))
 
-        draws = p.noise.draw(replication_rng(9, 0), (n_final - 1,))
+        draws = p.noise.apply_factor(p.noise.draw(replication_rng(9, 0), (n_final - 1,)))
         state = initial_state(p, track_decomposition=True)
         paths = {key: [] for key in ("theta", "mu", "theta_bar", "mu_bar")}
         norms = {key: [] for key in DECOMP_KEYS}
@@ -953,7 +987,7 @@ class TestPerStepApi:
 
         state = initial_state(p)
         x, x_bar = [state.x], [np.concatenate([state.theta_bar, state.mu_bar])]
-        for xi in p.noise.draw(replication_rng(9, 0), (n_final - 1,)):
+        for xi in p.noise.apply_factor(p.noise.draw(replication_rng(9, 0), (n_final - 1,))):
             state = step(p, steps, state, (xi[: p.d], xi[p.d :]), gains=gains)
             x.append(state.x)
             x_bar.append(np.concatenate([state.theta_bar, state.mu_bar]))
@@ -1126,7 +1160,8 @@ class TestDivergenceAcrossChunks:
         first, paths = None, []
         for r in range(cls.REPLICATIONS):
             state, path = initial_state(p, theta0=p.theta_star, mu0=p.mu_star), []
-            draws = p.noise.draw(replication_rng(cls.SEED, r), (cls.N_FINAL - 1,))
+            rng = replication_rng(cls.SEED, r)
+            draws = p.noise.apply_factor(p.noise.draw(rng, (cls.N_FINAL - 1,)))
             try:
                 for xi in draws:
                     path.append(state.x)

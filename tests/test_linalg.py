@@ -25,6 +25,11 @@ class TestSpectralSummary:
         assert abs(s.gap) < 1e-12
         np.testing.assert_allclose(s.real_parts, [0.0, 0.0], atol=1e-12)
 
+    def test_a_zero_abscissa_is_a_gap_of_plus_zero(self):
+        # -0.0 would print as "-0" in a validation line
+        for a in (np.zeros((1, 1)), np.zeros((3, 3)), np.diag([0.0, -1.0])):
+            assert math.copysign(1.0, linalg.stability_gap(a)) == 1.0
+
     def test_matches_characteristic_polynomial_roots(self):
         # roots of x^2 + 2x - 1 solved by hand: -1 +- sqrt(2)
         s = linalg.spectral_summary([[-1.0, 4.0], [0.5, -1.0]])

@@ -92,7 +92,7 @@ class TestNoiseCovariances:
         # innovations over 1e6 draws, within 1%
         p = linear_problem
         rng = np.random.default_rng(123)
-        draws = p.noise.draw(rng, (10**6,))
+        draws = p.noise.apply_factor(p.noise.draw(rng, (10**6,)))
         v, w = draws[:, : p.d], draws[:, p.d :]
         k_fast = p.q12 @ np.linalg.inv(p.q22)
         k_slow = p.q21 @ np.linalg.inv(p.q11)
@@ -113,7 +113,7 @@ class TestNoiseCovariances:
         p = linear_problem
         rng = np.random.default_rng(77)
         n = 10**6
-        draws = p.noise.draw(rng, (n,))
+        draws = p.noise.apply_factor(p.noise.draw(rng, (n,)))
         mean = draws.mean(axis=0)
         std_err = np.sqrt(np.diag(p.noise.cov) / n)
         assert np.all(np.abs(mean) <= 3.0 * std_err)
@@ -126,7 +126,7 @@ class TestNoiseCovariances:
         cov = np.array([[1.0, 0.3], [0.3, 0.5]])
         noise = NoiseModel(cov=cov, distribution="bounded_uniform")
         rng = np.random.default_rng(5)
-        draws = noise.draw(rng, (200_000,))
+        draws = noise.apply_factor(noise.draw(rng, (200_000,)))
         emp = draws.T @ draws / draws.shape[0]
         assert np.linalg.norm(emp - cov, "fro") <= 0.02
         assert np.abs(draws).max() <= np.sqrt(3) * np.abs(noise.factor()).sum(axis=1).max() + 1e-9
@@ -134,16 +134,25 @@ class TestNoiseCovariances:
     def test_one_row_draws_match_longer_draws(self, linear_problem):
         # a replication's noise must not depend on how its stream is split
         noise = linear_problem.noise
-        whole = noise.draw(np.random.default_rng(3), (6,))
+        whole = noise.apply_factor(noise.draw(np.random.default_rng(3), (6,)))
         rng = np.random.default_rng(3)
-        parts = [noise.draw(rng, ()) for _ in range(3)] + list(noise.draw(rng, (1,)))
-        parts += list(noise.draw(rng, (2,)))
-        np.testing.assert_array_equal(np.array(parts), whole)
+        parts = [noise.apply_factor(noise.draw(rng, size)).reshape(-1, 4)
+                 for size in ((), (), (), (1,), (2,))]
+        np.testing.assert_array_equal(np.concatenate(parts), whole)
+
+    @pytest.mark.parametrize("distribution", ["gaussian", "bounded_uniform"])
+    def test_draws_are_unit_and_apply_factor_correlates_them(self, linear_problem,
+                                                             distribution):
+        noise = NoiseModel(cov=linear_problem.noise.cov, distribution=distribution)
+        e = noise.draw(np.random.default_rng(4), (200_000,))
+        assert np.abs(e.T @ e / len(e) - np.eye(4)).max() <= 0.02
+        np.testing.assert_allclose(noise.apply_factor(e), e @ noise.factor().T, rtol=0,
+                                   atol=1e-14)
 
     def test_draw_reuses_the_construction_factor(self, monkeypatch):
         noise = NoiseModel(cov=[[1.0, 0.3], [0.3, 0.5]])
         monkeypatch.setattr(NoiseModel, "factor", lambda self: pytest.fail("factorized again"))
-        assert noise.draw(np.random.default_rng(0), (4,)).shape == (4, 2)
+        assert noise.apply_factor(noise.draw(np.random.default_rng(0), (4,))).shape == (4, 2)
 
     def test_asymmetric_cov_rejected(self):
         with pytest.raises(ValueError, match="symmetric positive semidefinite"):
@@ -366,6 +375,25 @@ class TestValidateProblem:
             assert check.status == "fail"
         else:
             assert check.status == "pass"
+
+    @pytest.mark.parametrize("slow", [1.0, -1.0, 0.0])
+    def test_gained_slow_condition_is_the_gain_test(self, linear_problem, slow):
+        # the slow iterate is driven by A Q22: validate fails, and theory
+        # refuses by name, exactly the slow gains that validate_gains rejects
+        gains = GainMatrices(fast=-np.linalg.inv(linear_problem.fast_matrix()),
+                             slow=slow * np.eye(2))
+        schedule = matricial_schedule(0.6)
+        report = validate_problem(linear_problem, schedule, gains)
+        if slow > 0:
+            validate_gains(linear_problem, gains)
+            assert report.passed
+            theory_report(linear_problem, schedule, gains)
+            return
+        with pytest.raises(ConfigError, match="slow gain does not stabilize"):
+            validate_gains(linear_problem, gains)
+        assert [c.name for c in report.failures()] == ["A2(ii) Lambda(A Q22) > 0"]
+        with pytest.raises(InfeasibleError, match=r"^A2\(ii\) Lambda\(A Q22\) > 0 violated"):
+            theory_report(linear_problem, schedule, gains)
 
     @pytest.mark.parametrize("b", [0.8, 1.0])
     @pytest.mark.parametrize("beta0", [0.25, 0.5, 1.25, 2.0])
