@@ -77,13 +77,15 @@ stretch) and adds one row after another, as a step-by-step sum would.
 replications, ``step`` for one. It rounds the count up to a multiple of
 ``linalg.ROW_ALIGN`` = 4, the extra rows repeating row 0, and every product
 whose row count depends on the batch or the chunk goes through
-``linalg.rows_dot``: the residual's product by its coefficient tensor
-(``NonlinearResidual``), every product of the gain map and the noise
-factor's product (``NoiseModel.apply_factor``), so a replication's xi rounds
-alike in a group of any size. The step loop's products (the step and both
-decomposition products) go through the ``linalg.row_product`` of their
+``linalg.rows_dot``: the quadratic residual's selection and coefficient
+products (``NonlinearResidual``), every product of the gain map and the
+noise factor's product (``NoiseModel.apply_factor``), so a replication's xi
+rounds alike in a group of any size. The step loop's products (the step and
+both decomposition products) go through the ``linalg.row_product`` of their
 shape, picked once per chunk. That is the row rule of ``linalg``: each row
-of such a product rounds alike at every row count.
+of such a product rounds alike at every row count. Everything else is
+elementwise, such as the residual's term rho S_n, one multiply of rho viewed
+as rows of ``ROW_ALIGN`` states by the steps tiled as many times.
 
 The trace keeps the iterate's layout: a ``BatchTrace`` holds the checkpointed
 x = z + x* and its running average x_bar as (checkpoint, replication, d+d')
@@ -110,7 +112,7 @@ import numpy as np
 
 from . import linalg
 from .errors import ConfigError, DimensionError, DivergenceError
-from .problems import ProblemSpec
+from .problems import ProblemSpec, _a2_holds
 from .schedules import AVERAGING, StepSchedule, _a3_holds
 
 DIVERGENCE_GUARD = 1e9
@@ -174,14 +176,15 @@ def validate_gains(problem: ProblemSpec, gains: GainMatrices) -> None:
     """Raise unless the gains stabilize the matricial iteration.
 
     The fast rule is A3(ii) at beta0 = 1, 1/2 < Lambda(A H)
-    (``schedules._a3_holds``, the rule validate reports); the slow one is
-    the A2(ii) Hurwitz test of A Q22.
+    (``schedules._a3_holds``); the slow one is A2(ii) for A Q22,
+    Lambda(A Q22) > 0 (``problems._a2_holds``). Validate reports both
+    through the same predicates.
     """
     if gains.fast.shape[0] != problem.d or gains.slow.shape[0] != problem.d_prime:
         raise DimensionError("gain dimensions do not match the problem")
     if not _a3_holds(1.0, linalg.stability_gap(gains.fast @ problem.fast_matrix())):
         raise ConfigError("fast gain does not stabilize: Lambda(A*H) <= 1/2, A3(ii) at beta0 = 1")
-    if not linalg.is_hurwitz(gains.slow @ problem.q22):
+    if not _a2_holds(linalg.stability_gap(gains.slow @ problem.q22)):
         raise ConfigError("slow gain does not stabilize: A*Q22 is not Hurwitz")
 
 
@@ -590,7 +593,10 @@ class _Rows:
         chunk, so a step pays no call beyond its products. A residual's term
         rho S_j is written into the loop's scratch ``prod``, and its
         ``_Kernel.gain`` into the scratch ``gained``, so the step allocates
-        no array for it and never modifies an array rho returns. The guard
+        no array for it and never modifies an array rho returns. It is one
+        multiply of rho, viewed as rows of ``linalg.ROW_ALIGN`` states, by
+        the chunk's steps tiled as many times (built once per chunk): the
+        products of rho by s_j, each entry by its own step. The guard
         then makes one ``first_diverged`` call over rows 1..span as one
         step-major list, so the first row it flags, split by ``divmod``, is
         the first step that holds a diverged row and the lowest replication
@@ -611,6 +617,11 @@ class _Rows:
         w[0] = self.z
         scratch = np.empty((2, *self.z.shape))
         prod, gained = scratch
+        if residual is not None:  # rho S_j as rows of ROW_ALIGN states, a longer inner loop
+            # (a broadcast fill costs a one-step chunk about a third of np.tile)
+            s_tiled = np.empty((span, linalg.ROW_ALIGN * s.shape[1]))
+            s_tiled.reshape(span, linalg.ROW_ALIGN, -1)[...] = s[:, None]
+            prod_tiled = prod.reshape(-1, s_tiled.shape[1])
         lo, hi = marks.searchsorted((n0 + 1, n0 + span + 1))  # the chunk's marks
         dec, snaps = self.parts, {}
         if dec is not None:
@@ -627,7 +638,9 @@ class _Rows:
                     v[:, :dim] = out
                 out += dot(z, a[j], prod)  # u_j + z A_j, which rounds as z A_j + u_j
                 if residual is not None:
-                    out += kernel.gain(np.multiply(residual.evaluate(z), s[j], out=prod), gained)
+                    rho = residual.evaluate(z).reshape(prod_tiled.shape)
+                    np.multiply(rho, s_tiled[j], out=prod_tiled)
+                    out += kernel.gain(prod, gained)
                 if c is not None:
                     out += c[j]
                 if dec is not None:

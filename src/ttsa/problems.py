@@ -72,7 +72,12 @@ class NonlinearResidual:
     (B, d+d') and returns rho = (rho_f, rho_g) in the same layout and shape.
     kind "none" is the linear problem. kind "quadratic_form" gives, per output
     component i, z^T C_i z, clamped to zero outside ``clamp_radius`` so the
-    local model cannot destabilize far starts. kind "custom" delegates to
+    local model cannot destabilize far starts. It is one product of the
+    pairwise products: rho = w C_packed, with w_p = z_j z_k over the pairs
+    p = (j, k), j <= k, and row p of C_packed holding C_ijk + C_ikj (j < k)
+    or C_ijj (j = k) over i. w is two exact 0/1 selection products, and
+    every product goes through ``linalg.rows_dot``, so each row rounds alike
+    at every row count. kind "custom" delegates to
     ``custom_fn(z) -> rho`` with the same shapes. Row i of rho must depend on
     row i of z alone: the engine guards divergence once per chunk, so it may
     evaluate rows past a divergence (huge, infinite or NaN) under
@@ -101,10 +106,14 @@ class NonlinearResidual:
                     f"got {fast.shape} and {slow.shape}",
                     key="coeff_fast" if fast.shape[1:] != (dim, dim) else "coeff_slow")
             coeff = np.concatenate([fast, slow])
-            # Row j holds C_ijk at column i*dim + k, so (z @ stacked)[b, i*dim + k]
-            # is sum_j z_j C_ijk: one matmul serves every output component.
-            stacked = np.ascontiguousarray(coeff.transpose(1, 0, 2)).reshape(dim, dim * dim)
-            object.__setattr__(self, "_stacked", stacked)
+            j, k = np.triu_indices(dim)  # the pairs p = (j, k), j <= k, row-major
+            p = np.arange(len(j))
+            select = np.zeros((2, dim, len(p)))  # column p picks z_j, then z_k
+            select[0, j, p] = select[1, k, p] = 1.0
+            # row p holds C_ijk + C_ikj for j < k and C_ijj for j = k, over i
+            packed = np.where(j == k, coeff[:, j, k], coeff[:, j, k] + coeff[:, k, j]).T
+            object.__setattr__(self, "_select", select)
+            object.__setattr__(self, "_packed", np.ascontiguousarray(packed))
         if self.kind == "custom" and self.custom_fn is None:
             raise ConfigError("custom residual needs a callable", key="custom_fn")
 
@@ -114,11 +123,16 @@ class NonlinearResidual:
             return np.zeros_like(z)
         if self.kind == "custom":
             return self.custom_fn(z)
-        zc = linalg.rows_dot(z, self._stacked).reshape(*z.shape, -1)
-        rho = np.einsum("bik,bk->bi", zc, z)
+        # w_p = z_j z_k; each selection product has one nonzero term, so it is
+        # exact, and w is C-ordered (a gather z[:, j] is not, and BLAS rounds
+        # a transposed operand's rows by the row count)
+        w = linalg.rows_dot(z, self._select[0])
+        w *= linalg.rows_dot(z, self._select[1])
+        rho = linalg.rows_dot(w, self._packed)
         # ||z|| <= sqrt(dim) max|z_i|; with a margin far above rounding, every
-        # row is inside and the clamp would multiply by one
-        if not math.sqrt(z.shape[1]) * np.abs(z).max() <= 0.999 * self.clamp_radius:
+        # row is inside and the clamp would multiply by one. A NaN makes both
+        # extremes NaN, so it fails the test and takes the masked path
+        if not math.sqrt(z.shape[1]) * max(z.max(), -z.min()) <= 0.999 * self.clamp_radius:
             rho *= (np.linalg.norm(z, axis=-1) <= self.clamp_radius)[:, None]
         return rho
 
@@ -480,6 +494,15 @@ def validate_problem(
     return report
 
 
+def _a2_holds(gap: float) -> bool:
+    """A2(ii) for a matrix that drives an iterate, Lambda > 0, from its
+    stability gap ``gap``; a NaN gap fails it. The one form of the rule, as
+    ``schedules._a3_holds`` is of A3(ii): ``_stability_checks`` reports it
+    for H, Q22 and, under gains A, A Q22, and ``engine.validate_gains``
+    raises when A Q22 fails it."""
+    return gap > 0
+
+
 def _stability_checks(
     problem: ProblemSpec, schedule: StepSchedule, gains: GainMatrices | None = None
 ) -> ValidationReport:
@@ -491,7 +514,8 @@ def _stability_checks(
     With gains A, the fast iterate is driven by A H, so the b = 1 condition
     reads Lambda(A H): with beta0 = 1 it is the fast rule of
     ``validate_gains``. The slow iterate is driven by A Q22, so one more
-    A2(ii) item asks that it be Hurwitz, the slow rule of ``validate_gains``.
+    A2(ii) item asks that it be Hurwitz, the slow rule of ``validate_gains``
+    (``_a2_holds``).
     H needs Q22 inverted; when ``linalg.invert`` rejects Q22, the A2(ii) item
     on H fails saying so, and so does A3(ii) at b = 1.
     """
@@ -503,16 +527,16 @@ def _stability_checks(
         report.add("A2(ii) Lambda(H) > 0", False, str(exc))
     else:
         gap = linalg.stability_gap(h)
-        report.add("A2(ii) Lambda(H) > 0", gap > 0, f"Lambda(H) = {gap:.6g}")
+        report.add("A2(ii) Lambda(H) > 0", _a2_holds(gap), f"Lambda(H) = {gap:.6g}")
         if gains is not None:
             gap = linalg.stability_gap(gains.fast @ h)
     gap_q22 = linalg.stability_gap(problem.q22)
     report.add(
-        "A2(ii) Lambda(Q22) > 0", gap_q22 > 0, f"Lambda(Q22) = {gap_q22:.6g}"
+        "A2(ii) Lambda(Q22) > 0", _a2_holds(gap_q22), f"Lambda(Q22) = {gap_q22:.6g}"
     )
     if gains is not None:
         gap_slow = linalg.stability_gap(gains.slow @ problem.q22)
-        report.add("A2(ii) Lambda(A Q22) > 0", gap_slow > 0,
+        report.add("A2(ii) Lambda(A Q22) > 0", _a2_holds(gap_slow),
                    f"Lambda(A Q22) = {gap_slow:.6g}, A the slow gain")
     report.extend(validate_schedule(schedule, gap, "H" if gains is None else "A H"))
     return report

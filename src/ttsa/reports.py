@@ -20,7 +20,7 @@ import numpy as np
 
 from .engine import DECOMP_KEYS, BatchTrace
 
-ARTIFACT_VERSION = "0.2.1"
+ARTIFACT_VERSION = "0.2.2"
 
 
 def fmt17(x: float) -> str:

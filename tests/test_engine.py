@@ -220,10 +220,11 @@ class TestGainMap:
             np.testing.assert_array_equal(new.z, self.by_hand(p, s, state, xi, gT))
             state = new
 
-    @pytest.mark.parametrize("name", ["quadratic-2x2", "9+9"])
+    @pytest.mark.parametrize("name", ["quadratic-2x2", "1+2", "9+9"])
     def test_without_gains_the_residual_term_is_rho_times_the_steps(self, name, schedule):
-        p = (library_problem(name) if name != "9+9"
-             else with_quadratic_residual(random_problem(9, 9, seed=3)))
+        # the loop multiplies rho by the steps as rows of four states, so at
+        # 1+2 a row of that multiply is 12 entries, four states of odd dim 3
+        p = residual_problem(name)
         state = replace(initial_state(p), n=7)
         new = step(p, schedule, state, zero_noise(p))
         z = np.tile(state.z, (4, 1))
@@ -713,6 +714,14 @@ def with_quadratic_residual(p):
                                                  coeff_slow=coeff[p.d :]))
 
 
+def residual_problem(name):
+    """quadratic-2x2, or "d+d'" as ``with_quadratic_residual(random_problem(d, d', 3))``."""
+    if name == "quadratic-2x2":
+        return library_problem(name)
+    d, dp = map(int, name.split("+"))
+    return with_quadratic_residual(random_problem(d, dp, seed=3))
+
+
 def assert_same_paths(a, b):
     for name in ("theta", "mu", "theta_bar", "mu_bar"):
         np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
@@ -771,8 +780,8 @@ class TestDeterminismContracts:
 
     @pytest.mark.parametrize("kind", ["quadratic_form", "matricial", "matricial_residual_bias"])
     def test_run_equals_replication_zero_at_9_plus_9(self, kind, schedule):
-        # the residual's product by its stacked tensor and every product of
-        # the gain map: of each scratch group, of the bias rows and of the
+        # the residual's selection and coefficient products and every product
+        # of the gain map: of each scratch group, of the bias rows and of the
         # residual's term on each step; optimal_gains does not stabilize this
         # problem, but (-H^-1, -Q22^-1) does
         p, gains = random_problem(9, 9, seed=3), None
@@ -790,6 +799,39 @@ class TestDeterminismContracts:
             batch = simulate_batch(p, schedule, 300, base_seed=21, replications=replications,
                                    gains=gains, chunk=chunk, checkpoints=every)
             assert_same_paths(trace, batch.replication(0))
+
+    @pytest.mark.parametrize("name", ["quadratic-2x2", "1+2", "9+9"])
+    def test_each_residual_row_is_its_own_alone_and_in_any_batch(self, name):
+        # every product of the residual goes through rows_dot, so a row of rho
+        # has the same bits evaluated alone and in a batch of any size, at any
+        # position. One row in 97 lies outside the clamp radius, so some
+        # batches take the masked path and others the all-inside one
+        residual = residual_problem(name).residual
+        rng = np.random.default_rng(5)
+        z = rng.normal(size=(2000, residual.coeff_fast.shape[1]))
+        z *= 0.5 * residual.clamp_radius / np.linalg.norm(z, axis=1, keepdims=True)
+        z[::97] *= 3.0
+        alone = np.array([residual.evaluate(row[None])[0] for row in z])
+        for size in (*range(1, 10), 63, 64, 65, 2000):
+            batches = [residual.evaluate(z[lo : lo + size]) for lo in range(0, len(z), size)]
+            np.testing.assert_array_equal(np.concatenate(batches), alone, err_msg=f"{size}")
+        assert np.all(alone[::97] == 0.0) and np.all(np.delete(alone, np.s_[::97], 0) != 0.0)
+
+    @pytest.mark.parametrize("name", ["quadratic-2x2", "1+2", "9+9"])
+    def test_a_nan_row_leaves_the_clamp_of_the_others(self, name):
+        # a NaN fails the all-inside test, so the batch takes the masked path:
+        # the row outside the radius gives exactly 0, the rows inside their
+        # own bits, and the NaN row whatever it gives, which the engine discards
+        residual = residual_problem(name).residual
+        z = np.random.default_rng(6).normal(size=(6, residual.coeff_fast.shape[1]))
+        z *= 0.5 * residual.clamp_radius / np.linalg.norm(z, axis=1, keepdims=True)
+        z[1] *= 3.0
+        z[4, 0] = np.nan
+        rho = residual.evaluate(z)
+        np.testing.assert_array_equal(rho[1], 0.0)
+        for r in (0, 2, 3, 5):
+            np.testing.assert_array_equal(rho[r], residual.evaluate(z[r : r + 1])[0])
+            assert np.all(rho[r] != 0.0)
 
     @pytest.mark.parametrize("d, dp", [(9, 9), (13, 12), (20, 20)])
     def test_chunk_size_does_not_change_the_trace_at_any_dimension(self, d, dp, schedule):
@@ -813,8 +855,9 @@ class TestDeterminismContracts:
                                                                  schedule):
         # 800 rows pass rows x m.size = 10^6 in the decomposition's 36-wide
         # products at 9+9, in the step product at 18+18 and in the residual's
-        # product by its (18, 18^2) tensor at 9+9, so linalg.rows_dot splits
-        # them into slabs; a batch of 5 takes one product of 8 rows
+        # (18, 171) selection and (171, 18) coefficient products at 9+9, so
+        # linalg.rows_dot splits them into slabs; a batch of 5 takes one
+        # product of 8 rows
         p = random_problem(d, d, seed=3)
         p = with_quadratic_residual(p) if residual else p
         small, large = (

@@ -336,9 +336,14 @@ class TestInvert:
 class TestRowsDot:
     # the row rule: each row of rows_dot(x, m) has the same bits at every row
     # count and offset, so any run of rows of x gives those rows of the
-    # product; at every dim from 2 to 64, square and residual-shaped (dim,
-    # dim^2) operands, the counts cross 4-row boundaries and the slab bound
-    @pytest.mark.parametrize("dim, cols", [(d, c) for d in range(2, 65) for c in (d, d * d)])
+    # product; at every dim from 2 to 64, square and wide (dim, dim^2)
+    # operands and the quadratic residual's: its (dim, dim (dim + 1) / 2)
+    # selections and the transposed shape of its packed coefficients. The
+    # counts cross 4-row boundaries and the slab bound
+    @pytest.mark.parametrize("dim, cols", [
+        shape for d in range(2, 65) for p in (d * (d + 1) // 2,)
+        for shape in ((d, d), (d, d * d), (d, p), (p, d))
+    ])
     def test_any_run_of_rows_is_those_rows_of_the_product(self, dim, cols):
         rng = np.random.default_rng(dim + cols)
         m = rng.normal(size=(dim, cols))

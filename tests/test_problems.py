@@ -246,7 +246,7 @@ class TestDrift:
 
 def einsum_residual(residual, z):
     """The residual as two einsums over the coefficient tensors: the reference
-    the stacked matmul form is checked against."""
+    the packed pairwise form is checked against."""
     inside = (np.linalg.norm(z, axis=-1) <= residual.clamp_radius)[:, None]
     return (
         np.einsum("bj,ijk,bk->bi", z, residual.coeff_fast, z) * inside,
