@@ -183,9 +183,9 @@ def mat_exp(a, t: float = 1.0) -> np.ndarray:
 
 
 def row_product(rows: int, size: int):
-    """The product f(x, m, out) of the row rule for an x of ``rows`` rows and
-    an m of ``size`` entries: ``np.ndarray.dot`` where a plain dot keeps the
-    rule, at a multiple of ``ROW_ALIGN`` rows with rows x size <=
+    """The product f(x, m, out) of the row rule for a C-ordered x of ``rows``
+    rows and an m of ``size`` entries: ``np.ndarray.dot`` where a plain dot
+    keeps the rule, at a multiple of ``ROW_ALIGN`` rows with rows x size <=
     ``SLAB_SIZE``, and ``rows_dot`` otherwise. A loop that takes many
     products of one shape picks it once and pays no call per product.
     """
@@ -197,6 +197,10 @@ def rows_dot(x: np.ndarray, m: np.ndarray, out: np.ndarray | None = None) -> np.
     alike at every row count and position (the row rule of the module
     docstring).
 
+    The rule holds for a C-ordered x: BLAS takes an F-ordered one as a
+    transposed operand, whose rows round by the row count. So an x that is
+    not C-contiguous is copied to C order first; a C-ordered x pays only the
+    flag check.
     The result is written into ``out``, any array of rows x cols entries,
     when it is given, and ``out`` is returned. Each slab is written straight
     into the result: ``out`` itself when it is a C-ordered 2-d array, else
@@ -205,6 +209,8 @@ def rows_dot(x: np.ndarray, m: np.ndarray, out: np.ndarray | None = None) -> np.
     four, written straight into the result's last four, or below four rows of
     one zero-padded block, whose product holds the result.
     """
+    if not x.flags.c_contiguous:
+        x = np.ascontiguousarray(x)
     rows = len(x)
     direct = out is None or out.ndim == 2 and out.flags.c_contiguous  # ndarray.dot writes it
     if direct and row_product(rows, m.size) is np.ndarray.dot:

@@ -311,7 +311,9 @@ def _nanmedian(values: np.ndarray, axis: int) -> np.ndarray:
 
 
 def _window_max(ns, values, lo: float, hi: float) -> np.ndarray:
-    keep = (ns > lo) & (ns <= hi)
+    """Each column's largest ratio over the checkpoints lo < n <= hi that have
+    one; ValueError when none has, e.g. while the LIL normalizer's u_n <= 1."""
+    keep = (ns > lo) & (ns <= hi) & ~np.isnan(values).all(axis=1)
     if not np.any(keep):
         raise ValueError("empty stability window")
     return np.nanmax(values[keep], axis=0)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .engine import DECOMP_KEYS, BatchTrace
 
-ARTIFACT_VERSION = "0.2.2"
+ARTIFACT_VERSION = "0.2.3"
 
 
 def fmt17(x: float) -> str:
@@ -54,6 +54,19 @@ def write_report(path: str, payload: dict) -> None:
     """Timestamp header line plus a sorted-key JSON body."""
     body = json.dumps(payload, sort_keys=True, indent=1)
     write_text_atomic(path, f"# generated {_utc_now()}\n{body}\n")
+
+
+def body_digest(path: str) -> str:
+    """sha256 of everything after the ``# generated <timestamp>`` line of a
+    report or CSV file: the part that is a pure function of its config.
+    ValueError, naming the file, when the file does not start with that line."""
+    import hashlib  # 5-8 ms of import, which no command that writes a file needs
+
+    with open(path, "rb") as handle:
+        first, _, body = handle.read().partition(b"\n")
+    if not first.startswith(b"# generated "):
+        raise ValueError(f"{path}: does not start with a '# generated' line")
+    return hashlib.sha256(body).hexdigest()
 
 
 def read_report(path: str) -> dict:

@@ -364,6 +364,19 @@ class TestRowsDot:
             f"({dim}, {cols}) product differently at (row count, offset) {bad[:10]}, so the "
             "determinism contracts (batch size, chunk size, run = replication 0) can fail")
 
+    @pytest.mark.parametrize("rows", [4, 8, 12, 100, 324])
+    def test_an_x_in_any_layout_gives_the_rows_of_the_c_ordered_product(self, rows):
+        # BLAS takes an F-ordered x as a transposed operand, whose rows round
+        # by the row count; m is the 9+9 residual's packed product
+        rng = np.random.default_rng(rows)
+        x, m = rng.normal(size=(800, 171)), rng.normal(size=(171, 18))
+        full = linalg.rows_dot(x, m)
+        wide = np.zeros((rows, 342))
+        wide[:, ::2] = x[:rows]
+        doubled = np.repeat(x[:rows], 2, axis=0)
+        for layout in (np.asfortranarray(x[:rows]), wide[:, ::2], doubled[::2]):
+            np.testing.assert_array_equal(linalg.rows_dot(layout, m), full[:rows])
+
     @pytest.mark.parametrize("rows", [3, 8, 1001])
     def test_writes_into_out(self, rows):
         rng = np.random.default_rng(rows)

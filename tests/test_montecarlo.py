@@ -14,6 +14,7 @@ import ttsa
 from ttsa import (
     GainMatrices,
     MCConfig,
+    StepSchedule,
     clt_verdict,
     negligibility_curves,
     rate_slope,
@@ -260,6 +261,20 @@ class TestRunMonteCarlo:
         assert report.curves["n"].tolist() == [1]
         # both replications start at the same point: zero covariance
         np.testing.assert_array_equal(report.curves["scaled_cov"][0], np.zeros((4, 4)))
+
+    def test_a_lil_window_without_a_ratio_is_lack_of_data(self, linear_problem):
+        # u_n = sum of beta stays below 1 (about 0.16 at n = 1000), so log u_n
+        # and every LIL ratio are undefined: no fractions, no margin, no warning
+        schedule = StepSchedule(beta0=0.01, b=0.8, gamma0=0.01, a=0.6)
+        mc = MCConfig(replications=20, n_final=1000, base_seed=1, checks=("lil",))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = run_monte_carlo(
+                linear_problem, resolve_algorithm(linear_problem, schedule, "standard"), mc)
+        assert report.curves["u"][-1] < 1.0
+        assert report.lil_stability == {}
+        assert [v.as_dict() for v in report.verdicts] == [
+            {"name": "lil", "passed": False, "details": {"diagnostic": "not enough checkpoints"}}]
 
     @pytest.mark.parametrize("algorithm, regime, checks", [
         ("standard", "plain", ("clt",)),
