@@ -87,11 +87,12 @@ of such a product rounds alike at every row count. Everything else is
 elementwise, such as the residual's term rho S_n, one multiply of rho viewed
 as rows of ``ROW_ALIGN`` states by the steps tiled as many times.
 
-The trace keeps the iterate's layout: a ``BatchTrace`` holds the checkpointed
-x = z + x* and its running average x_bar as (checkpoint, replication, d+d')
-arrays, with theta, mu and their averages as views. ``BatchTrace.replication(r)``
-is one replication's trace with the replication axis dropped; ``run`` returns
-replication 0. Checkpoints 1..n_final give the every-step paths.
+The trace keeps the state's coordinates: a ``BatchTrace`` holds the errors z
+and their averages z_bar, as the rows hold them, in (checkpoint, replication,
+d+d') arrays, and shares ``SAState``'s iterate views (``_IterateViews``).
+``BatchTrace.replication(r)`` is one replication's trace with the replication
+axis dropped; ``run`` returns replication 0. Checkpoints 1..n_final give the
+every-step paths.
 
 Replication r of a seed draws from its own counter-based stream, so its path
 does not depend on the batch size; nor on the chunk size, because the row
@@ -238,8 +239,38 @@ def resolve_algorithm(
     return ResolvedAlgorithm(algorithm, matricial_schedule(schedule.a), gains)
 
 
+class _IterateViews:
+    """x = z + x* = (theta, mu), x_bar = z_bar + x* and their fast (first ``d``)
+    and slow parts, computed on every read; ``[..., :d]`` serves a state's
+    (d+d',) vectors and a trace's (checkpoint, replication, d+d') arrays alike."""
+
+    @property
+    def x(self) -> np.ndarray:
+        return self.z + self.x_star
+
+    @property
+    def x_bar(self) -> np.ndarray:
+        return self.z_bar + self.x_star
+
+    @property
+    def theta(self) -> np.ndarray:
+        return self.x[..., : self.d]
+
+    @property
+    def mu(self) -> np.ndarray:
+        return self.x[..., self.d :]
+
+    @property
+    def theta_bar(self) -> np.ndarray:
+        return self.x_bar[..., : self.d]
+
+    @property
+    def mu_bar(self) -> np.ndarray:
+        return self.x_bar[..., self.d :]
+
+
 @dataclass(frozen=True)
-class SAState:
+class SAState(_IterateViews):
     """One trajectory's state at iteration index n (indices start at 1).
 
     ``z`` is the error x - x* of the stacked iterate x = (theta, mu), whose
@@ -247,8 +278,8 @@ class SAState:
     ``z_sum + z_part``: (``z_sum``, ``z_comp``) is a compensated total of
     whole blocks of ``_FOLD`` indices, and ``z_part`` the plain sum of the
     indices since the last fold, so the averages stay accurate over long runs
-    (module docstring). ``x``, ``theta``, ``mu``, ``theta_bar`` and
-    ``mu_bar`` are computed from them and the root ``x_star``.
+    (module docstring). ``z_bar`` is that sum over n, and the iterate views
+    (``_IterateViews``) add the root ``x_star``.
 
     ``parts`` is None unless the decomposition is tracked. Then it is one
     decomposition row of ``_Kernel``, (martingale, coupling) in the (fast,
@@ -256,7 +287,7 @@ class SAState:
     of it; on an untracked state they raise ConfigError. The martingale
     carries the CLT (the noise-driven leading part), the coupling the
     averaged cross-component part. The remainders are never stored; they are
-    the differences error - martingale - coupling.
+    the differences z - martingale - coupling.
     """
 
     n: int
@@ -269,24 +300,8 @@ class SAState:
     parts: np.ndarray | None = None
 
     @property
-    def x(self) -> np.ndarray:
-        return self.z + self.x_star
-
-    @property
-    def theta(self) -> np.ndarray:
-        return self.x[: self.d]
-
-    @property
-    def mu(self) -> np.ndarray:
-        return self.x[self.d :]
-
-    @property
-    def theta_bar(self) -> np.ndarray:
-        return ((self.z_sum + self.z_part) / self.n + self.x_star)[: self.d]
-
-    @property
-    def mu_bar(self) -> np.ndarray:
-        return ((self.z_sum + self.z_part) / self.n + self.x_star)[self.d :]
+    def z_bar(self) -> np.ndarray:
+        return (self.z_sum + self.z_part) / self.n
 
     def _rows(self) -> np.ndarray:
         """``parts`` as (martingale, coupling) rows; ConfigError when untracked."""
@@ -733,15 +748,15 @@ DECOMP_KEYS = (
 
 
 @dataclass(frozen=True)
-class BatchTrace:
+class BatchTrace(_IterateViews):
     """Checkpointed paths of a replication batch.
 
-    ``x`` and ``x_bar`` are the stacked iterate (theta, mu) and its running
-    average, indexed (checkpoint, replication, component) with the first
-    ``d`` components the fast ones; ``theta``, ``mu``, ``theta_bar`` and
-    ``mu_bar`` are read-only views of them. Norms of the decomposition parts
-    are (checkpoint, replication). ``replication(r)`` drops the replication
-    axis.
+    ``z`` and ``z_bar`` are the errors x - x* of the stacked iterate
+    (theta, mu) and of its running average, indexed (checkpoint,
+    replication, component) with the first ``d`` components the fast ones,
+    as the kernel computed them; the iterate views (``_IterateViews``) add
+    the root ``x_star``. Norms of the decomposition parts are (checkpoint,
+    replication). ``replication(r)`` drops the replication axis.
     """
 
     ns: np.ndarray
@@ -750,32 +765,17 @@ class BatchTrace:
     u: np.ndarray
     s: np.ndarray
     d: int
-    x: np.ndarray
-    x_bar: np.ndarray
+    x_star: np.ndarray
+    z: np.ndarray
+    z_bar: np.ndarray
     decomposition: dict[str, np.ndarray] | None = None
-
-    @property
-    def theta(self) -> np.ndarray:
-        return self.x[..., : self.d]
-
-    @property
-    def mu(self) -> np.ndarray:
-        return self.x[..., self.d :]
-
-    @property
-    def theta_bar(self) -> np.ndarray:
-        return self.x_bar[..., : self.d]
-
-    @property
-    def mu_bar(self) -> np.ndarray:
-        return self.x_bar[..., self.d :]
 
     def replication(self, r: int) -> BatchTrace:
         """Replication r's trace, with views into this one's arrays."""
         return replace(
             self,
-            x=self.x[:, r],
-            x_bar=self.x_bar[:, r],
+            z=self.z[:, r],
+            z_bar=self.z_bar[:, r],
             decomposition=None if self.decomposition is None else {
                 key: val[:, r] for key, val in self.decomposition.items()
             },
@@ -814,7 +814,6 @@ def simulate_batch(
     d, dim = problem.d, problem.dim
     b = replications
     kernel = _kernel(problem, gains)
-    x_star = kernel.x_star
     state = initial_state(problem, theta0, mu0, track_decomposition)
     rows = _Rows(kernel, state, b)
 
@@ -830,16 +829,16 @@ def simulate_batch(
         raise ValueError("checkpoints must be strictly increasing and end at n_final")
     k = grid.size
 
-    out_x = np.empty((k, b, dim))
-    out_xbar = np.empty((k, b, dim))
+    out_z = np.empty((k, b, dim))
+    out_zbar = np.empty((k, b, dim))
     out_decomp = {key: np.empty((k, b)) for key in DECOMP_KEYS} if track_decomposition else None
 
     def record(i: int, n: int, z, zsum, dec) -> None:
-        np.add(z[:b], x_star, out=out_x[i])
-        np.add(zsum[:b] / n, x_star, out=out_xbar[i])
+        out_z[i] = z[:b]
+        np.divide(zsum[:b], n, out=out_zbar[i])
         if dec is not None:
             mart, coup = dec[:b, :dim], dec[:b, dim:]
-            remainder = out_x[i] - x_star - mart - coup  # the error as states give it
+            remainder = out_z[i] - mart - coup
             for name, part in (("martingale", mart), ("coupling", coup), ("remainder", remainder)):
                 out_decomp[name + "_fast"][i] = np.linalg.norm(part[:, :d], axis=1)
                 out_decomp[name + "_slow"][i] = np.linalg.norm(part[:, d:], axis=1)
@@ -854,8 +853,9 @@ def simulate_batch(
             u=u_arr[done - 1],
             s=s_arr[done - 1],
             d=d,
-            x=out_x[:m],
-            x_bar=out_xbar[:m],
+            x_star=kernel.x_star,
+            z=out_z[:m],
+            z_bar=out_zbar[:m],
             decomposition=None if out_decomp is None else {
                 key: val[:m] for key, val in out_decomp.items()
             },

@@ -87,14 +87,17 @@ class Verdict:
 
 
 def sample_covariance(samples) -> tuple[np.ndarray, np.ndarray]:
-    """Sample mean and unbiased covariance of row-stacked vectors."""
+    """Sample mean and unbiased covariance of row-stacked vectors, (M, dim) or a
+    stack (..., M, dim) of such sets in one pass; each slice of the results
+    has the bits of a call on that slice alone, and an empty stack gives empty
+    results."""
     x = np.asarray(samples, dtype=float)
-    if x.ndim != 2 or x.shape[0] < 2:
+    if x.ndim < 2 or x.shape[-2] < 2:
         raise ValueError("need at least 2 samples of equal dimension")
-    mean = x.mean(axis=0)
-    centered = x - mean
-    cov = centered.T @ centered / (x.shape[0] - 1)
-    return mean, 0.5 * (cov + cov.T)
+    mean = x.mean(axis=-2)
+    centered = x - mean[..., None, :]
+    cov = np.matmul(centered.swapaxes(-1, -2), centered) / (x.shape[-2] - 1)
+    return mean, 0.5 * (cov + cov.swapaxes(-1, -2))
 
 
 def rel_frobenius(empirical: np.ndarray, predicted: np.ndarray) -> float:
@@ -371,24 +374,16 @@ def _aggregate(problem, resolved, mc, trace, predicted) -> MonteCarloReport:
     Every trace gets its checkpoint curves; only a trace that reached
     ``mc.n_final`` gets the summaries and verdicts.
     """
-    d, dp, dim = problem.d, problem.d_prime, problem.dim
+    d, dp = problem.d, problem.d_prime
     k = trace.ns.size
 
-    x_star = problem.x_star
-    err = trace.x - x_star
-    scaled = err / np.sqrt(_step_sizes(d, dp, trace.beta, trace.gamma))[:, None, :]
-    avg_scaled = (trace.x_bar - x_star) * np.sqrt(trace.ns.astype(float))[:, None, None]
+    scaled = trace.z / np.sqrt(_step_sizes(d, dp, trace.beta, trace.gamma))[:, None, :]
+    avg_scaled = trace.z_bar * np.sqrt(trace.ns.astype(float))[:, None, None]
+    scaled_mean, scaled_cov = sample_covariance(scaled)
+    avg_mean, avg_cov = sample_covariance(avg_scaled)
 
-    scaled_mean = np.empty((k, dim))
-    scaled_cov = np.empty((k, dim, dim))
-    avg_mean = np.empty((k, dim))
-    avg_cov = np.empty((k, dim, dim))
-    for i in range(k):
-        scaled_mean[i], scaled_cov[i] = sample_covariance(scaled[i])
-        avg_mean[i], avg_cov[i] = sample_covariance(avg_scaled[i])
-
-    norm_f = np.linalg.norm(err[..., :d], axis=2)
-    norm_s = np.linalg.norm(err[..., d:], axis=2)
+    norm_f = np.linalg.norm(trace.z[..., :d], axis=2)
+    norm_s = np.linalg.norm(trace.z[..., d:], axis=2)
     rms_fast = np.sqrt((norm_f**2).mean(axis=1))
     rms_slow = np.sqrt((norm_s**2).mean(axis=1))
 

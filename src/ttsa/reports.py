@@ -14,13 +14,12 @@ from __future__ import annotations
 import datetime
 import json
 import os
-import tempfile
 
 import numpy as np
 
 from .engine import DECOMP_KEYS, BatchTrace
 
-ARTIFACT_VERSION = "0.2.3"
+ARTIFACT_VERSION = "0.2.4"
 
 
 def fmt17(x: float) -> str:
@@ -37,9 +36,12 @@ def _utc_now() -> str:
 
 
 def write_text_atomic(path: str, text: str) -> None:
+    """Write ``text`` to a temp file beside ``path``, then rename it there. The
+    file gets mode 0666 less the umask, as ``open`` gives; the rename keeps it."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -93,7 +95,8 @@ def provenance_lines(config_echo: dict) -> list[str]:
 def trace_csv(trace: BatchTrace, config_echo: dict) -> str:
     """One replication's checkpointed trace as CSV with provenance header lines."""
     d = trace.d
-    dp = trace.x.shape[1] - d
+    x, x_bar = trace.x, trace.x_bar  # computed views: read once, not per row
+    dp = x.shape[1] - d
     columns = (
         ["n"]
         + [f"theta_{i + 1}" for i in range(d)]
@@ -107,8 +110,8 @@ def trace_csv(trace: BatchTrace, config_echo: dict) -> str:
     lines.append(",".join(columns))
     for i, n in enumerate(trace.ns):
         row = [str(int(n))]
-        row += [fmt17(x) for x in trace.x[i]]
-        row += [fmt17(x) for x in trace.x_bar[i]]
+        row += [fmt17(v) for v in x[i]]
+        row += [fmt17(v) for v in x_bar[i]]
         if trace.decomposition is not None:
             row += [fmt17(trace.decomposition[key][i]) for key in DECOMP_KEYS]
         lines.append(",".join(row))

@@ -1,6 +1,7 @@
 import math
 import os
 import re
+import stat
 import sys
 import warnings
 from dataclasses import fields, is_dataclass, replace
@@ -1077,6 +1078,26 @@ class TestArtifactVersion:
         for name in ("trace.csv", "montecarlo_samples.csv"):
             lines = (tmp_path / name).read_text().splitlines()
             assert f"# ttsa_version={ARTIFACT_VERSION}" in lines
+
+
+class TestFileModes:
+    @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+    def test_written_files_take_the_umask(self, tmp_path, capsys, umask):
+        # every file gets mode 0666 less the umask, as ``open`` gives it; a
+        # temp file from tempfile.mkstemp is 0600, and the rename keeps that
+        path = write_config(tmp_path, FAST_MC + f"output.directory = {tmp_path}\n")
+        report, plots = tmp_path / "mc.json", tmp_path / "plots"
+        previous = os.umask(umask)
+        try:
+            assert cli.main(["montecarlo", "--config", path, "--output", str(report)]) == 0
+            assert cli.main(["run", "--config", path]) == 0
+            assert cli.main(["report", str(report), "--plots", str(plots)]) == 0
+        finally:
+            os.umask(previous)
+        written = [report, tmp_path / "trace.csv", *sorted(plots.iterdir())]
+        assert len(written) > 3
+        for file in written:
+            assert stat.S_IMODE(file.stat().st_mode) == 0o666 & ~umask, file
 
 
 class TestOutputDirEnv:

@@ -982,9 +982,9 @@ class TestPerStepApi:
     @pytest.mark.parametrize("name", ["linear-2x2", "quadratic-2x2"])
     def test_chained_steps_equal_run(self, name, schedule):
         # step advances a tracked state through the batch's step loop, on
-        # the same four-row shapes and noise, so the paths agree bit for bit;
-        # the norms are taken over differently shaped arrays and agree to
-        # rounding
+        # the same four-row shapes and noise, so the paths agree bit for bit,
+        # the errors z and z_bar the trace stores included; the norms are
+        # taken over differently shaped arrays and agree to rounding
         p = library_problem(name)
         n_final = 600
         trace = run(p, schedule, n_final, seed=9, track_decomposition=True,
@@ -992,13 +992,14 @@ class TestPerStepApi:
 
         draws = p.noise.apply_factor(p.noise.draw(replication_rng(9, 0), (n_final - 1,)))
         state = initial_state(p, track_decomposition=True)
-        paths = {key: [] for key in ("theta", "mu", "theta_bar", "mu_bar")}
+        paths = {key: [] for key in ("z", "z_bar", "theta", "mu", "theta_bar", "mu_bar")}
         norms = {key: [] for key in DECOMP_KEYS}
 
         def record():
             for key, path in paths.items():
                 path.append(getattr(state, key).copy())
-            errors = {"fast": state.theta - p.theta_star, "slow": state.mu - p.mu_star}
+            # the remainder is the error as the state holds it, z - martingale - coupling
+            errors = {"fast": state.z[: p.d], "slow": state.z[p.d :]}
             for part, err in errors.items():
                 mart = getattr(state, "martingale_" + part)
                 coup = getattr(state, "coupling_" + part)

@@ -71,9 +71,28 @@ class TestSampleCovariance:
         _, cov = sample_covariance(x)
         np.testing.assert_array_equal(cov, np.zeros((2, 2)))
 
-    def test_too_few_samples(self):
+    @pytest.mark.parametrize("samples", [[[1.0, 2.0]], np.zeros((3, 1, 2))])
+    def test_too_few_samples(self, samples):
         with pytest.raises(ValueError):
-            sample_covariance([[1.0, 2.0]])
+            sample_covariance(samples)
+
+    @pytest.mark.bitwise
+    @pytest.mark.parametrize("dim", [4, 18])
+    @pytest.mark.parametrize("m", [2, 3, 2000])
+    def test_a_stack_equals_its_slices(self, m, dim):
+        # the harness takes every checkpoint's moments in one call on the
+        # (checkpoint, replication, dim) stack; each slice must keep the bits
+        # of a call on it alone, and an empty stack (a divergence before the
+        # first checkpoint) gives empty results
+        rng = np.random.default_rng(m + dim)
+        for k in (0, 1, 28):
+            x = rng.normal(size=(k, m, dim)) * np.exp(rng.normal(size=(k, 1, dim)))
+            mean, cov = sample_covariance(x)
+            assert mean.shape == (k, dim) and cov.shape == (k, dim, dim)
+            for i in range(k):
+                mean_i, cov_i = sample_covariance(x[i])
+                np.testing.assert_array_equal(mean[i], mean_i)
+                np.testing.assert_array_equal(cov[i], cov_i)
 
     def test_known_generator(self):
         cov = np.array([[2.0, 0.6], [0.6, 1.0]])
