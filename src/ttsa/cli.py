@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 from . import config as cfg
 from . import engine, montecarlo, reports, theory
@@ -17,15 +18,17 @@ from .errors import ConfigError, DivergenceError
 from .problems import validate_problem
 
 
-def _load(path: str):
+def _load(path: str, **settings):
     """The config at ``path`` and the experiment ``cfg.build_experiment``
-    builds from it: every command reads a config the same way."""
+    builds from it: every command reads a config the same way. ``settings``,
+    ``ExperimentConfig`` fields a command fixes, replace the file's values
+    before the build, so the build judges them and the echo shows them."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
-    config = cfg.parse_config(text)
+    config = replace(cfg.parse_config(text), **settings)
     return config, cfg.build_experiment(config)
 
 
@@ -68,10 +71,10 @@ def _cmd_theory(args) -> int:
     return 0
 
 
-def _run_trace(args, always_track: bool, default_name: str) -> int:
+def _run_trace(args, default_name: str, **settings) -> int:
     """``run`` and ``decompose``: one trajectory to CSV, with the decomposition
-    when ``always_track`` or ``run.track_decomposition`` asks for it."""
-    config, (problem, resolved, mc) = _load(args.config)
+    when ``run.track_decomposition`` asks for it; ``settings`` go to ``_load``."""
+    config, (problem, resolved, mc) = _load(args.config, **settings)
     try:
         trace = engine.run(
             problem,
@@ -81,7 +84,7 @@ def _run_trace(args, always_track: bool, default_name: str) -> int:
             gains=resolved.gains,
             theta0=mc.theta0,
             mu0=mc.mu0,
-            track_decomposition=always_track or mc.track_decomposition,
+            track_decomposition=mc.track_decomposition,
             checkpoints=mc.checkpoints,
         )
     except DivergenceError as exc:
@@ -95,11 +98,11 @@ def _run_trace(args, always_track: bool, default_name: str) -> int:
 
 
 def _cmd_run(args) -> int:
-    return _run_trace(args, always_track=False, default_name="trace.csv")
+    return _run_trace(args, "trace.csv")
 
 
 def _cmd_decompose(args) -> int:
-    return _run_trace(args, always_track=True, default_name="decompose.csv")
+    return _run_trace(args, "decompose.csv", run_track_decomposition=True)
 
 
 def _cmd_montecarlo(args) -> int:
@@ -109,7 +112,7 @@ def _cmd_montecarlo(args) -> int:
     payload["config"] = cfg.config_echo(config)
     payload["version"] = reports.ARTIFACT_VERSION
     path = _out_path(config, args.output, "montecarlo.json")
-    reports.write_report(path, payload)
+    payload = reports.write_report(path, payload)  # as ``report`` reads it back
     sys.stdout.write(reports.render_montecarlo(payload))
     sys.stdout.write(f"wrote {path}\n")
     if config.mc_dump_samples and report.final_scaled is not None:

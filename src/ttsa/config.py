@@ -22,6 +22,11 @@ The schedule rules (A3) live in ``StepSchedule``, the Monte Carlo rules in
 problem models: parsing builds the first two and ``build_problem`` the
 problem (``_build``), and a field a model rejects is the error ``<key>:
 <the model's message>``, naming the key that set it.
+
+One rule is judged where the experiment is built (``build_experiment``), on
+the config that runs and is echoed, which a command may have set keys on
+(``ttsa decompose`` sets ``run.track_decomposition``): tracking applies to
+the plain iteration only, not to ``run.algorithm = matricial``.
 """
 from __future__ import annotations
 
@@ -310,12 +315,6 @@ def _validate(config: ExperimentConfig, defaults: ExperimentConfig) -> None:
                     key=key,
                 )
     _build(StepSchedule, _SCHEDULE_KEYS, config)
-    if config.run_algorithm == MATRICIAL and config.run_track_decomposition:
-        raise ConfigError(
-            "run.track_decomposition: decomposition tracking applies to the plain "
-            "iteration only, not to run.algorithm = matricial",
-            key="run.track_decomposition",
-        )
     _build(MCConfig, _MC_KEYS, config)
     # checkpoint_indices' bound, as the grid is built only with the experiment
     if not config.run_checkpoints_per_decade > 0:
@@ -399,6 +398,12 @@ def build_experiment(config: ExperimentConfig):
         raise ConfigError(
             f"run.algorithm = {config.run_algorithm}: {exc}", key="run.algorithm"
         ) from exc
+    if config.run_algorithm == MATRICIAL and config.run_track_decomposition:
+        raise ConfigError(
+            "run.track_decomposition: decomposition tracking applies to the plain "
+            "iteration only, not to run.algorithm = matricial",
+            key="run.track_decomposition",
+        )
     theta0, mu0 = _start(config, problem)
     grid = checkpoint_indices(config.run_n_final, config.run_checkpoints_per_decade)
     mc = _build(MCConfig, _MC_KEYS, config, theta0=theta0, mu0=mu0,

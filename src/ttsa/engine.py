@@ -87,9 +87,12 @@ of such a product rounds alike at every row count. Everything else is
 elementwise, such as the residual's term rho S_n, one multiply of rho viewed
 as rows of ``ROW_ALIGN`` states by the steps tiled as many times.
 
-The trace keeps the state's coordinates: a ``BatchTrace`` holds the errors z
-and their averages z_bar, as the rows hold them, in (checkpoint, replication,
-d+d') arrays, and shares ``SAState``'s iterate views (``_IterateViews``).
+The trace keeps what the state keeps: a ``BatchTrace`` holds the errors z and
+their averages z_bar, as the rows hold them, in (checkpoint, replication,
+d+d') arrays, and a tracked run's (martingale, coupling) rows ``parts`` in a
+(checkpoint, replication, 2(d+d')) one. It shares ``SAState``'s views
+(``_IterateViews``), of the iterates and of the four parts, and a checkpoint's
+record only copies: the norms are derived (``BatchTrace.decomposition``).
 ``BatchTrace.replication(r)`` is one replication's trace with the replication
 axis dropped; ``run`` returns replication 0. Checkpoints 1..n_final give the
 every-step paths.
@@ -242,7 +245,11 @@ def resolve_algorithm(
 class _IterateViews:
     """x = z + x* = (theta, mu), x_bar = z_bar + x* and their fast (first ``d``)
     and slow parts, computed on every read; ``[..., :d]`` serves a state's
-    (d+d',) vectors and a trace's (checkpoint, replication, d+d') arrays alike."""
+    (d+d',) vectors and a trace's (checkpoint, replication, d+d') arrays alike.
+
+    The same indexing splits the tracked decomposition ``parts``, (martingale,
+    coupling) in the (fast, slow) layout of z, into ``martingale_fast`` ...
+    ``coupling_slow``; they raise ConfigError when nothing was tracked."""
 
     @property
     def x(self) -> np.ndarray:
@@ -268,6 +275,31 @@ class _IterateViews:
     def mu_bar(self) -> np.ndarray:
         return self.x_bar[..., self.d :]
 
+    def _split(self) -> np.ndarray:
+        """``parts`` with its last axis as (martingale, coupling) rows of d+d'."""
+        if self.parts is None:
+            raise ConfigError(
+                "the decomposition is untracked here; pass track_decomposition=True "
+                "to initial_state, run or simulate_batch to read it"
+            )
+        return self.parts.reshape(*self.parts.shape[:-1], 2, -1)
+
+    @property
+    def martingale_fast(self) -> np.ndarray:
+        return self._split()[..., 0, : self.d]
+
+    @property
+    def martingale_slow(self) -> np.ndarray:
+        return self._split()[..., 0, self.d :]
+
+    @property
+    def coupling_fast(self) -> np.ndarray:
+        return self._split()[..., 1, : self.d]
+
+    @property
+    def coupling_slow(self) -> np.ndarray:
+        return self._split()[..., 1, self.d :]
+
 
 @dataclass(frozen=True)
 class SAState(_IterateViews):
@@ -283,11 +315,11 @@ class SAState(_IterateViews):
 
     ``parts`` is None unless the decomposition is tracked. Then it is one
     decomposition row of ``_Kernel``, (martingale, coupling) in the (fast,
-    slow) layout of z, with ``martingale_fast`` ... ``coupling_slow`` views
-    of it; on an untracked state they raise ConfigError. The martingale
-    carries the CLT (the noise-driven leading part), the coupling the
-    averaged cross-component part. The remainders are never stored; they are
-    the differences z - martingale - coupling.
+    slow) layout of z, which the views ``martingale_fast`` ...
+    ``coupling_slow`` split. The martingale carries the CLT (the noise-driven
+    leading part), the coupling the averaged cross-component part. The
+    remainders are never stored; they are the differences z - martingale -
+    coupling.
     """
 
     n: int
@@ -302,31 +334,6 @@ class SAState(_IterateViews):
     @property
     def z_bar(self) -> np.ndarray:
         return (self.z_sum + self.z_part) / self.n
-
-    def _rows(self) -> np.ndarray:
-        """``parts`` as (martingale, coupling) rows; ConfigError when untracked."""
-        if self.parts is None:
-            raise ConfigError(
-                "this state is untracked; start it with "
-                "initial_state(..., track_decomposition=True) to read its decomposition"
-            )
-        return self.parts.reshape(2, -1)
-
-    @property
-    def martingale_fast(self) -> np.ndarray:
-        return self._rows()[0, : self.d]
-
-    @property
-    def martingale_slow(self) -> np.ndarray:
-        return self._rows()[0, self.d :]
-
-    @property
-    def coupling_fast(self) -> np.ndarray:
-        return self._rows()[1, : self.d]
-
-    @property
-    def coupling_slow(self) -> np.ndarray:
-        return self._rows()[1, self.d :]
 
 
 def _initial_iterate(problem: ProblemSpec, theta0, mu0) -> np.ndarray:
@@ -749,14 +756,17 @@ DECOMP_KEYS = (
 
 @dataclass(frozen=True)
 class BatchTrace(_IterateViews):
-    """Checkpointed paths of a replication batch.
+    """Checkpointed paths of a replication batch, in the state's coordinates.
 
     ``z`` and ``z_bar`` are the errors x - x* of the stacked iterate
     (theta, mu) and of its running average, indexed (checkpoint,
     replication, component) with the first ``d`` components the fast ones,
-    as the kernel computed them; the iterate views (``_IterateViews``) add
-    the root ``x_star``. Norms of the decomposition parts are (checkpoint,
-    replication). ``replication(r)`` drops the replication axis.
+    as the kernel computed them. ``parts``, None unless the decomposition is
+    tracked, holds each state's (martingale, coupling) row, indexed
+    (checkpoint, replication, 2(d+d')). The views (``_IterateViews``) add the
+    root ``x_star`` and split ``parts``, as on an ``SAState``; the norms are
+    derived in ``decomposition``. ``replication(r)`` drops the replication
+    axis.
     """
 
     ns: np.ndarray
@@ -768,18 +778,28 @@ class BatchTrace(_IterateViews):
     x_star: np.ndarray
     z: np.ndarray
     z_bar: np.ndarray
-    decomposition: dict[str, np.ndarray] | None = None
+    parts: np.ndarray | None = None
+
+    @property
+    def decomposition(self) -> dict[str, np.ndarray] | None:
+        """Norms of the fast and slow martingale, coupling and remainder z -
+        martingale - coupling, keyed by ``DECOMP_KEYS`` and indexed as ``z``
+        less its last axis, computed on every read; None when untracked."""
+        if self.parts is None:
+            return None
+        split = self._split()
+        mart, coup = split[..., 0, :], split[..., 1, :]
+        norms = {}
+        for name, part in (("martingale", mart), ("coupling", coup),
+                           ("remainder", self.z - mart - coup)):
+            norms[name + "_fast"] = np.linalg.norm(part[..., : self.d], axis=-1)
+            norms[name + "_slow"] = np.linalg.norm(part[..., self.d :], axis=-1)
+        return norms
 
     def replication(self, r: int) -> BatchTrace:
         """Replication r's trace, with views into this one's arrays."""
-        return replace(
-            self,
-            z=self.z[:, r],
-            z_bar=self.z_bar[:, r],
-            decomposition=None if self.decomposition is None else {
-                key: val[:, r] for key, val in self.decomposition.items()
-            },
-        )
+        return replace(self, z=self.z[:, r], z_bar=self.z_bar[:, r],
+                       parts=None if self.parts is None else self.parts[:, r])
 
 
 def simulate_batch(
@@ -831,17 +851,13 @@ def simulate_batch(
 
     out_z = np.empty((k, b, dim))
     out_zbar = np.empty((k, b, dim))
-    out_decomp = {key: np.empty((k, b)) for key in DECOMP_KEYS} if track_decomposition else None
+    out_parts = np.empty((k, b, 2 * dim)) if track_decomposition else None
 
     def record(i: int, n: int, z, zsum, dec) -> None:
         out_z[i] = z[:b]
         np.divide(zsum[:b], n, out=out_zbar[i])
         if dec is not None:
-            mart, coup = dec[:b, :dim], dec[:b, dim:]
-            remainder = out_z[i] - mart - coup
-            for name, part in (("martingale", mart), ("coupling", coup), ("remainder", remainder)):
-                out_decomp[name + "_fast"][i] = np.linalg.norm(part[:, :d], axis=1)
-                out_decomp[name + "_slow"][i] = np.linalg.norm(part[:, d:], axis=1)
+            out_parts[i] = dec[:b]
 
     def trace(m: int) -> BatchTrace:
         """The first m checkpoints."""
@@ -856,9 +872,7 @@ def simulate_batch(
             x_star=kernel.x_star,
             z=out_z[:m],
             z_bar=out_zbar[:m],
-            decomposition=None if out_decomp is None else {
-                key: val[:m] for key, val in out_decomp.items()
-            },
+            parts=None if out_parts is None else out_parts[:m],
         )
 
     rngs = [replication_rng(base_seed, r) for r in range(b)]

@@ -184,7 +184,7 @@ def rate_slope(ns, rms, window: tuple[float, float] | None = None) -> float:
     if window is not None:
         keep = (ns >= window[0]) & (ns <= window[1])
         ns, rms = ns[keep], rms[keep]
-    if ns.size < 4 or ns.size == 0 or math.log10(ns[-1] / ns[0]) < 1.5:
+    if ns.size < 4 or math.log10(ns[-1] / ns[0]) < 1.5:
         raise ValueError("need at least 4 checkpoints spanning 1.5 decades")
     if np.any(rms <= 0.0):
         raise DegenerateDataError("zero RMS inside the fitting window")
@@ -194,18 +194,19 @@ def rate_slope(ns, rms, window: tuple[float, float] | None = None) -> float:
     return float(slope)
 
 
-def negligibility_curves(trace: BatchTrace) -> dict[str, np.ndarray]:
+def negligibility_curves(trace: BatchTrace, norms: dict | None = None) -> dict[str, np.ndarray]:
     """Per-checkpoint medians of the decomposition ratio curves.
 
     The coupling and remainder parts are normalized by the step scales they
     must be negligible against: sqrt(beta_n) on the fast side and for both
     remainders, sqrt(gamma_n) for the slow coupling part (which itself is of
     order sqrt(beta_n), so this ratio must fall). Ratios against the
-    martingale parts are included for the same checkpoints.
+    martingale parts are included for the same checkpoints. ``norms`` is
+    ``trace.decomposition``, for a caller that has read it already.
     """
-    if trace.decomposition is None:
+    dec = trace.decomposition if norms is None else norms
+    if dec is None:
         raise ConfigError("decomposition tracking was not enabled for this run")
-    dec = trace.decomposition
     sqrt_beta = np.sqrt(trace.beta)[:, None]
     sqrt_gamma = np.sqrt(trace.gamma)[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -415,8 +416,9 @@ def _aggregate(problem, resolved, mc, trace, predicted) -> MonteCarloReport:
         },
         predicted=predicted,
     )
-    if trace.decomposition is not None:
-        report.negligibility = negligibility_curves(trace)
+    norms = trace.decomposition  # derived from the tracked parts, so read once
+    if norms is not None:
+        report.negligibility = negligibility_curves(trace, norms)
     if k == 0 or trace.ns[-1] != mc.n_final:
         return report
 
@@ -426,15 +428,13 @@ def _aggregate(problem, resolved, mc, trace, predicted) -> MonteCarloReport:
         kurt_dev if math.isfinite(kurt_dev) else None
     )
     report.diagnostics["kurtosis_soft_bound"] = 0.3
-    if trace.decomposition is not None:
+    if norms is not None:
         # per-path decrease is only meaningful across decades, not adjacent
         # grid points, once the remainder sits at its noise floor
         targets = [trace.ns[-1] / 100.0, trace.ns[-1] / 10.0, float(trace.ns[-1])]
         idx = sorted({int(np.argmin(np.abs(trace.ns - t))) for t in targets})
         if len(idx) == 3:
-            tail = trace.decomposition["remainder_fast"][idx] / np.sqrt(
-                trace.beta[idx]
-            )[:, None]
+            tail = norms["remainder_fast"][idx] / np.sqrt(trace.beta[idx])[:, None]
             report.diagnostics["remainder_fast_decreasing_fraction"] = float(
                 np.mean((tail[0] > tail[1]) & (tail[1] > tail[2]))
             )
@@ -447,7 +447,7 @@ def _aggregate(problem, resolved, mc, trace, predicted) -> MonteCarloReport:
                 "slow": rate_slope(trace.ns, rms_slow, window),
                 "window": list(window),
             }
-        except (ValueError, DegenerateDataError):
+        except ValueError:  # DegenerateDataError included
             report.rate_slopes = {}
 
     if ("lil" in mc.checks or mc.n_final >= 1000) and k >= 3:

@@ -1,9 +1,10 @@
 """Serialization of traces and reports.
 
 Report files are a single ``# generated <utc timestamp>`` header line
-followed by a JSON document; everything after the header is a pure function
-of the configuration, so two runs of the same experiment produce
-byte-identical files apart from that line. CSV files carry ``# key=value``
+followed by a strict (RFC 8259) JSON document, in which a NaN or infinite
+number is ``null``; everything after the header is a pure function of the
+configuration, so two runs of the same experiment produce byte-identical
+files apart from that line. CSV files carry ``# key=value``
 provenance lines (artifact version and the resolved configuration) above the
 column header, and numbers are rendered with 17 significant digits so they
 round-trip losslessly. All writes are atomic (write to a temp file, then
@@ -13,13 +14,14 @@ from __future__ import annotations
 
 import datetime
 import json
+import math
 import os
 
 import numpy as np
 
 from .engine import DECOMP_KEYS, BatchTrace
 
-ARTIFACT_VERSION = "0.2.4"
+ARTIFACT_VERSION = "0.2.5"
 
 
 def fmt17(x: float) -> str:
@@ -52,10 +54,25 @@ def write_text_atomic(path: str, text: str) -> None:
         raise
 
 
-def write_report(path: str, payload: dict) -> None:
-    """Timestamp header line plus a sorted-key JSON body."""
-    body = json.dumps(payload, sort_keys=True, indent=1)
+def _finite_or_null(value):
+    """``value`` with every NaN or infinite float in it as None, JSON's null."""
+    if isinstance(value, dict):
+        return {key: _finite_or_null(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(item) for item in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
+def write_report(path: str, payload: dict) -> dict:
+    """Timestamp header line plus a sorted-key, strict JSON body. Returns the
+    payload as the body holds it, non-finite numbers as None, so a caller
+    renders what ``read_report`` will read."""
+    payload = _finite_or_null(payload)
+    body = json.dumps(payload, sort_keys=True, indent=1, allow_nan=False)
     write_text_atomic(path, f"# generated {_utc_now()}\n{body}\n")
+    return payload
 
 
 def body_digest(path: str) -> str:
@@ -73,7 +90,8 @@ def body_digest(path: str) -> str:
 
 def read_report(path: str) -> dict:
     """A stored report's payload; ValueError, naming the file, unless it holds a
-    JSON object."""
+    JSON object. Files written before bodies were strict may hold NaN, which
+    reads as a float."""
     with open(path, "r", encoding="utf-8") as handle:
         lines = [line for line in handle if not line.startswith("#")]
     try:
@@ -95,7 +113,8 @@ def provenance_lines(config_echo: dict) -> list[str]:
 def trace_csv(trace: BatchTrace, config_echo: dict) -> str:
     """One replication's checkpointed trace as CSV with provenance header lines."""
     d = trace.d
-    x, x_bar = trace.x, trace.x_bar  # computed views: read once, not per row
+    # computed views: read once, not per row
+    x, x_bar, norms = trace.x, trace.x_bar, trace.decomposition
     dp = x.shape[1] - d
     columns = (
         ["n"]
@@ -104,7 +123,7 @@ def trace_csv(trace: BatchTrace, config_echo: dict) -> str:
         + [f"theta_bar_{i + 1}" for i in range(d)]
         + [f"mu_bar_{i + 1}" for i in range(dp)]
     )
-    if trace.decomposition is not None:
+    if norms is not None:
         columns += [f"{key}_norm" for key in DECOMP_KEYS]
     lines = provenance_lines(config_echo)
     lines.append(",".join(columns))
@@ -112,8 +131,8 @@ def trace_csv(trace: BatchTrace, config_echo: dict) -> str:
         row = [str(int(n))]
         row += [fmt17(v) for v in x[i]]
         row += [fmt17(v) for v in x_bar[i]]
-        if trace.decomposition is not None:
-            row += [fmt17(trace.decomposition[key][i]) for key in DECOMP_KEYS]
+        if norms is not None:
+            row += [fmt17(norms[key][i]) for key in DECOMP_KEYS]
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"
 
@@ -245,7 +264,8 @@ def write_plot_bundle(payload: dict, outdir: str) -> list[str]:
     for name, values in curves.items():
         path = os.path.join(outdir, f"{stem}_{name}.csv")
         lines = ["n,value"] + [
-            f"{int(n)},{fmt17(v)}" for n, v in zip(ns, values) if np.isfinite(v)
+            f"{int(n)},{fmt17(v)}" for n, v in zip(ns, values)
+            if v is not None and math.isfinite(v)  # null is a number that was not finite
         ]
         write_text_atomic(path, "\n".join(lines) + "\n")
         paths.append(path)

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import re
@@ -29,7 +30,7 @@ from ttsa.engine import DECOMP_KEYS
 from ttsa.errors import ConfigError
 from ttsa.montecarlo import KNOWN_CHECKS
 from ttsa.problems import LIBRARY_NAMES
-from ttsa.reports import ARTIFACT_VERSION, read_report
+from ttsa.reports import ARTIFACT_VERSION, fmt17, read_report
 
 MINIMAL = "problem.name = linear-2x2\n"
 
@@ -107,7 +108,6 @@ def experiment_configs(draw):
     values.update(step_a=a, step_b=b)
     if "negligibility" in values["mc_checks"]:  # it reads the tracked decomposition
         values["run_track_decomposition"] = True
-    assume(not (values["run_algorithm"] == "matricial" and values["run_track_decomposition"]))
     defaults, conditional, unread = _defaults(ExperimentConfig(**values)), set(), set()
     for cond, allowed, keys in _READ_WHEN:  # in order: a row may reset a later row's condition
         attrs = {KEY_TABLE[key][0] for key in keys}
@@ -802,6 +802,15 @@ class TestBadStart:
             err = capsys.readouterr().err
             assert "run.track_decomposition" in err and "plain iteration only" in err
 
+    def test_decompose_on_a_matricial_config(self, tmp_path, capsys):
+        # decompose sets run.track_decomposition itself, and meets the same rule
+        path = write_config(tmp_path, MINIMAL + "run.algorithm = matricial\n")
+        out = str(tmp_path / "out")
+        assert cli.main(["decompose", "--config", path, "--output", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: run.track_decomposition")
+        assert "plain iteration only" in err
+
     def test_averaged_on_a_plain_schedule(self, tmp_path, capsys):
         text = MINIMAL + "run.n_final = 20\nrun.algorithm = averaged\n"
         path = write_config(tmp_path, text)
@@ -892,6 +901,8 @@ class TestRunCommand:
         header = next(l for l in lines if not l.startswith("#"))
         assert "martingale_fast_norm" in header
         assert "remainder_slow_norm" in header
+        # decompose sets the key on the config it runs, so the echo shows it
+        assert "# config.run.track_decomposition=true" in lines
 
     def test_run_reads_the_tracking_key(self, tmp_path, capsys):
         norms = [f"{key}_norm" for key in DECOMP_KEYS]
@@ -1044,6 +1055,36 @@ class TestReportCommand:
         csv = next(f for f in files if f.endswith("rms_fast.csv"))
         lines = (plots_dir / csv).read_text().splitlines()
         assert lines[0] == "n,value"
+
+    def test_a_tracked_report_is_strict_json_and_plots_every_curve(self, tmp_path, capsys):
+        # the parts start at zero, so the first coupling-over-martingale
+        # ratios are 0/0: null in the body
+        text = MINIMAL + ("run.n_final = 200\nrun.track_decomposition = true\n"
+                          "mc.replications = 4\nmc.checks =\n")
+        path, out_file = write_config(tmp_path, text), tmp_path / "mc.json"
+        assert cli.main(["montecarlo", "--config", path, "--output", str(out_file)]) == 0
+        printed = capsys.readouterr().out
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not RFC 8259 JSON")
+
+        payload = json.loads(out_file.read_text().partition("\n")[2], parse_constant=refuse)
+        curves = {key: payload["checkpoints"][key]
+                  for key in ("rms_fast", "rms_slow", "lil_max_fast", "lil_max_slow")}
+        curves.update(payload["negligibility"])
+        assert len(curves) == 10
+        for key in ("coupling_fast_over_martingale", "coupling_slow_over_martingale"):
+            assert curves[key][0] is None
+        assert cli.main(["report", str(out_file)]) == 0
+        assert capsys.readouterr().out + f"wrote {out_file}\n" == printed
+        plots = tmp_path / "plots"
+        assert cli.main(["report", str(out_file), "--plots", str(plots)]) == 0
+        assert sorted(os.listdir(plots)) == sorted(
+            ["curves.gp", *(f"curves_{key}.csv" for key in curves)])
+        for key, values in curves.items():  # a null point is skipped
+            rows = [f"{n},{fmt17(v)}" for n, v in zip(payload["checkpoints"]["n"], values)
+                    if v is not None]
+            assert (plots / f"curves_{key}.csv").read_text().splitlines() == ["n,value", *rows]
 
     def test_missing_file_exits_two(self, tmp_path, capsys):
         assert cli.main(["report", str(tmp_path / "nope.json")]) == 2

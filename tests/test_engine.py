@@ -319,6 +319,12 @@ class TestDecomposition:
             with pytest.raises(ConfigError, match=r"untracked.*track_decomposition=True"):
                 getattr(state, part)
 
+    def test_untracked_trace_names_how_to_track(self, linear_problem, schedule):
+        trace = run(linear_problem, schedule, 20, seed=1)
+        assert trace.parts is None and trace.decomposition is None
+        with pytest.raises(ConfigError, match=r"untracked.*track_decomposition=True"):
+            trace.martingale_fast
+
     def test_tracked_matricial_step_is_rejected(self, linear_problem, schedule):
         p = linear_problem
         state = initial_state(p, track_decomposition=True)
@@ -983,8 +989,9 @@ class TestPerStepApi:
     def test_chained_steps_equal_run(self, name, schedule):
         # step advances a tracked state through the batch's step loop, on
         # the same four-row shapes and noise, so the paths agree bit for bit,
-        # the errors z and z_bar the trace stores included; the norms are
-        # taken over differently shaped arrays and agree to rounding
+        # the errors z and z_bar and the (martingale, coupling) parts the trace
+        # stores included, and so do the views state and trace share; the
+        # norms are taken over differently shaped arrays and agree to rounding
         p = library_problem(name)
         n_final = 600
         trace = run(p, schedule, n_final, seed=9, track_decomposition=True,
@@ -992,7 +999,9 @@ class TestPerStepApi:
 
         draws = p.noise.apply_factor(p.noise.draw(replication_rng(9, 0), (n_final - 1,)))
         state = initial_state(p, track_decomposition=True)
-        paths = {key: [] for key in ("z", "z_bar", "theta", "mu", "theta_bar", "mu_bar")}
+        paths = {key: [] for key in ("z", "z_bar", "theta", "mu", "theta_bar", "mu_bar", "parts",
+                                     "martingale_fast", "martingale_slow",
+                                     "coupling_fast", "coupling_slow")}
         norms = {key: [] for key in DECOMP_KEYS}
 
         def record():

@@ -360,6 +360,16 @@ def test_output_is_the_stored_one(name, golden, outputs):
     assert found is None, found
 
 
+@pytest.mark.parametrize("name", [name for name, (command, _) in CONFIGS.items()
+                                  if command == "montecarlo"])
+def test_report_bodies_are_strict_json(name, outputs):
+    # RFC 8259 has no NaN or Infinity: a non-finite number is written as null
+    def refuse(constant):
+        raise ValueError(f"{name}: {constant} in the body")
+
+    json.loads(outputs[name]["body"], parse_constant=refuse)
+
+
 def _foreign(monkeypatch):
     monkeypatch.setattr(sys.modules[__name__], "fingerprint", lambda: "a foreign platform")
 
